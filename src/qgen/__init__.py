@@ -8,13 +8,11 @@ forms, never numeric comparison.
 """
 
 from qgen.qcore import (
-    BigRational,
     LaurentPolyQ,
     PoleError,
     Q,
     ONE,
     ZERO,
-    QBracketArgs,
     RatFuncQ,
     binomial,
     eval_at,
@@ -73,7 +71,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BernsteinIndex",
-    "BigRational",
     "ConvergenceTrace",
     "GenocchiTable",
     "IntegrandSpec",
@@ -83,7 +80,6 @@ __all__ = [
     "PoleError",
     "PrecisionError",
     "Q",
-    "QBracketArgs",
     "RatFuncQ",
     "SweepConfig",
     "SweepReport",

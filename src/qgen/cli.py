@@ -34,7 +34,13 @@ from qgen.genocchi import (
     build_table,
     weighted_genocchi_poly_closed,
 )
-from qgen.identities import THEOREMS, SweepConfig, SweepReport, sweep, unresolved_failures
+from qgen.identities import (
+    THEOREMS,
+    SweepConfig,
+    SweepReport,
+    sweep,
+    unresolved_failures,
+)
 from qgen.padic import (
     IntegrandSpec,
     PadicContext,
@@ -289,7 +295,14 @@ def _verify_config(args) -> SweepConfig:
 def _cmd_verify(args) -> int:
     config = _verify_config(args)
     only = None if args.theorem == "all" else (args.theorem,)
-    report = sweep(config, workers=args.workers, only=only)
+    try:
+        report = sweep(config, workers=args.workers, only=only)
+    except ValueError as exc:
+        print(f"qgen: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    if not report.records:
+        print("qgen: the verify grid is empty; nothing was checked", file=sys.stderr)
+        return EXIT_USAGE
     config_echo = {k: getattr(config, k) for k in sorted(config.__dataclass_fields__)}
     config_echo["theorem"] = args.theorem
     text = serialize_report(report, args.format, config_echo)
@@ -366,7 +379,8 @@ def _cmd_integral(args) -> int:
 
 def _cmd_bernstein(args) -> int:
     try:
-        ks = [args.k] if args.k is not None else list(range(args.n + 1))
+        # a negative --n still builds k = 0, so BernsteinIndex rejects it
+        ks = [args.k] if args.k is not None else list(range(max(args.n, 0) + 1))
         indices = [BernsteinIndex(k, args.n, args.alpha) for k in ks]
     except (IndexError, ValueError) as exc:
         print(f"qgen: {exc}", file=sys.stderr)

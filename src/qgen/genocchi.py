@@ -45,7 +45,6 @@ from qgen.qcore import ONE, RatFuncQ, ZERO, binomial, eval_at, q_power, qbracket
 __all__ = [
     "GenocchiTable",
     "ROUTE_CLOSED",
-    "ROUTE_INTEGRAL",
     "ROUTE_RECURRENCE",
     "ROUTE_UMBRAL",
     "WeightParams",
@@ -63,7 +62,6 @@ __all__ = [
 ROUTE_CLOSED = "closed-form"
 ROUTE_RECURRENCE = "recurrence"
 ROUTE_UMBRAL = "umbral"
-ROUTE_INTEGRAL = "integral"
 
 
 @dataclass(frozen=True)

@@ -361,6 +361,24 @@ def _boundaries(records: tuple[VerificationRecord, ...]) -> tuple[dict, ...]:
     return tuple(out)
 
 
+def _worker_count(workers: int | None = None) -> int:
+    """The sweep's parallelism: `workers`, else QGEN_WORKERS, else 1.
+
+    Raises ValueError unless the value is a positive integer.
+    """
+    if workers is None:
+        text = os.environ.get("QGEN_WORKERS", "1") or "1"
+        try:
+            workers = int(text)
+        except ValueError:
+            workers = 0
+        if workers < 1:
+            raise ValueError(f"QGEN_WORKERS must be a positive integer, got {text!r}")
+    elif workers < 1:
+        raise ValueError(f"workers must be a positive integer, got {workers}")
+    return workers
+
+
 def sweep(config: SweepConfig | None = None, workers: int | None = None,
           only: tuple[str, ...] | None = None) -> SweepReport:
     """Run every verifier over its grid; deterministic record order
@@ -371,8 +389,7 @@ def sweep(config: SweepConfig | None = None, workers: int | None = None,
     report ordering is schedule-independent.
     """
     config = config or SweepConfig()
-    if workers is None:
-        workers = int(os.environ.get("QGEN_WORKERS", "1") or "1")
+    workers = _worker_count(workers)
     tasks = _tasks(config)
     if only is not None:
         unknown = set(only) - set(THEOREMS)

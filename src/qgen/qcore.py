@@ -7,15 +7,25 @@ equality of representations: every identity check downstream is
 ``lhs == rhs``, with no numeric tolerance and no randomized equality
 testing.
 
-Canonical form of a nonzero quotient num/den:
+Canonical form.  A `RatFuncQ` stores its value once, as integers:
 
-* den is an ordinary polynomial (minimal exponent 0, so its constant
-  term is nonzero) with coprime integer coefficients and a positive
-  leading coefficient;
-* num is a Laurent polynomial carrying everything else, including the
-  overall power of q and the rational content;
-* the polynomial parts of num and den are coprime;
-* zero is 0/1.
+    content * q^shift * num(q) / den(q)
+
+* ``num`` and ``den`` are tuples of integer coefficients in ascending
+  order.  Each is primitive (coprime coefficients) with a positive
+  leading and a nonzero constant coefficient, and the two are coprime;
+* ``shift`` carries the overall power of q and ``content`` (a nonzero
+  Fraction) the sign and the rational content;
+* zero is its own value: shift 0, content 0, num (), den (1,).
+
+Equal values therefore have equal tuples.  Arithmetic never leaves the
+integers except for the content.  The gcd that keeps num and den coprime
+is GCDHEU (Char, Geddes & Gonnet, 1989): evaluate both polynomials at a
+large integer xi, take one integer gcd and read it back as balanced
+xi-adic digits, accepted only when they divide both inputs exactly.
+After six rejected values of xi the primitive PRS gcd decides.  The
+`LaurentPolyQ` views ``num`` (content and shift included) and ``den``
+are built on demand and are what the canonical string prints.
 
 q is treated as a formal indeterminate here.  Substituting a rational
 number for q is a separate, explicit step (`eval_at`), and the p-adic
@@ -26,16 +36,13 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 from typing import Iterator, Mapping, Union
 
 __all__ = [
-    "BigRational",
     "LaurentPolyQ",
     "PoleError",
-    "QBracketArgs",
     "RatFuncQ",
     "ZERO",
     "ONE",
@@ -45,14 +52,8 @@ __all__ = [
     "q_power",
     "qbracket",
     "qbracket_reflect",
-    "ratfunc_arith",
     "subst_q_inverse",
 ]
-
-# Arbitrary-precision rationals: numerator/denominator invariants
-# (reduced, positive denominator) are exactly what fractions.Fraction
-# guarantees, so it is used directly as the coefficient type.
-BigRational = Fraction
 
 Rational = Union[Fraction, int]
 
@@ -72,22 +73,33 @@ def _trim(cs: list[int]) -> list[int]:
     return cs
 
 
-def _int_mul(a: list[int], b: list[int]) -> list[int]:
+def _int_mul(a, b) -> list[int]:
     if not a or not b:
         return []
+    if len(a) == 1 or len(b) == 1:
+        (c,), p = (a, b) if len(a) == 1 else (b, a)
+        return list(p) if c == 1 else [c * x for x in p]
     out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         if x:
             for j, y in enumerate(b):
-                if y:
-                    out[i + j] += x * y
+                out[i + j] += x * y
     return out
 
 
-def _int_divexact(a: list[int], b: list[int]) -> list[int]:
-    # exact division in Z[q]; callers only divide by known factors
-    if not a:
-        return []
+def _int_pow(a, k: int) -> list[int]:
+    out, base = [1], a
+    while k:
+        if k & 1:
+            out = _int_mul(out, base)
+        k >>= 1
+        if k:
+            base = _int_mul(base, base)
+    return out
+
+
+def _int_divexact(a, b) -> list[int]:
+    # exact division in Z[q]; ArithmeticError when b does not divide a
     rem = list(a)
     lb = b[-1]
     out = [0] * (len(a) - len(b) + 1)
@@ -110,7 +122,6 @@ def _pseudo_rem(a: list[int], b: list[int]) -> list[int]:
     r = list(a)
     db = len(b) - 1
     lb = b[-1]
-    _trim(r)
     while len(r) - 1 >= db:
         lr = r[-1]
         d = len(r) - 1 - db
@@ -118,55 +129,99 @@ def _pseudo_rem(a: list[int], b: list[int]) -> list[int]:
         for j, y in enumerate(b):
             r[j + d] -= lr * y
         _trim(r)
-        if not r:
-            break
     return r
 
 
-def _int_content(cs: list[int]) -> int:
-    return math.gcd(*cs) if cs else 0
-
-
 def _int_primitive(cs: list[int]) -> list[int]:
-    c = _int_content(cs)
+    c = math.gcd(*cs) if cs else 0
     if c in (0, 1):
         return list(cs)
     return [x // c for x in cs]
 
 
-def _int_gcd_poly(a: list[int], b: list[int]) -> list[int]:
-    """Primitive gcd in Z[q], normalized to a positive leading coefficient."""
-    a = _int_primitive(_trim(list(a)))
-    b = _int_primitive(_trim(list(b)))
-    if not a:
-        a, b = b, a
-    if not b:
-        if not a:
-            return []
-        return a if a[-1] > 0 else [-x for x in a]
-    if a == b:
-        pass
-    else:
-        if len(a) < len(b):
-            a, b = b, a
-        while b:
-            r = _pseudo_rem(a, b)
-            a, b = b, _int_primitive(r)
+def _prs_gcd(a, b) -> list[int]:
+    """Primitive-PRS gcd of primitive a, b in Z[q], with a positive lead.
+
+    The fallback of `_int_gcd_poly` and the reference its tests compare with.
+    """
+    a, b = (list(a), list(b)) if len(a) >= len(b) else (list(b), list(a))
+    while b:
+        a, b = b, _int_primitive(_pseudo_rem(a, b))
     return a if a[-1] > 0 else [-x for x in a]
 
 
-def _split_fraction_dense(dense: list[Fraction]) -> tuple[Fraction, list[int]]:
-    # dense nonzero with nonzero ends -> (signed content, primitive part)
-    # primitive part has coprime integer coefficients and positive lead
-    num_gcd = math.gcd(*(c.numerator for c in dense))
-    den_lcm = 1
-    for c in dense:
-        den_lcm = den_lcm * c.denominator // math.gcd(den_lcm, c.denominator)
-    content = Fraction(num_gcd, den_lcm)
-    if dense[-1] < 0:
-        content = -content
-    prim = [int(c / content) for c in dense]
-    return content, prim
+def _heu_gcd(a, b) -> tuple[list[int], list[int], list[int]] | None:
+    """GCDHEU on primitive a, b: (gcd, a/gcd, b/gcd), or None after six xi.
+
+    With xi > 2 min(|a|, |b|) + 2, a candidate read from the balanced
+    xi-adic digits of gcd(a(xi), b(xi)) that divides both inputs is their
+    gcd (Char, Geddes & Gonnet 1989).  The exact divisions test that, and
+    their quotients are the cofactors.
+    """
+    xi = 2 * min(max(map(abs, a)), max(map(abs, b))) + 29
+    for _ in range(6):
+        ea, eb = _eval_int(a, xi), _eval_int(b, xi)
+        h = math.gcd(ea, eb)
+        g = _digits(h, xi)
+        if len(g) == 1:
+            return [1], a, b
+        if len(g) <= min(len(a), len(b)):
+            g = _int_primitive(g)
+            try:
+                return g, _int_divexact(a, g), _int_divexact(b, g)
+            except ArithmeticError:
+                pass
+        xi = xi * 73794 // 27011
+    return None
+
+
+def _eval_int(cs, xi: int) -> int:
+    acc = 0
+    for c in reversed(cs):
+        acc = acc * xi + c
+    return acc
+
+
+def _digits(v: int, xi: int) -> list[int]:
+    # balanced base-xi digits of v, lowest first
+    out = []
+    while v:
+        v, r = divmod(v, xi)
+        if 2 * r > xi:
+            r -= xi
+            v += 1
+        out.append(r)
+    return out
+
+
+def _int_gcd_poly(a, b) -> tuple[list[int], list[int], list[int]]:
+    """gcd of primitive, positively led a and b in Z[q], with cofactors.
+
+    Returns (g, a/g, b/g); g is primitive with a positive leading term.
+    """
+    if len(a) == 1 or len(b) == 1:
+        return [1], a, b
+    if tuple(a) == tuple(b):
+        return a, [1], [1]
+    found = _heu_gcd(a, b)
+    if found is None:
+        g = _prs_gcd(a, b)
+        found = g, _int_divexact(a, g), _int_divexact(b, g)
+    return found
+
+
+def _split(coeffs: Mapping[int, Fraction]) -> tuple[int, Fraction, list[int]]:
+    # nonzero {exp: coeff} -> (shift, signed content, primitive part) with
+    # a positive leading and nonzero constant coefficient
+    lo = min(coeffs)
+    scale = math.lcm(*(v.denominator for v in coeffs.values()))
+    ints = [0] * (max(coeffs) - lo + 1)
+    for e, v in coeffs.items():
+        ints[e - lo] = v.numerator * (scale // v.denominator)
+    c = math.gcd(*ints)
+    if ints[-1] < 0:
+        c = -c
+    return lo, Fraction(c, scale), [x // c for x in ints]
 
 
 # ---------------------------------------------------------------------------
@@ -205,12 +260,6 @@ class LaurentPolyQ:
     @classmethod
     def monomial(cls, exp: int, coeff: Rational = 1) -> "LaurentPolyQ":
         return cls({exp: coeff})
-
-    @classmethod
-    def _from_dense(cls, shift: int, dense: list) -> "LaurentPolyQ":
-        p = cls.__new__(cls)
-        p._c = {shift + i: Fraction(v) for i, v in enumerate(dense) if v}
-        return p
 
     # -- inspection ----------------------------------------------------
 
@@ -308,30 +357,6 @@ class LaurentPolyQ:
 
     __rmul__ = __mul__
 
-    def __pow__(self, n: int):
-        if n < 0:
-            raise ValueError("negative powers of Laurent polynomials are not polynomials")
-        out = LaurentPolyQ.one()
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
-
-    def shift(self, k: int) -> "LaurentPolyQ":
-        """Multiply by q^k."""
-        p = LaurentPolyQ.__new__(LaurentPolyQ)
-        p._c = {e + k: v for e, v in self._c.items()}
-        return p
-
-    def mirror(self) -> "LaurentPolyQ":
-        """Substitute q -> 1/q (negate every exponent)."""
-        p = LaurentPolyQ.__new__(LaurentPolyQ)
-        p._c = {-e: v for e, v in self._c.items()}
-        return p
-
     def __call__(self, q0: Rational) -> Fraction:
         q0 = Fraction(q0)
         total = Fraction(0)
@@ -343,26 +368,6 @@ class LaurentPolyQ:
             else:
                 total += v * q0**e
         return total
-
-    # -- internal normal forms ------------------------------------------
-
-    def _split(self) -> tuple[int, Fraction, list[int]]:
-        # self == content * q^shift * primitive(q); requires self != 0
-        if not self._c:
-            raise ValueError("cannot split the zero polynomial")
-        lo = min(self._c)
-        hi = max(self._c)
-        dense = [self._c.get(lo + i, Fraction(0)) for i in range(hi - lo + 1)]
-        content, prim = _split_fraction_dense(dense)
-        return lo, content, prim
-
-    def _int_coeffs(self) -> list[int]:
-        # dense integer coefficients of a polynomial (min_exp == 0)
-        hi = max(self._c)
-        out = [0] * (hi + 1)
-        for e, v in self._c.items():
-            out[e] = int(v)
-        return out
 
     # -- formatting ------------------------------------------------------
 
@@ -409,56 +414,63 @@ class RatFuncQ:
     """Canonically reduced quotient of Laurent polynomials in q.
 
     All arithmetic returns canonical values, so `==` decides mathematical
-    equality.  The denominator is an ordinary polynomial with content 1,
-    positive leading coefficient and nonzero constant term; the numerator
-    absorbs the rational content and the overall power of q.
+    equality.  The value is stored once as (shift, content, num, den), see
+    the module docstring.  The `num` view absorbs the rational content and
+    the overall power of q; the `den` view is an ordinary polynomial with
+    content 1, positive leading coefficient and nonzero constant term.
     """
 
-    __slots__ = ("num", "den")
+    __slots__ = ("_shift", "_content", "_num", "_den")
 
     def __init__(self, num=0, den=1):
         num_l = _as_laurent(num)
         den_l = _as_laurent(den)
         if num_l is NotImplemented or den_l is NotImplemented:
             raise TypeError("RatFuncQ expects Laurent polynomials or rationals")
-        n, d = _canonical_parts(num_l, den_l)
-        self.num = n
-        self.den = d
-
-    @classmethod
-    def _make(cls, num: LaurentPolyQ, den: LaurentPolyQ) -> "RatFuncQ":
-        obj = cls.__new__(cls)
-        obj.num = num
-        obj.den = den
-        return obj
-
-    @classmethod
-    def _from_parts(cls, shift: int, content: Fraction, num_prim: list[int],
-                    den_prim: list[int]) -> "RatFuncQ":
-        if not num_prim or content == 0:
-            return ZERO
-        num = LaurentPolyQ._from_dense(shift, [content * c for c in num_prim])
-        den = LaurentPolyQ._from_dense(0, den_prim)
-        return cls._make(num, den)
+        if den_l.is_zero:
+            raise ZeroDivisionError("zero denominator")
+        if num_l.is_zero:
+            self._shift, self._content, self._num, self._den = 0, Fraction(0), (), (1,)
+            return
+        sn, cn, n = _split(num_l._c)
+        sd, cd, d = _split(den_l._c)
+        _, n, d = _int_gcd_poly(n, d)
+        self._shift, self._content, self._num, self._den = sn - sd, cn / cd, tuple(n), tuple(d)
 
     # -- inspection ------------------------------------------------------
 
     @property
+    def num(self) -> LaurentPolyQ:
+        """Numerator view: content * q^shift * num(q), built on demand."""
+        c, s = self._content, self._shift
+        return LaurentPolyQ({s + i: c * x for i, x in enumerate(self._num) if x})
+
+    @property
+    def den(self) -> LaurentPolyQ:
+        """Denominator view, an ordinary polynomial, built on demand."""
+        return LaurentPolyQ({i: x for i, x in enumerate(self._den) if x})
+
+    @property
     def is_zero(self) -> bool:
-        return self.num.is_zero
+        return not self._num
 
     def __bool__(self) -> bool:
-        return not self.num.is_zero
+        return bool(self._num)
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, (int, Fraction, LaurentPolyQ, dict)):
+        if isinstance(other, dict):
             other = RatFuncQ(other)
-        if isinstance(other, RatFuncQ):
-            return self.num == other.num and self.den == other.den
-        return NotImplemented
+        other = _coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return (self._shift == other._shift and self._content == other._content
+                and self._num == other._num and self._den == other._den)
 
     def __hash__(self) -> int:
-        return hash((self.num, self.den))
+        # a constant hashes as its Fraction, as == with int and Fraction needs
+        if self._shift == 0 and len(self._num) <= 1 and self._den == (1,):
+            return hash(self._content)
+        return hash((self._shift, self._content, self._num, self._den))
 
     # -- arithmetic -------------------------------------------------------
 
@@ -466,57 +478,49 @@ class RatFuncQ:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        if self.num.is_zero:
+        if not self._num:
             return other
-        if other.num.is_zero:
+        if not other._num:
             return self
-        s1, c1, n1 = self.num._split()
-        s2, c2, n2 = other.num._split()
-        d1 = self.den._int_coeffs()
-        d2 = other.den._int_coeffs()
+        s1, c1, d1 = self._shift, self._content, self._den
+        s2, c2, d2 = other._shift, other._content, other._den
         if d1 == d2:
             g, d1r, d2r = d1, [1], [1]
-        elif d1 == [1] or d2 == [1]:
-            g, d1r, d2r = [1], d1, d2
         else:
-            g = _int_gcd_poly(d1, d2)
-            if g == [1]:
-                d1r, d2r = d1, d2
-            else:
-                d1r = _int_divexact(d1, g)
-                d2r = _int_divexact(d2, g)
-        a = _int_mul(n1, d2r)
-        b = _int_mul(n2, d1r)
+            g, d1r, d2r = _int_gcd_poly(d1, d2)
+        # c1 = k1 * top/scale and c2 = k2 * top/scale with integers k1, k2
+        scale = math.lcm(c1.denominator, c2.denominator)
+        top = math.gcd(c1.numerator, c2.numerator)
+        k1 = c1.numerator // top * (scale // c1.denominator)
+        k2 = c2.numerator // top * (scale // c2.denominator)
+        a = _int_mul(self._num, d2r)
+        b = _int_mul(other._num, d1r)
         lo = min(s1, s2)
-        hi = max(s1 + len(a), s2 + len(b))
-        dense = [Fraction(0)] * (hi - lo)
-        for i, x in enumerate(a):
-            if x:
-                dense[s1 - lo + i] += c1 * x
-        for i, x in enumerate(b):
-            if x:
-                dense[s2 - lo + i] += c2 * x
-        while dense and not dense[-1]:
-            dense.pop()
-        start = 0
-        while start < len(dense) and not dense[start]:
-            start += 1
-        if start == len(dense):
+        acc = [0] * max(s1 - lo + len(a), s2 - lo + len(b))
+        for k, part, off in ((k1, a, s1 - lo), (k2, b, s2 - lo)):
+            for i, x in enumerate(part, off):
+                acc[i] += k * x
+        _trim(acc)
+        if not acc:
             return ZERO
-        dense = dense[start:]
-        content, prim = _split_fraction_dense(dense)
-        den_full = _int_mul(g, _int_mul(d1r, d2r))
-        if g != [1]:
-            h = _int_gcd_poly(prim, g)
-            if h != [1]:
-                prim = _int_divexact(prim, h)
-                den_full = _int_divexact(den_full, h)
-        return RatFuncQ._from_parts(lo + start, content, prim, den_full)
+        start = 0
+        while not acc[start]:
+            start += 1
+        if start:
+            acc = acc[start:]
+        content = math.gcd(*acc)
+        if acc[-1] < 0:
+            content = -content
+        num = [x // content for x in acc]
+        if len(g) > 1:
+            _, num, g = _int_gcd_poly(num, g)
+        den = _int_mul(_int_mul(g, d1r), d2r)
+        return _new(lo + start, Fraction(top * content, scale), num, den)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return RatFuncQ._make(-self.num, self.den)
+        return _new(self._shift, -self._content, self._num, self._den)
 
     def __sub__(self, other):
         other = _coerce(other)
@@ -531,32 +535,19 @@ class RatFuncQ:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        if self.num.is_zero or other.num.is_zero:
+        if not self._num or not other._num:
             return ZERO
-        s1, c1, n1 = self.num._split()
-        s2, c2, n2 = other.num._split()
-        d1 = self.den._int_coeffs()
-        d2 = other.den._int_coeffs()
-        g1 = _int_gcd_poly(n1, d2) if d2 != [1] else [1]
-        g2 = _int_gcd_poly(n2, d1) if d1 != [1] else [1]
-        if g1 != [1]:
-            n1 = _int_divexact(n1, g1)
-            d2 = _int_divexact(d2, g1)
-        if g2 != [1]:
-            n2 = _int_divexact(n2, g2)
-            d1 = _int_divexact(d1, g2)
-        return RatFuncQ._from_parts(
-            s1 + s2, c1 * c2, _int_mul(n1, n2), _int_mul(d1, d2)
-        )
+        _, n1, d2 = _int_gcd_poly(self._num, other._den)
+        _, n2, d1 = _int_gcd_poly(other._num, self._den)
+        return _new(self._shift + other._shift, self._content * other._content,
+                    _int_mul(n1, n2), _int_mul(d1, d2))
 
     __rmul__ = __mul__
 
     def _inverse(self) -> "RatFuncQ":
-        if self.num.is_zero:
+        if not self._num:
             raise ZeroDivisionError("inverse of zero rational function")
-        s, c, n = self.num._split()
-        d = self.den._int_coeffs()
-        return RatFuncQ._from_parts(-s, 1 / c, d, n)
+        return _new(-self._shift, 1 / self._content, self._den, self._num)
 
     def __truediv__(self, other):
         other = _coerce(other)
@@ -577,47 +568,67 @@ class RatFuncQ:
             return ONE
         if k < 0:
             return self._inverse() ** (-k)
-        if self.num.is_zero:
+        if not self._num:
             return ZERO
-        s, c, n = self.num._split()
-        d = self.den._int_coeffs()
-        nk = [1]
-        dk = [1]
-        for _ in range(k):
-            nk = _int_mul(nk, n)
-            dk = _int_mul(dk, d)
-        return RatFuncQ._from_parts(s * k, c**k, nk, dk)
+        return _new(self._shift * k, self._content**k,
+                    _int_pow(self._num, k), _int_pow(self._den, k))
 
     # -- substitutions ------------------------------------------------------
 
     def subst_q_inverse(self) -> "RatFuncQ":
-        """Replace q by 1/q and re-canonicalize."""
-        return RatFuncQ(self.num.mirror(), self.den.mirror())
+        """Replace q by 1/q: reverse num and den and move the shift."""
+        if not self._num:
+            return self
+        c, n, d = self._content, self._num[::-1], self._den[::-1]
+        if n[-1] < 0:
+            c, n = -c, tuple(-x for x in n)
+        if d[-1] < 0:
+            c, d = -c, tuple(-x for x in d)
+        return _new(len(d) - len(n) - self._shift, c, n, d)
 
     def eval_at(self, q0: Rational) -> Fraction:
         """Exact value at q = q0; raises PoleError at a pole."""
         q0 = Fraction(q0)
-        dv = self.den(q0)
+        a, b = q0.numerator, q0.denominator
+        # p(a/b) b^(len-1) and b^len for p = den, num, by homogeneous Horner
+        values = []
+        for cs in (self._den, self._num):
+            acc, bk = 0, 1
+            for c in reversed(cs):
+                acc = acc * a + c * bk
+                bk *= b
+            values.append((acc, bk))
+        (dv, db), (nv, nb) = values
         if dv == 0:
             raise PoleError(f"denominator vanishes at q = {q0}")
-        return self.num(q0) / dv
+        if a == 0 and self._shift < 0:
+            raise PoleError("negative exponent at q = 0")
+        return self._content * q0**self._shift * Fraction(nv * db, dv * nb)
 
     # -- serialization --------------------------------------------------------
 
     def to_canonical_string(self) -> str:
         """Machine form: explicit terms, ascending exponents, 'num / den'."""
-        return f"{_poly_canonical(self.num)} / {_poly_canonical(self.den)}"
+        p, r, s = self._content.numerator, self._content.denominator, self._shift
+        num = " + ".join(f"{_ratio_str(p * x, r)}*q^{s + i}"
+                         for i, x in enumerate(self._num) if x)
+        den = " + ".join(f"{x}*q^{i}" for i, x in enumerate(self._den) if x)
+        return f"{num or '0'} / {den}"
 
     @classmethod
     def from_canonical_string(cls, text: str) -> "RatFuncQ":
+        """Parse the canonical string; text that is not canonical is rejected."""
         try:
             num_text, den_text = text.split(" / ")
-        except ValueError:
+            value = cls(_poly_parse(num_text), _poly_parse(den_text))
+        except (ValueError, ZeroDivisionError):
             raise ValueError(f"malformed rational function string: {text!r}") from None
-        return cls(_poly_parse(num_text), _poly_parse(den_text))
+        if value.to_canonical_string() != text:
+            raise ValueError(f"not in canonical form: {text!r}")
+        return value
 
     def __str__(self) -> str:
-        if self.den == LaurentPolyQ.one():
+        if self._den == (1,):
             return str(self.num)
         return f"({self.num})/({self.den})"
 
@@ -625,10 +636,17 @@ class RatFuncQ:
         return f"RatFuncQ({self.to_canonical_string()!r})"
 
 
-def _poly_canonical(p: LaurentPolyQ) -> str:
-    if p.is_zero:
-        return "0"
-    return " + ".join(f"{c}*q^{e}" for e, c in p.items())
+def _new(shift: int, content: Fraction, num, den) -> RatFuncQ:
+    # from parts already in canonical form; callers have handled zero
+    f = RatFuncQ.__new__(RatFuncQ)
+    f._shift, f._content, f._num, f._den = shift, content, tuple(num), tuple(den)
+    return f
+
+
+def _ratio_str(n: int, d: int) -> str:
+    # str(Fraction(n, d)) without building the Fraction
+    g = math.gcd(n, d)
+    return str(n // g) if g == d else f"{n // g}/{d // g}"
 
 
 def _poly_parse(text: str) -> LaurentPolyQ:
@@ -646,36 +664,23 @@ def _poly_parse(text: str) -> LaurentPolyQ:
 def _coerce(value) -> "RatFuncQ":
     if isinstance(value, RatFuncQ):
         return value
-    if isinstance(value, (int, Fraction, LaurentPolyQ)):
+    if isinstance(value, (int, Fraction)):
+        return _new(0, Fraction(value), (1,), (1,)) if value else ZERO
+    if isinstance(value, LaurentPolyQ):
         return RatFuncQ(value)
     return NotImplemented
 
 
-def _canonical_parts(num: LaurentPolyQ, den: LaurentPolyQ) -> tuple[LaurentPolyQ, LaurentPolyQ]:
-    if den.is_zero:
-        raise ZeroDivisionError("zero denominator")
-    if num.is_zero:
-        return LaurentPolyQ.zero(), LaurentPolyQ.one()
-    sn, cn, n = num._split()
-    sd, cd, d = den._split()
-    g = _int_gcd_poly(n, d)
-    if g != [1]:
-        n = _int_divexact(n, g)
-        d = _int_divexact(d, g)
-    content = cn / cd
-    num_out = LaurentPolyQ._from_dense(sn - sd, [content * c for c in n])
-    den_out = LaurentPolyQ._from_dense(0, d)
-    return num_out, den_out
-
-
 ZERO = RatFuncQ(0)
 ONE = RatFuncQ(1)
-Q = RatFuncQ(LaurentPolyQ.monomial(1))
 
 
 def q_power(e: int) -> RatFuncQ:
     """The monomial q^e (e may be negative)."""
-    return RatFuncQ._make(LaurentPolyQ.monomial(e), LaurentPolyQ.one())
+    return _new(e, Fraction(1), (1,), (1,))
+
+
+Q = q_power(1)
 
 
 # ---------------------------------------------------------------------------
@@ -705,21 +710,6 @@ def qbracket(x: int, a: int) -> RatFuncQ:
     return RatFuncQ(num, den)
 
 
-@dataclass(frozen=True)
-class QBracketArgs:
-    """Argument pair of a q-bracket: [x] with bracket base q^a."""
-
-    x: int
-    a: int
-
-    def __post_init__(self):
-        if self.a == 0:
-            raise ValueError("bracket scale must be nonzero")
-
-    def value(self) -> RatFuncQ:
-        return qbracket(self.x, self.a)
-
-
 def qbracket_reflect(x: int, alpha: int, n: int) -> tuple[RatFuncQ, RatFuncQ]:
     """Both sides of [1-x]_{q^-a}^n == (-1)^n q^(n a) [x-1]_{q^a}^n.
 
@@ -747,18 +737,3 @@ def eval_at(f: RatFuncQ, q0: Rational) -> Fraction:
     cancelled; in particular q0 = 1 realizes the q -> 1 limit.
     """
     return f.eval_at(q0)
-
-
-def ratfunc_arith(lhs: RatFuncQ, rhs, op: str) -> RatFuncQ:
-    """Dispatch-style surface over the operators: add/sub/mul/div/pow."""
-    if op == "add":
-        return lhs + rhs
-    if op == "sub":
-        return lhs - rhs
-    if op == "mul":
-        return lhs * rhs
-    if op == "div":
-        return lhs / rhs
-    if op == "pow":
-        return lhs ** rhs
-    raise ValueError(f"unknown operation: {op!r}")

@@ -9,6 +9,7 @@ tolerance.  Each test prints one line (visible with ``pytest -s``):
 Runtime ceilings are asserted per criterion.
 """
 
+import hashlib
 import random
 import time
 from contextlib import contextmanager
@@ -218,6 +219,9 @@ def test_09_cli_determinism(capsys):
         second = capsys.readouterr().out
         assert first == second
         assert first  # non-empty report
+        # the golden report: the same bytes whatever the representation
+        assert hashlib.sha256(first.encode("utf-8")).hexdigest() == (
+            "77bd72c75de0b2aea75333cf2f9f8eb984169b6b8bc47b4149266438c5da4ddf")
         # exit codes conform to the contract
         assert code_first == code_second == EXIT_OK
         assert run(["verify", "nonexistent-theorem"]) == EXIT_USAGE

@@ -106,6 +106,23 @@ class TestVerify:
         assert out == ""
         json.loads(target.read_text())
 
+    @pytest.mark.parametrize("value", ["abc", "0"])
+    def test_bad_worker_count(self, capsys, monkeypatch, value):
+        monkeypatch.setenv("QGEN_WORKERS", value)
+        code, out, err = run_cli(capsys, ["verify", "all", *SMALL_VERIFY])
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert "QGEN_WORKERS" in err
+        assert err.count("\n") == 1
+
+    def test_empty_grid(self, capsys):
+        # a run that checked nothing is not a success
+        code, out, err = run_cli(capsys, ["verify", "all", "--alpha-max", "0"])
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert "nothing was checked" in err
+        assert err.count("\n") == 1
+
     def test_unwritable_output(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, [
             "verify", "shift2", "--n-max", "1", "--alpha-max", "1", "--h-max", "1",
@@ -191,6 +208,12 @@ class TestBernstein:
     def test_bad_index(self, capsys):
         code, _, _ = run_cli(capsys, ["bernstein", "--n", "2", "--k", "5"])
         assert code == EXIT_USAGE
+
+    def test_negative_degree(self, capsys):
+        code, out, err = run_cli(capsys, ["bernstein", "--n", "-1"])
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err.count("\n") == 1
 
 
 class TestUsage:

@@ -1,6 +1,7 @@
 """Weighted Genocchi routes: closed form, recurrence, umbral, integral,
 classical limit, and the unweighted specializations."""
 
+import time
 from fractions import Fraction
 
 import pytest
@@ -108,6 +109,18 @@ class TestRecurrenceRoute:
         table = weighted_genocchi_recurrence(10, w)
         for n in range(11):
             assert table[n] == weighted_genocchi_number(n, w), n
+
+    def test_deep_recurrence_within_ceiling(self):
+        # degree-400 values at n=30; the recurrence must stay usable there
+        from qgen.genocchi import _recurrence_number
+
+        _recurrence_number.cache_clear()
+        w = W(3, 3)
+        start = time.perf_counter()
+        table = weighted_genocchi_recurrence(30, w)
+        elapsed = time.perf_counter() - start
+        assert elapsed < 10.0, f"recurrence to n=30 took {elapsed:.1f}s"
+        assert table[30] == weighted_genocchi_number(30, w)
 
 
 class TestUmbralRoute:

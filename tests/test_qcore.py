@@ -1,6 +1,7 @@
 """Core arithmetic: Laurent polynomials, canonical rational functions,
 q-brackets, and the reflection identity."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -18,9 +19,9 @@ from qgen.qcore import (
     q_power,
     qbracket,
     qbracket_reflect,
-    ratfunc_arith,
     subst_q_inverse,
 )
+from qgen.qcore import _heu_gcd, _int_divexact, _int_gcd_poly, _int_mul, _int_primitive, _prs_gcd
 
 
 def bracket_oracle(x: int, a: int, q0: Fraction) -> Fraction:
@@ -77,18 +78,15 @@ class TestQBracket:
         assert qbracket(2, 1) == ONE + Q
         assert eval_at(qbracket(2, 1), 1) == 2
 
-    def test_args_pair(self):
-        from qgen.qcore import QBracketArgs
-
-        assert QBracketArgs(3, 2).value() == qbracket(3, 2)
-        with pytest.raises(ValueError):
-            QBracketArgs(3, 0)
-
 
 class TestArithmetic:
     def test_cancellation(self):
         f = RatFuncQ(LaurentPolyQ({0: 1, 2: -1}), LaurentPolyQ({0: 1, 1: -1}))
         assert f == RatFuncQ({0: 1, 1: 1})
+        # sums whose numerator shares a factor with the common denominator
+        assert ONE / (ONE + Q) + Q / (ONE + Q) == ONE
+        s = ONE / ((ONE + Q) * (ONE + Q**2)) - ONE / ((ONE + Q) * (ONE + Q**4))
+        assert s == q_power(2) * (Q - ONE) / ((ONE + Q**2) * (ONE + Q**4))
 
     def test_expansion(self):
         assert RatFuncQ({0: 1, 1: 1}) * RatFuncQ({0: 1, 2: 1}) == RatFuncQ(
@@ -104,16 +102,6 @@ class TestArithmetic:
             ONE / ZERO
         with pytest.raises(ZeroDivisionError):
             ZERO**-1
-
-    def test_dispatch_surface(self):
-        a, b = qbracket(3, 1), qbracket(2, 1)
-        assert ratfunc_arith(a, b, "add") == a + b
-        assert ratfunc_arith(a, b, "sub") == a - b
-        assert ratfunc_arith(a, b, "mul") == a * b
-        assert ratfunc_arith(a, b, "div") == a / b
-        assert ratfunc_arith(a, 3, "pow") == a**3
-        with pytest.raises(ValueError):
-            ratfunc_arith(a, b, "compose")
 
     def test_field_axioms_randomized(self):
         rng = random.Random(20240811)
@@ -175,6 +163,8 @@ class TestSubstQInverse:
         assert g == RatFuncQ(LaurentPolyQ({1: 1, 2: 1}), LaurentPolyQ({0: 1, 2: 1}))
         # numeric cross-check at q = 5
         assert g.eval_at(5) == f.eval_at(Fraction(1, 5))
+        # reversing 1 - 2q gives a negative leading coefficient to move out
+        assert subst_q_inverse(ONE / (ONE - 2 * Q)) == Q / (Q - 2)
 
     def test_zero_fixed_point(self):
         assert subst_q_inverse(ZERO) == ZERO
@@ -254,6 +244,11 @@ class TestCanonicalForm:
 
     def test_hashable(self):
         assert len({qbracket(2, 1), ONE + Q, qbracket(3, 1)}) == 2
+        # constants hash as the numbers they equal
+        assert len({RatFuncQ(1), 1}) == 1
+        assert len({RatFuncQ(Fraction(3, 4)), Fraction(3, 4)}) == 1
+        assert len({ZERO, 0, Fraction(0)}) == 1
+        assert {RatFuncQ(-2): "x"}[-2] == "x"
 
 
 class TestSerialization:
@@ -275,8 +270,118 @@ class TestSerialization:
             RatFuncQ.from_canonical_string("q + 1")
         with pytest.raises(ValueError):
             RatFuncQ.from_canonical_string("1*q^0 + q / 1*q^0")
+        # parseable, but not what printing the value gives back
+        for text in ("1*q^0 + 2*q^0 / 1*q^0",   # duplicate exponent
+                     "2*q^1 + 1*q^0 / 1*q^0",   # terms out of order
+                     "0*q^1 / 1*q^0",           # zero term
+                     "2*q^0 / 2*q^0",           # not reduced
+                     "1*q^0 / 0"):              # zero denominator
+            with pytest.raises(ValueError):
+                RatFuncQ.from_canonical_string(text)
 
     def test_pretty_str(self):
         assert str(qbracket(2, 1)) == "1 + q"
         assert str(ZERO) == "0"
         assert str(qbracket(2, 1) / qbracket(2, 2)) == "(1 + q)/(1 + q^2)"
+
+
+def cyclotomic(d: int) -> list[int]:
+    """Phi_d as ascending integer coefficients: q^d - 1 over Phi_e for e | d, e < d."""
+    poly = [-1] + [0] * (d - 1) + [1]
+    for e in range(1, d):
+        if d % e == 0:
+            poly = _int_divexact(poly, cyclotomic(e))
+    return poly
+
+
+def random_primitive(rng: random.Random, degree: int, bits: int) -> list[int]:
+    """Primitive, positive lead, nonzero constant term: the gcd's input contract."""
+    cs = [rng.randint(-(2**bits), 2**bits) for _ in range(degree + 1)]
+    cs[0] = cs[0] or 1
+    cs[-1] = abs(cs[-1]) or 1
+    g = math.gcd(*cs)
+    return [c // g for c in cs]
+
+
+class TestGcd:
+    """GCDHEU against the primitive-PRS gcd kept as its reference."""
+
+    def check(self, a, b):
+        found = _heu_gcd(a, b)
+        assert found is not None, "GCDHEU fell back"
+        g, ca, cb = found
+        assert g == _prs_gcd(a, b)
+        assert _int_mul(g, ca) == a and _int_mul(g, cb) == b
+        assert _int_gcd_poly(a, b) == (g, ca, cb)
+
+    def test_random_with_common_factor(self):
+        rng = random.Random(1989)
+        for _ in range(120):
+            common = random_primitive(rng, rng.randint(0, 6), rng.randint(1, 40))
+            a = _int_mul(common, random_primitive(rng, rng.randint(1, 8), rng.randint(1, 40)))
+            b = _int_mul(common, random_primitive(rng, rng.randint(1, 8), rng.randint(1, 40)))
+            self.check(_int_primitive(a), _int_primitive(b))
+
+    def test_cyclotomic_products(self):
+        rng = random.Random(6)
+        phis = {d: cyclotomic(d) for d in range(1, 61)}
+        for _ in range(12):
+            a, b = [1], [1]
+            while len(a) < 300:
+                a = _int_mul(a, phis[rng.randint(2, 60)])
+            while len(b) < 300:
+                b = _int_mul(b, phis[rng.randint(2, 60)])
+            assert max(len(a), len(b)) > 300
+            self.check(a, b)
+
+
+def random_tree(rng: random.Random, depth: int, q):
+    """A random +, -, *, /, ** tree over q-brackets and powers of q.
+
+    Returns the RatFuncQ value and the same expression in sympy.
+    """
+    if depth == 0 or rng.random() < 0.25:
+        if rng.random() < 0.6:
+            x, a = rng.randint(-4, 5), rng.choice([-3, -2, -1, 1, 2, 3])
+            return qbracket(x, a), (1 - q ** (a * x)) / (1 - q**a)
+        e, c = rng.randint(-5, 5), Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+        return c * q_power(e), c * q**e
+    f, fs = random_tree(rng, depth - 1, q)
+    op = rng.choice("+-*/^")
+    if op == "^":
+        k = rng.randint(-2, 3)
+        if f.is_zero and k < 0:
+            k = -k
+        return f**k, fs**k
+    g, gs = random_tree(rng, depth - 1, q)
+    if op == "+":
+        return f + g, fs + gs
+    if op == "-":
+        return f - g, fs - gs
+    if op == "*":
+        return f * g, fs * gs
+    if g.is_zero:
+        return f, fs
+    return f / g, fs / gs
+
+
+def test_sympy_cancel_oracle():
+    sympy = pytest.importorskip("sympy")
+    q = sympy.Symbol("q")
+
+    def as_sympy(poly: LaurentPolyQ):
+        return sum((sympy.Rational(c.numerator, c.denominator) * q**e for e, c in poly.items()),
+                   sympy.Integer(0))
+
+    rng = random.Random(2024)
+    for _ in range(60):
+        value, expr = random_tree(rng, 4, q)
+        num, den = sympy.fraction(sympy.cancel(sympy.together(expr)))
+        # same function: cross-multiplied numerators agree
+        assert sympy.expand(as_sympy(value.num) * den - num * as_sympy(value.den)) == 0
+        if value.is_zero:
+            assert num == 0
+            continue
+        # and ours is reduced: no common factor of positive degree
+        ours_num = sympy.expand(as_sympy(value.num) * q ** -value.num.min_exp())
+        assert sympy.degree(sympy.gcd(ours_num, as_sympy(value.den)), q) == 0
