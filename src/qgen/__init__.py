@@ -8,7 +8,6 @@ forms, never numeric comparison.
 """
 
 from qgen.qcore import (
-    LaurentPolyQ,
     PoleError,
     Q,
     ONE,
@@ -74,7 +73,6 @@ __all__ = [
     "ConvergenceTrace",
     "GenocchiTable",
     "IntegrandSpec",
-    "LaurentPolyQ",
     "ONE",
     "PadicContext",
     "PoleError",

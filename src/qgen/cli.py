@@ -22,18 +22,13 @@ import argparse
 import csv
 import io
 import json
-import math
 import sys
+from dataclasses import replace
 from fractions import Fraction
 
 from qgen import __version__
 from qgen.bernstein import BernsteinIndex, bernstein_poly, bernstein_symmetry_check
-from qgen.genocchi import (
-    ROUTE_CLOSED,
-    WeightParams,
-    build_table,
-    weighted_genocchi_poly_closed,
-)
+from qgen.genocchi import WeightParams, build_table, weighted_genocchi_poly_closed
 from qgen.identities import (
     THEOREMS,
     SweepConfig,
@@ -45,11 +40,11 @@ from qgen.padic import (
     IntegrandSpec,
     PadicContext,
     PrecisionError,
-    convergence_probe,
+    _diff_valuation,
     integrate,
     truncated_integral,
 )
-from qgen.qcore import PoleError, RatFuncQ, eval_at
+from qgen.qcore import PoleError, eval_at
 from qgen.records import VerificationRecord
 
 __all__ = ["build_parser", "console_main", "run", "serialize_report"]
@@ -237,7 +232,11 @@ def _cmd_table(args) -> int:
     if args.n_max < 0:
         print("qgen: --n-max must be nonnegative", file=sys.stderr)
         return EXIT_USAGE
-    build_table(args.n_max, w, xs=(args.x,))  # cross-checks all three routes
+    try:
+        build_table(args.n_max, w, xs=(args.x,))  # cross-checks all three routes
+    except ValueError as exc:
+        print(f"qgen: {exc}", file=sys.stderr)
+        return EXIT_FAIL
     rows = []
     for n in range(args.n_max + 1):
         value = weighted_genocchi_poly_closed(n, w, args.x)
@@ -288,7 +287,6 @@ def _verify_config(args) -> SweepConfig:
         updates.update(x_max=args.x_max)
     if args.s_max is not None:
         updates.update(s_max=args.s_max)
-    from dataclasses import replace
     return replace(cfg, **updates) if updates else cfg
 
 
@@ -332,15 +330,7 @@ def _cmd_integral(args) -> int:
         rows = []
         for ctx in contexts:
             value = truncated_integral(spec, ctx)
-            diff = value - limit
-            if diff == 0:
-                valuation = "inf"
-            else:
-                from qgen.padic import vp
-                v = vp(diff, args.p)
-                if ctx.N > 4:
-                    v = min(v, ctx.M)
-                valuation = str(v)
+            valuation = str(_diff_valuation(value - limit, ctx))  # "inf" when the sum equals the limit
             row = {"N": ctx.N, "value": str(value), "valuation": valuation}
             if args.unnormalized:
                 row["raw-sum"] = str(truncated_integral(spec, ctx, normalized=False))

@@ -20,15 +20,12 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from itertools import product
-from math import comb
 
 from qgen.genocchi import WeightParams, weighted_genocchi_number, weighted_genocchi_poly_closed
 from qgen.padic import bracket_power_integrand, integrate
-from qgen.qcore import ONE, RatFuncQ, binomial, q_power, qbracket, subst_q_inverse
+from qgen.qcore import RatFuncQ, binomial, q_power, qbracket, subst_q_inverse
 from qgen.records import (
     AS_STATED,
-    BOUNDARY_FAIL,
-    BOUNDARY_PASS,
     CORRECTED,
     FAIL,
     PASS,

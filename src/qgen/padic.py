@@ -25,7 +25,7 @@ available for comparison (``normalized=False``).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Mapping, Union
@@ -57,6 +57,9 @@ __all__ = [
 ]
 
 CoeffLike = Union[RatFuncQ, Fraction, int]
+
+# truncation levels up to this one are summed exactly, above it mod p^M
+_EXACT_MAX_N = 4
 
 
 class PrecisionError(ArithmeticError):
@@ -265,6 +268,18 @@ def _truncated_exact(spec: IntegrandSpec, ctx: PadicContext, normalized: bool) -
     return total
 
 
+def _diff_valuation(diff: Fraction, ctx: PadicContext) -> float:
+    """vp(diff) for a truncated sum minus its limit; inf when diff is 0.
+
+    Above _EXACT_MAX_N the sum is a residue mod p^M, so the valuation is
+    only known up to M and is capped there.
+    """
+    if diff == 0:
+        return math.inf
+    v = vp(diff, ctx.p)
+    return min(v, ctx.M) if ctx.N > _EXACT_MAX_N else v
+
+
 def _to_mod(r: Fraction, p: int, mod: int) -> int:
     if r.denominator % p == 0:
         raise PrecisionError(
@@ -312,7 +327,7 @@ def truncated_integral(spec: IntegrandSpec, ctx: PadicContext, *,
     ``normalized=False``.
     """
     if method == "auto":
-        method = "exact" if ctx.N <= 4 else "modular"
+        method = "exact" if ctx.N <= _EXACT_MAX_N else "modular"
     if method == "exact":
         return _truncated_exact(spec, ctx, normalized)
     if method == "modular":
@@ -354,15 +369,7 @@ def convergence_probe(spec: IntegrandSpec, p: int, q: Union[Fraction, int],
     previous = -math.inf
     for N in sorted(set(int(n) for n in N_list)):
         ctx = PadicContext(p=p, N=N, q=q, M=(M if M is not None else -1))
-        method = "exact" if N <= 4 else "modular"
-        s_n = truncated_integral(spec, ctx, method=method)
-        diff = s_n - limit
-        if diff == 0:
-            v: float = math.inf
-        else:
-            v = vp(diff, p)
-            if method == "modular":
-                v = min(v, ctx.M)
+        v = _diff_valuation(truncated_integral(spec, ctx) - limit, ctx)
         if v < previous:
             raise ValueError(
                 f"valuation sequence decreased at N={N}: {v} < {previous}"

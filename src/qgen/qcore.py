@@ -1,11 +1,11 @@
 """Exact arithmetic over the rational function field Q(q).
 
+`RatFuncQ` is the one number type: a canonically reduced quotient of
 Laurent polynomials in a single indeterminate q with rational
-coefficients, and canonically reduced quotients of them.  The canonical
-form is chosen so that mathematical equality is plain structural
-equality of representations: every identity check downstream is
-``lhs == rhs``, with no numeric tolerance and no randomized equality
-testing.
+coefficients.  The canonical form is chosen so that mathematical
+equality is plain structural equality of representations: every
+identity check downstream is ``lhs == rhs``, with no numeric tolerance
+and no randomized equality testing.
 
 Canonical form.  A `RatFuncQ` stores its value once, as integers:
 
@@ -23,9 +23,12 @@ integers except for the content.  The gcd that keeps num and den coprime
 is GCDHEU (Char, Geddes & Gonnet, 1989): evaluate both polynomials at a
 large integer xi, take one integer gcd and read it back as balanced
 xi-adic digits, accepted only when they divide both inputs exactly.
-After six rejected values of xi the primitive PRS gcd decides.  The
-`LaurentPolyQ` views ``num`` (content and shift included) and ``den``
-are built on demand and are what the canonical string prints.
+After six rejected values of xi the primitive PRS gcd decides.
+
+A value is built from an int, a Fraction or an ``{exponent: coefficient}``
+mapping for numerator and denominator, and read back through the
+``num`` (content and shift included) and ``den`` views, plain
+``{exponent: Fraction}`` dicts built on demand.
 
 q is treated as a formal indeterminate here.  Substituting a rational
 number for q is a separate, explicit step (`eval_at`), and the p-adic
@@ -38,10 +41,9 @@ import math
 import re
 from fractions import Fraction
 from math import comb
-from typing import Iterator, Mapping, Union
+from typing import Mapping, Union
 
 __all__ = [
-    "LaurentPolyQ",
     "PoleError",
     "RatFuncQ",
     "ZERO",
@@ -210,7 +212,7 @@ def _int_gcd_poly(a, b) -> tuple[list[int], list[int], list[int]]:
     return found
 
 
-def _split(coeffs: Mapping[int, Fraction]) -> tuple[int, Fraction, list[int]]:
+def _split(coeffs: Mapping[int, Rational]) -> tuple[int, Fraction, list[int]]:
     # nonzero {exp: coeff} -> (shift, signed content, primitive part) with
     # a positive leading and nonzero constant coefficient
     lo = min(coeffs)
@@ -222,184 +224,6 @@ def _split(coeffs: Mapping[int, Fraction]) -> tuple[int, Fraction, list[int]]:
     if ints[-1] < 0:
         c = -c
     return lo, Fraction(c, scale), [x // c for x in ints]
-
-
-# ---------------------------------------------------------------------------
-# Laurent polynomials
-# ---------------------------------------------------------------------------
-
-
-class LaurentPolyQ:
-    """Sparse Laurent polynomial in q over Q.
-
-    Exponents may be negative; zero coefficients are never stored.
-    Instances are immutable and hashable.
-    """
-
-    __slots__ = ("_c",)
-
-    def __init__(self, coeffs: Mapping[int, Rational] | None = None):
-        c: dict[int, Fraction] = {}
-        if coeffs:
-            for e, v in coeffs.items():
-                v = Fraction(v)
-                if v:
-                    c[int(e)] = v
-        self._c = c
-
-    # -- constructors -------------------------------------------------
-
-    @classmethod
-    def zero(cls) -> "LaurentPolyQ":
-        return cls()
-
-    @classmethod
-    def one(cls) -> "LaurentPolyQ":
-        return cls({0: 1})
-
-    @classmethod
-    def monomial(cls, exp: int, coeff: Rational = 1) -> "LaurentPolyQ":
-        return cls({exp: coeff})
-
-    # -- inspection ----------------------------------------------------
-
-    @property
-    def is_zero(self) -> bool:
-        return not self._c
-
-    def items(self) -> list[tuple[int, Fraction]]:
-        """Coefficients as (exponent, value) pairs, ascending in exponent."""
-        return sorted(self._c.items())
-
-    def coeff(self, exp: int) -> Fraction:
-        return self._c.get(exp, Fraction(0))
-
-    def min_exp(self) -> int:
-        if not self._c:
-            raise ValueError("zero polynomial has no exponents")
-        return min(self._c)
-
-    def max_exp(self) -> int:
-        if not self._c:
-            raise ValueError("zero polynomial has no exponents")
-        return max(self._c)
-
-    def __bool__(self) -> bool:
-        return bool(self._c)
-
-    def __iter__(self) -> Iterator[tuple[int, Fraction]]:
-        return iter(self.items())
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, LaurentPolyQ):
-            return self._c == other._c
-        if isinstance(other, (int, Fraction)):
-            return self == LaurentPolyQ({0: other})
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(frozenset(self._c.items()))
-
-    # -- arithmetic ----------------------------------------------------
-
-    def __add__(self, other):
-        other = _as_laurent(other)
-        if other is NotImplemented:
-            return NotImplemented
-        c = dict(self._c)
-        for e, v in other._c.items():
-            s = c.get(e, 0) + v
-            if s:
-                c[e] = s
-            else:
-                c.pop(e, None)
-        p = LaurentPolyQ.__new__(LaurentPolyQ)
-        p._c = c
-        return p
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        p = LaurentPolyQ.__new__(LaurentPolyQ)
-        p._c = {e: -v for e, v in self._c.items()}
-        return p
-
-    def __sub__(self, other):
-        other = _as_laurent(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return -(self - other)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = Fraction(other)
-            p = LaurentPolyQ.__new__(LaurentPolyQ)
-            p._c = {e: v * other for e, v in self._c.items()} if other else {}
-            return p
-        other = _as_laurent(other)
-        if other is NotImplemented:
-            return NotImplemented
-        c: dict[int, Fraction] = {}
-        for e1, v1 in self._c.items():
-            for e2, v2 in other._c.items():
-                e = e1 + e2
-                s = c.get(e, 0) + v1 * v2
-                if s:
-                    c[e] = s
-                else:
-                    c.pop(e, None)
-        p = LaurentPolyQ.__new__(LaurentPolyQ)
-        p._c = c
-        return p
-
-    __rmul__ = __mul__
-
-    def __call__(self, q0: Rational) -> Fraction:
-        q0 = Fraction(q0)
-        total = Fraction(0)
-        for e, v in self._c.items():
-            if q0 == 0:
-                if e < 0:
-                    raise PoleError("negative exponent at q = 0")
-                total += v if e == 0 else 0
-            else:
-                total += v * q0**e
-        return total
-
-    # -- formatting ------------------------------------------------------
-
-    def __str__(self) -> str:
-        if not self._c:
-            return "0"
-        parts: list[str] = []
-        for e, v in self.items():
-            mag = abs(v)
-            if e == 0:
-                body = str(mag)
-            else:
-                qpart = "q" if e == 1 else f"q^{e}"
-                body = qpart if mag == 1 else f"{mag}*{qpart}"
-            if not parts:
-                parts.append(body if v > 0 else f"-{body}")
-            else:
-                parts.append(f"+ {body}" if v > 0 else f"- {body}")
-        return " ".join(parts)
-
-    def __repr__(self) -> str:
-        return f"LaurentPolyQ({dict(self.items())!r})"
-
-
-def _as_laurent(value) -> "LaurentPolyQ":
-    if isinstance(value, LaurentPolyQ):
-        return value
-    if isinstance(value, (int, Fraction)):
-        return LaurentPolyQ({0: value})
-    if isinstance(value, dict):
-        return LaurentPolyQ(value)
-    return NotImplemented
 
 
 # ---------------------------------------------------------------------------
@@ -423,32 +247,29 @@ class RatFuncQ:
     __slots__ = ("_shift", "_content", "_num", "_den")
 
     def __init__(self, num=0, den=1):
-        num_l = _as_laurent(num)
-        den_l = _as_laurent(den)
-        if num_l is NotImplemented or den_l is NotImplemented:
-            raise TypeError("RatFuncQ expects Laurent polynomials or rationals")
-        if den_l.is_zero:
+        num, den = _terms(num), _terms(den)
+        if not den:
             raise ZeroDivisionError("zero denominator")
-        if num_l.is_zero:
+        if not num:
             self._shift, self._content, self._num, self._den = 0, Fraction(0), (), (1,)
             return
-        sn, cn, n = _split(num_l._c)
-        sd, cd, d = _split(den_l._c)
+        sn, cn, n = _split(num)
+        sd, cd, d = _split(den)
         _, n, d = _int_gcd_poly(n, d)
         self._shift, self._content, self._num, self._den = sn - sd, cn / cd, tuple(n), tuple(d)
 
     # -- inspection ------------------------------------------------------
 
     @property
-    def num(self) -> LaurentPolyQ:
-        """Numerator view: content * q^shift * num(q), built on demand."""
+    def num(self) -> dict[int, Fraction]:
+        """Numerator view {exponent: coefficient} of content * q^shift * num(q)."""
         c, s = self._content, self._shift
-        return LaurentPolyQ({s + i: c * x for i, x in enumerate(self._num) if x})
+        return {s + i: c * x for i, x in enumerate(self._num) if x}
 
     @property
-    def den(self) -> LaurentPolyQ:
-        """Denominator view, an ordinary polynomial, built on demand."""
-        return LaurentPolyQ({i: x for i, x in enumerate(self._den) if x})
+    def den(self) -> dict[int, Fraction]:
+        """Denominator view {exponent: coefficient}, an ordinary polynomial."""
+        return {i: Fraction(x) for i, x in enumerate(self._den) if x}
 
     @property
     def is_zero(self) -> bool:
@@ -628,9 +449,10 @@ class RatFuncQ:
         return value
 
     def __str__(self) -> str:
+        num = _poly_str(self._shift, self._content, self._num)
         if self._den == (1,):
-            return str(self.num)
-        return f"({self.num})/({self.den})"
+            return num
+        return f"({num})/({_poly_str(0, 1, self._den)})"
 
     def __repr__(self) -> str:
         return f"RatFuncQ({self.to_canonical_string()!r})"
@@ -649,16 +471,51 @@ def _ratio_str(n: int, d: int) -> str:
     return str(n // g) if g == d else f"{n // g}/{d // g}"
 
 
-def _poly_parse(text: str) -> LaurentPolyQ:
+def _poly_str(shift: int, content: Rational, cs) -> str:
+    # readable form of content * q^shift * cs(q): "1 - 2*q + 1/2*q^3"
+    parts: list[str] = []
+    for i, x in enumerate(cs):
+        if not x:
+            continue
+        v, e = content * x, shift + i
+        mag = abs(v)
+        if e == 0:
+            body = str(mag)
+        else:
+            qpart = "q" if e == 1 else f"q^{e}"
+            body = qpart if mag == 1 else f"{mag}*{qpart}"
+        if not parts:
+            parts.append(body if v > 0 else f"-{body}")
+        else:
+            parts.append(f"+ {body}" if v > 0 else f"- {body}")
+    return " ".join(parts) or "0"
+
+
+def _poly_parse(text: str) -> dict[int, Fraction]:
     if text == "0":
-        return LaurentPolyQ.zero()
+        return {}
     coeffs: dict[int, Fraction] = {}
     for term in text.split(" + "):
         m = _TERM_RE.match(term)
         if not m:
             raise ValueError(f"malformed term: {term!r}")
         coeffs[int(m.group(2))] = Fraction(m.group(1))
-    return LaurentPolyQ(coeffs)
+    return coeffs
+
+
+def _terms(value) -> dict[int, Rational]:
+    # the nonzero {exponent: coefficient} terms of an int, Fraction or mapping
+    if isinstance(value, (int, Fraction)):
+        return {0: value} if value else {}
+    if not isinstance(value, Mapping):
+        raise TypeError("RatFuncQ expects an int, a Fraction or a {exponent: coefficient} map")
+    out = {}
+    for e, v in value.items():
+        if not isinstance(e, int) or not isinstance(v, (int, Fraction)):
+            raise TypeError(f"expected an int exponent and an exact coefficient, got {e!r}: {v!r}")
+        if v:
+            out[e] = v
+    return out
 
 
 def _coerce(value) -> "RatFuncQ":
@@ -666,8 +523,6 @@ def _coerce(value) -> "RatFuncQ":
         return value
     if isinstance(value, (int, Fraction)):
         return _new(0, Fraction(value), (1,), (1,)) if value else ZERO
-    if isinstance(value, LaurentPolyQ):
-        return RatFuncQ(value)
     return NotImplemented
 
 
@@ -705,9 +560,12 @@ def qbracket(x: int, a: int) -> RatFuncQ:
     """
     if a == 0:
         raise ValueError("bracket scale must be nonzero")
-    num = LaurentPolyQ({0: 1}) - LaurentPolyQ.monomial(a * x)
-    den = LaurentPolyQ({0: 1}) - LaurentPolyQ.monomial(a)
-    return RatFuncQ(num, den)
+    if x == 0:
+        return ZERO
+    # sign * sum of q^(a i) over min(0, x) <= i < max(0, x), already canonical
+    lo, hi = min(0, x), max(0, x)
+    ones = (1,) + ((0,) * (abs(a) - 1) + (1,)) * (hi - lo - 1)
+    return _new(min(a * lo, a * (hi - 1)), Fraction(-1 if x < 0 else 1), ones, (1,))
 
 
 def qbracket_reflect(x: int, alpha: int, n: int) -> tuple[RatFuncQ, RatFuncQ]:

@@ -10,7 +10,7 @@ from qgen.bernstein import (
     bernstein_poly,
     bernstein_symmetry_check,
 )
-from qgen.qcore import ONE, RatFuncQ, ZERO, LaurentPolyQ, qbracket
+from qgen.qcore import ONE, RatFuncQ, ZERO, qbracket
 
 
 class TestBasisValues:
@@ -23,7 +23,7 @@ class TestBasisValues:
     def test_laurent_value(self):
         # 2 [2]_q [-1]_{1/q} = -2q(1+q)
         got = bernstein_poly(BernsteinIndex(1, 2, 1), 2)
-        assert got == RatFuncQ(LaurentPolyQ({1: -2, 2: -2}))
+        assert got == RatFuncQ({1: -2, 2: -2})
 
     def test_index_validation(self):
         with pytest.raises(IndexError):

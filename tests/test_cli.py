@@ -48,6 +48,18 @@ class TestTable:
         assert code == EXIT_USAGE
         assert "alpha" in err
 
+    def test_route_disagreement(self, capsys, monkeypatch):
+        import qgen.genocchi
+
+        monkeypatch.setattr(qgen.genocchi, "weighted_genocchi_poly_umbral",
+                            lambda n, w, x: ONE + Q)
+        code, out, err = run_cli(capsys, ["table", "--n-max", "2"])
+        assert code == EXIT_FAIL
+        assert out == ""
+        assert err.startswith("qgen: route disagreement at (0, 1, 1, 0): umbral produced 1 + q")
+        assert err.count("\n") == 1
+        assert "Traceback" not in err
+
 
 class TestVerify:
     def test_exit_zero_small_grid(self, capsys):

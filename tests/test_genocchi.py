@@ -86,7 +86,7 @@ class TestClosedForm:
         for n in range(9):
             for x in (0, 1, 2):
                 f = weighted_genocchi_poly_closed(n, W(alpha, h), x)
-                assert f.den(Fraction(1)) != 0
+                assert sum(f.den.values()) != 0
                 eval_at(f, 1)  # must not raise
 
 

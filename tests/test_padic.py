@@ -20,7 +20,7 @@ from qgen.padic import (
     truncated_integral,
     vp,
 )
-from qgen.qcore import ONE, Q, RatFuncQ, ZERO, LaurentPolyQ, eval_at, q_power, qbracket
+from qgen.qcore import ONE, Q, RatFuncQ, ZERO, eval_at, q_power, qbracket
 
 
 def naive_alternating_sum(terms: dict[int, Fraction], p: int, N: int,

@@ -1,5 +1,5 @@
-"""Core arithmetic: Laurent polynomials, canonical rational functions,
-q-brackets, and the reflection identity."""
+"""Core arithmetic: canonical rational functions, q-brackets, and the
+reflection identity."""
 
 import math
 import random
@@ -13,7 +13,6 @@ from qgen.qcore import (
     Q,
     RatFuncQ,
     ZERO,
-    LaurentPolyQ,
     binomial,
     eval_at,
     q_power,
@@ -29,17 +28,17 @@ def bracket_oracle(x: int, a: int, q0: Fraction) -> Fraction:
     return (1 - q0 ** (a * x)) / (1 - q0**a)
 
 
-def random_laurent(rng: random.Random, allow_zero: bool = True) -> LaurentPolyQ:
+def random_laurent(rng: random.Random, allow_zero: bool = True) -> dict[int, Fraction]:
     terms = {}
     for _ in range(rng.randint(0 if allow_zero else 1, 4)):
         terms[rng.randint(-4, 4)] = Fraction(rng.randint(-6, 6), rng.randint(1, 5))
-    return LaurentPolyQ(terms)
+    return {e: c for e, c in terms.items() if c}
 
 
 def random_ratfunc(rng: random.Random) -> RatFuncQ:
     num = random_laurent(rng)
     den = random_laurent(rng, allow_zero=False)
-    while den.is_zero:
+    while not den:
         den = random_laurent(rng, allow_zero=False)
     return RatFuncQ(num, den)
 
@@ -78,10 +77,20 @@ class TestQBracket:
         assert qbracket(2, 1) == ONE + Q
         assert eval_at(qbracket(2, 1), 1) == 2
 
+    @pytest.mark.parametrize("a", [-5, -4, -3, -2, -1, 1, 2, 3, 4, 5])
+    def test_matches_generic_quotient(self, a):
+        # qbracket builds its canonical form directly; the generic
+        # constructor reduces (1 - q^(a x)) / (1 - q^a) by a gcd
+        for x in range(-12, 13):
+            if x:
+                generic = RatFuncQ({0: 1, a * x: -1}, {0: 1, a: -1})
+                assert qbracket(x, a) == generic
+                assert hash(qbracket(x, a)) == hash(generic)
+
 
 class TestArithmetic:
     def test_cancellation(self):
-        f = RatFuncQ(LaurentPolyQ({0: 1, 2: -1}), LaurentPolyQ({0: 1, 1: -1}))
+        f = RatFuncQ({0: 1, 2: -1}, {0: 1, 1: -1})
         assert f == RatFuncQ({0: 1, 1: 1})
         # sums whose numerator shares a factor with the common denominator
         assert ONE / (ONE + Q) + Q / (ONE + Q) == ONE
@@ -95,7 +104,7 @@ class TestArithmetic:
 
     def test_inverse_power(self):
         f = RatFuncQ({0: 1, 1: 1}) / RatFuncQ({0: 1, 2: 1})
-        assert f**-1 == RatFuncQ(LaurentPolyQ({0: 1, 2: 1}), LaurentPolyQ({0: 1, 1: 1}))
+        assert f**-1 == RatFuncQ({0: 1, 2: 1}, {0: 1, 1: 1})
 
     def test_division_by_zero(self):
         with pytest.raises(ZeroDivisionError):
@@ -128,7 +137,7 @@ class TestArithmetic:
                 assert diff.is_zero
                 continue
             # a nonzero rational function has finitely many roots
-            span = diff.num.max_exp() - diff.num.min_exp()
+            span = max(diff.num) - min(diff.num)
             disagreements = 0
             tried = 0
             for q0 in points:
@@ -160,7 +169,7 @@ class TestSubstQInverse:
     def test_ratio(self):
         f = RatFuncQ({0: 1, 1: 1}) / RatFuncQ({0: 1, 2: 1})
         g = subst_q_inverse(f)
-        assert g == RatFuncQ(LaurentPolyQ({1: 1, 2: 1}), LaurentPolyQ({0: 1, 2: 1}))
+        assert g == RatFuncQ({1: 1, 2: 1}, {0: 1, 2: 1})
         # numeric cross-check at q = 5
         assert g.eval_at(5) == f.eval_at(Fraction(1, 5))
         # reversing 1 - 2q gives a negative leading coefficient to move out
@@ -194,7 +203,7 @@ class TestEvalAt:
 
     def test_removable_singularity_already_cancelled(self):
         # (1-q^2)/(1-q) is stored as 1+q, so q=1 evaluates fine
-        f = RatFuncQ(LaurentPolyQ({0: 1, 2: -1}), LaurentPolyQ({0: 1, 1: -1}))
+        f = RatFuncQ({0: 1, 2: -1}, {0: 1, 1: -1})
         assert eval_at(f, 1) == 2
 
 
@@ -231,16 +240,16 @@ class TestBinomial:
 class TestCanonicalForm:
     def test_denominator_normalization(self):
         # content and sign move to the numerator; minimal exponent >= 0
-        f = RatFuncQ(LaurentPolyQ({0: 2}), LaurentPolyQ({-1: -4, 1: -6}))
-        assert f.den.min_exp() == 0
-        assert f.den.items()[-1][1] > 0
-        ints = [c for _, c in f.den.items()]
+        f = RatFuncQ({0: 2}, {-1: -4, 1: -6})
+        assert min(f.den) == 0
+        assert f.den[max(f.den)] > 0
+        ints = list(f.den.values())
         assert all(c.denominator == 1 for c in ints)
 
     def test_zero_is_zero_over_one(self):
-        f = RatFuncQ(0, LaurentPolyQ({2: 5}))
-        assert f.num == LaurentPolyQ.zero()
-        assert f.den == LaurentPolyQ.one()
+        f = RatFuncQ(0, {2: 5})
+        assert f.num == {}
+        assert f.den == {0: 1}
 
     def test_hashable(self):
         assert len({qbracket(2, 1), ONE + Q, qbracket(3, 1)}) == 2
@@ -249,6 +258,26 @@ class TestCanonicalForm:
         assert len({RatFuncQ(Fraction(3, 4)), Fraction(3, 4)}) == 1
         assert len({ZERO, 0, Fraction(0)}) == 1
         assert {RatFuncQ(-2): "x"}[-2] == "x"
+
+    def test_views_rebuild_value(self):
+        f = RatFuncQ({-1: Fraction(3, 2), 2: -3}, {0: 2, 1: 4})
+        assert f.num == {-1: Fraction(3, 4), 2: Fraction(-3, 2)}
+        assert f.den == {0: 1, 1: 2}
+        assert list(f.num) == sorted(f.num)
+        assert RatFuncQ(f.num, f.den) == f
+
+    @pytest.mark.parametrize("bad", [0.1, "1/3", 1j, None])
+    def test_inexact_coefficients_rejected(self, bad):
+        with pytest.raises(TypeError):
+            RatFuncQ({0: bad})
+        with pytest.raises(TypeError):
+            RatFuncQ(1, {0: 1, 1: bad})
+        with pytest.raises(TypeError):
+            RatFuncQ(bad)
+
+    def test_non_integer_exponent_rejected(self):
+        with pytest.raises(TypeError):
+            RatFuncQ({0.5: 1})
 
 
 class TestSerialization:
@@ -369,7 +398,7 @@ def test_sympy_cancel_oracle():
     sympy = pytest.importorskip("sympy")
     q = sympy.Symbol("q")
 
-    def as_sympy(poly: LaurentPolyQ):
+    def as_sympy(poly: dict[int, Fraction]):
         return sum((sympy.Rational(c.numerator, c.denominator) * q**e for e, c in poly.items()),
                    sympy.Integer(0))
 
@@ -383,5 +412,5 @@ def test_sympy_cancel_oracle():
             assert num == 0
             continue
         # and ours is reduced: no common factor of positive degree
-        ours_num = sympy.expand(as_sympy(value.num) * q ** -value.num.min_exp())
+        ours_num = sympy.expand(as_sympy(value.num) * q ** -min(value.num))
         assert sympy.degree(sympy.gcd(ours_num, as_sympy(value.den)), q) == 0
