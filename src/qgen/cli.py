@@ -40,6 +40,7 @@ from qgen.padic import (
     IntegrandSpec,
     PadicContext,
     PrecisionError,
+    _EXACT_MAX_N,
     _diff_valuation,
     integrate,
     truncated_integral,
@@ -330,10 +331,17 @@ def _cmd_integral(args) -> int:
         rows = []
         for ctx in contexts:
             value = truncated_integral(spec, ctx)
-            valuation = str(_diff_valuation(value - limit, ctx))  # "inf" when the sum equals the limit
-            row = {"N": ctx.N, "value": str(value), "valuation": valuation}
+            valuation = _diff_valuation(value - limit, ctx)  # inf when the sum equals the limit
+            suffix = ""
+            if ctx.N > _EXACT_MAX_N:
+                # a residue mod p^M: a difference that vanishes mod p^M
+                # only shows that the valuation is at least M
+                suffix = f" mod {ctx.p}^{ctx.M}"
+                if valuation >= ctx.M:
+                    valuation = f">={ctx.M}"
+            row = {"N": ctx.N, "value": f"{value}{suffix}", "valuation": str(valuation)}
             if args.unnormalized:
-                row["raw-sum"] = str(truncated_integral(spec, ctx, normalized=False))
+                row["raw-sum"] = f"{truncated_integral(spec, ctx, normalized=False)}{suffix}"
             rows.append(row)
     except PrecisionError as exc:
         print(f"qgen: precision error: {exc}", file=sys.stderr)

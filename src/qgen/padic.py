@@ -15,6 +15,13 @@ so symbolic integration reduces to finite moment combinations, and the
 truncated sums provide an independent numeric route whose convergence
 can be measured in the p-adic valuation.
 
+Costs, with K = p^N.  The modular path sums each term as the geometric
+series c (1 - r^K) / (1 - r), r = -q^(m+1), mod p^M: O(log K) per term.
+Since q = 1 mod p, 1 - r = 2 mod p is a unit, so this is an identity in
+Z/p^M, not an approximation.  The exact path is a K-step integer loop
+over x, one reduction per term, kept as the literal-definition oracle
+for the modular one.
+
 Note on normalization: without the 1/[p^N]_{-q} factor the limiting
 functional satisfies q I(f1) + I(f) = 2 f(0) instead of the q-shift
 equation q I(f1) + I(f) = [2]_q f(0).  The normalized reading is the
@@ -247,21 +254,18 @@ def _coeff_values(spec: IntegrandSpec, q: Fraction) -> list[tuple[int, Fraction]
 
 
 def _truncated_exact(spec: IntegrandSpec, ctx: PadicContext, normalized: bool) -> Fraction:
+    # q^(m x) (-q)^x = (u/w)^x: sum u^x w^(K-1-x) over x < K, reduce once
     q = ctx.q
-    coeffs = _coeff_values(spec, q)
     count = ctx.p**ctx.N
-    bases = [(c, q**m) for m, c in coeffs]
-    powers = [Fraction(1)] * len(bases)
-    alt = Fraction(1)
     total = Fraction(0)
-    for _ in range(count):
-        fx = Fraction(0)
-        for i, (c, _) in enumerate(bases):
-            fx += c * powers[i]
-        total += fx * alt
-        for i, (_, b) in enumerate(bases):
-            powers[i] *= b
-        alt *= -q
+    for m, c in _coeff_values(spec, q):
+        r = -q ** (m + 1)
+        u, w = r.numerator, r.denominator
+        acc, pw = 0, 1
+        for _ in range(count):
+            acc = acc * u + pw
+            pw *= w
+        total += c * Fraction(acc, pw // w)
     if normalized:
         bracket = (1 - (-q) ** count) / (1 + q)
         total /= bracket
@@ -289,30 +293,17 @@ def _to_mod(r: Fraction, p: int, mod: int) -> int:
 
 
 def _truncated_modular(spec: IntegrandSpec, ctx: PadicContext, normalized: bool) -> Fraction:
+    # the geometric closed form of the module docstring, term by term
     p, mod = ctx.p, ctx.p**ctx.M
-    q = ctx.q
-    qm = _to_mod(q, p, mod)
-    q_inv = pow(qm, -1, mod)
-    coeffs = _coeff_values(spec, q)
-    bases = []
-    for m, c in coeffs:
-        base = pow(qm, m, mod) if m >= 0 else pow(q_inv, -m, mod)
-        bases.append((_to_mod(c, p, mod), base))
-    count = ctx.p**ctx.N
-    neg_q = (-qm) % mod
-    powers = [1] * len(bases)
-    alt = 1
+    qm = _to_mod(ctx.q, p, mod)
+    count = p**ctx.N
     total = 0
-    for _ in range(count):
-        fx = 0
-        for i, (c, _) in enumerate(bases):
-            fx += c * powers[i]
-        total = (total + fx * alt) % mod
-        for i, (_, b) in enumerate(bases):
-            powers[i] = powers[i] * b % mod
-        alt = alt * neg_q % mod
+    for m, c in _coeff_values(spec, ctx.q):
+        r = -pow(qm, m + 1, mod)
+        total += _to_mod(c, p, mod) * (1 - pow(r, count, mod)) * pow(1 - r, -1, mod)
+    total %= mod
     if normalized:
-        bracket = (1 - pow(neg_q, count, mod)) * pow((1 + qm) % mod, -1, mod) % mod
+        bracket = (1 - pow(-qm, count, mod)) * pow(1 + qm, -1, mod) % mod
         total = total * pow(bracket, -1, mod) % mod
     return Fraction(total)
 
@@ -321,10 +312,11 @@ def truncated_integral(spec: IntegrandSpec, ctx: PadicContext, *,
                        normalized: bool = True, method: str = "auto") -> Fraction:
     """Truncated sum S_N(f) at q = ctx.q.
 
-    Exact rational for N <= 4 (or ``method="exact"``); for larger N the
-    value is a reduced representative mod p^M (``method="modular"``).
-    The raw sum without the 1/[p^N]_{-q} normalizer is available via
-    ``normalized=False``.
+    Exact rational for N <= 4 (or ``method="exact"``), from a p^N-step
+    integer loop kept as the oracle; for larger N the value is a reduced
+    representative mod p^M (``method="modular"``), from the geometric
+    closed form in O(log p^N) per term.  The raw sum without the
+    1/[p^N]_{-q} normalizer is available via ``normalized=False``.
     """
     if method == "auto":
         method = "exact" if ctx.N <= _EXACT_MAX_N else "modular"

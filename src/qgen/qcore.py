@@ -279,8 +279,6 @@ class RatFuncQ:
         return bool(self._num)
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, dict):
-            other = RatFuncQ(other)
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented

@@ -3,11 +3,13 @@
 import csv
 import io
 import json
+from fractions import Fraction
 
 import pytest
 
 from qgen.cli import EXIT_FAIL, EXIT_OK, EXIT_PRECISION, EXIT_USAGE, run, serialize_report
 from qgen.identities import SweepConfig, SweepReport, sweep
+from qgen.padic import IntegrandSpec, PadicContext, truncated_integral
 from qgen.qcore import ONE, Q, RatFuncQ
 from qgen.records import compare
 
@@ -197,6 +199,46 @@ class TestIntegral:
         payload = json.loads(out)
         # raw three-term sum: 1 - 4 + 16 = 13
         assert payload["rows"][0]["raw-sum"] == "13"
+
+    @staticmethod
+    def _residue(spec, N, M, normalized):
+        # the exact sum reduced mod 3^M, independent of the modular path
+        ctx = PadicContext(p=3, N=N, q=Fraction(4), M=M)
+        s = truncated_integral(spec, ctx, normalized=normalized, method="exact")
+        return s.numerator * pow(s.denominator, -1, 3**M) % 3**M
+
+    def test_modular_rows_json(self, capsys):
+        # above N = 4 the sums are residues mod p^M and print as such
+        code, out, _ = run_cli(capsys, [
+            "integral", "--p", "3", "--q", "4", "--m", "1", "--N", "4,5",
+            "--unnormalized", "--format", "json",
+        ])
+        assert code == EXIT_OK
+        low, high = json.loads(out)["rows"]
+        assert "mod" not in low["value"] and low["valuation"] == "5"
+        spec = IntegrandSpec({1: 1})
+        assert high == {
+            "N": 5,
+            "value": f"{self._residue(spec, 5, 9, True)} mod 3^9",
+            "raw-sum": f"{self._residue(spec, 5, 9, False)} mod 3^9",
+            "valuation": "6",
+        }
+
+    def test_modular_rows_text_and_csv(self, capsys):
+        # a difference that vanishes mod p^M has valuation >= M: the
+        # constant sum equals its limit, and q^x at M = N = 5 has vp 6
+        argv = ["integral", "--p", "3", "--q", "4", "--m", "0", "--N", "5"]
+        code, out, _ = run_cli(capsys, argv)
+        assert code == EXIT_OK
+        assert out.splitlines()[-1] == "  N=5   value=1 mod 3^9  vp(diff)=>=9"
+        code, out, _ = run_cli(capsys, [
+            "integral", "--p", "3", "--q", "4", "--m", "1", "--N", "5", "--M", "5",
+            "--format", "csv",
+        ])
+        assert code == EXIT_OK
+        rows = list(csv.reader(io.StringIO(out)))
+        value = self._residue(IntegrandSpec({1: 1}), 5, 5, True)
+        assert rows == [["N", "value", "valuation"], ["5", f"{value} mod 3^5", ">=5"]]
 
 
 class TestBernstein:

@@ -2,6 +2,7 @@
 diagnostics, and the q-shift functional equation."""
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -36,12 +37,34 @@ def naive_alternating_sum(terms: dict[int, Fraction], p: int, N: int,
     return total
 
 
+def residue(r: Fraction, mod: int) -> int:
+    return r.numerator * pow(r.denominator, -1, mod) % mod
+
+
 def random_spec(rng: random.Random) -> IntegrandSpec:
     terms = {
         rng.randint(-6, 6): Fraction(rng.randint(-9, 9), rng.randint(1, 5))
         for _ in range(rng.randint(1, 5))
     }
     return IntegrandSpec(terms)
+
+
+def seeded_case(rng: random.Random, p: int, kind: int) -> tuple[IntegrandSpec, Fraction]:
+    """q = 1 + p k / b (negative and non-integer q included) with a spec of
+    one of three kinds: q-exponentials with negative exponents, a
+    bracket-power expansion (its (1 - q^a)^-n prefactor has p in the
+    denominator at q), or the same expansion with the prefactor cleared."""
+    k = rng.choice([-3, -2, -1, 1, 2, 3])
+    b = rng.choice([b for b in (1, 2, 3, 4, 5, 7) if b % p])
+    q = 1 + Fraction(p * k, b)
+    if kind == 0:
+        return random_spec(rng), q
+    scale, power = rng.choice([-2, -1, 1, 2]), rng.randint(1, 3)
+    spec = bracket_power_integrand(rng.randint(-2, 2), scale, power,
+                                   sign=rng.choice([1, -1]), exp_shift=rng.randint(-2, 2))
+    if kind == 2:
+        spec = (ONE - q_power(scale)) ** power * spec
+    return spec, q
 
 
 class TestValuation:
@@ -184,21 +207,59 @@ class TestTruncated:
             want = naive_alternating_sum(terms, p, N, Fraction(q), normalized)
             assert got == want
 
-    @pytest.mark.parametrize("p,q", [(3, 4), (5, 6), (3, 10)])
+    @pytest.mark.parametrize("p,q", [(3, 4), (5, 6), (3, 10), (3, "-2"), (3, "5/2"),
+                                     (5, "-4"), (5, "-2/3"), (7, "8"), (7, "19/5")])
     @pytest.mark.parametrize("N", [1, 2, 3])
     def test_exact_and_modular_agree(self, p, q, N):
-        spec = IntegrandSpec({1: 1, -2: Fraction(1, 2)})
+        cleared = (ONE - q_power(2)) ** 2 * bracket_power_integrand(1, 2, 2, sign=-1,
+                                                                   exp_shift=1)
         ctx = PadicContext(p=p, N=N, q=Fraction(q))
-        exact = truncated_integral(spec, ctx, method="exact")
-        modular = truncated_integral(spec, ctx, method="modular")
         mod = p**ctx.M
-        exact_rep = exact.numerator * pow(exact.denominator, -1, mod) % mod
-        assert exact_rep == int(modular) % mod
+        for spec in (IntegrandSpec({1: 1, -2: Fraction(1, 2)}),
+                     IntegrandSpec({-5: 3, 0: Fraction(-1, 4), 4: 2}), cleared):
+            for normalized in (True, False):
+                exact = truncated_integral(spec, ctx, normalized=normalized, method="exact")
+                modular = truncated_integral(spec, ctx, normalized=normalized,
+                                             method="modular")
+                assert residue(exact, mod) == int(modular) % mod
+
+    @pytest.mark.parametrize("p", [3, 5, 7])
+    @pytest.mark.parametrize("N", [0, 1, 2, 3])
+    def test_both_paths_match_definition_oracle(self, p, N):
+        # the modular path is a residue of the literal sum, or refuses
+        # exactly when some coefficient has p in its denominator at q
+        rng = random.Random(1000 * p + N)
+        for i in range(6):
+            spec, q = seeded_case(rng, p, i % 3)
+            ctx = PadicContext(p=p, N=N, q=q, M=N + rng.randint(1, 5))
+            terms = {m: eval_at(c, q) for m, c in spec.items()}
+            p_free = all(c.denominator % p for c in terms.values())
+            assert p_free or i % 3 != 2  # a cleared expansion is p-integral
+            for normalized in (True, False):
+                want = naive_alternating_sum(terms, p, N, q, normalized)
+                got = truncated_integral(spec, ctx, normalized=normalized, method="exact")
+                assert got == want, (spec, q, normalized)
+                if not p_free:
+                    with pytest.raises(PrecisionError):
+                        truncated_integral(spec, ctx, normalized=normalized, method="modular")
+                    continue
+                got = truncated_integral(spec, ctx, normalized=normalized, method="modular")
+                assert got == residue(want, p**ctx.M), (spec, q, normalized)
 
     def test_precision_error(self):
         ctx = PadicContext(p=3, N=5, q=Fraction(4))
         with pytest.raises(PrecisionError):
             truncated_integral(IntegrandSpec({0: Fraction(1, 3)}), ctx, method="modular")
+
+    @pytest.mark.parametrize("normalized", [True, False])
+    def test_precision_error_after_good_terms(self, normalized):
+        # one p-denominator coefficient refuses the whole sum, wherever it
+        # sits among the terms, as a rational or as a RatFuncQ value at q
+        ctx = PadicContext(p=3, N=5, q=Fraction(4))
+        for spec in (IntegrandSpec({-3: 1, 0: 2, 7: Fraction(5, 9)}),
+                     bracket_power_integrand(0, 1, 1)):
+            with pytest.raises(PrecisionError, match="divisible by p=3"):
+                truncated_integral(spec, ctx, normalized=normalized)
 
     def test_auto_dispatch(self):
         spec = IntegrandSpec({0: 1})
@@ -235,6 +296,17 @@ class TestConvergence:
             for N, v in trace.entries:
                 assert v >= N, (m, p, q, N, v)
             assert trace.constant is None or trace.constant <= 0
+
+    def test_deep_levels_within_ceiling(self):
+        # p^12 = 244,140,625 residues: the modular path must not loop over them
+        moment_integral.cache_clear()
+        start = time.perf_counter()
+        trace = convergence_probe(IntegrandSpec({1: 1}), 5, 6, range(13))
+        elapsed = time.perf_counter() - start
+        assert elapsed < 2.0, f"probe to N=12 took {elapsed:.1f}s"
+        assert trace.entries == tuple((N, N + 1) for N in range(13))
+        assert trace.constant == convergence_probe(IntegrandSpec({1: 1}), 5, 6,
+                                                   range(5)).constant
 
     def test_limit_matches_symbolic(self):
         spec = IntegrandSpec({2: Fraction(3, 7), 0: 1})

@@ -266,6 +266,17 @@ class TestCanonicalForm:
         assert list(f.num) == sorted(f.num)
         assert RatFuncQ(f.num, f.den) == f
 
+    def test_mapping_is_not_a_number(self):
+        # == accepts exactly what arithmetic accepts: a mapping is only a
+        # constructor argument
+        assert RatFuncQ(1) != {0: 1}
+        assert not RatFuncQ(1) == {0: 1}
+        assert RatFuncQ({0: 1}) == RatFuncQ(1)
+        with pytest.raises(TypeError):
+            RatFuncQ(1) + {0: 1}
+        with pytest.raises(TypeError):
+            {0: 1} * Q
+
     @pytest.mark.parametrize("bad", [0.1, "1/3", 1j, None])
     def test_inexact_coefficients_rejected(self, bad):
         with pytest.raises(TypeError):
