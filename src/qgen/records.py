@@ -3,8 +3,8 @@
 Statuses separate regression gating from domain exploration: PASS/FAIL
 mark parameter points inside an identity's asserted domain, while
 BOUNDARY-PASS/BOUNDARY-FAIL mark probes outside it (recorded, never
-gated on).  The variant field distinguishes an identity as printed from
-a registered corrected form; nothing is ever substituted silently.
+gated on).  Every identity is checked as printed; nothing is ever
+substituted silently.
 """
 
 from __future__ import annotations
@@ -18,9 +18,6 @@ FAIL = "FAIL"
 BOUNDARY_PASS = "BOUNDARY-PASS"
 BOUNDARY_FAIL = "BOUNDARY-FAIL"
 
-AS_STATED = "as-stated"
-CORRECTED = "corrected"
-
 Params = tuple[tuple[str, object], ...]
 
 
@@ -31,7 +28,6 @@ class VerificationRecord:
     lhs: RatFuncQ
     rhs: RatFuncQ
     status: str
-    variant: str = AS_STATED
 
     @property
     def passed(self) -> bool:
@@ -49,11 +45,11 @@ class VerificationRecord:
 
 
 def compare(theorem: str, params: Params, lhs: RatFuncQ, rhs: RatFuncQ,
-            *, boundary: bool = False, variant: str = AS_STATED) -> VerificationRecord:
+            *, boundary: bool = False) -> VerificationRecord:
     """Build a record; the verdict is structural equality of both sides."""
     equal = lhs == rhs
     if boundary:
         status = BOUNDARY_PASS if equal else BOUNDARY_FAIL
     else:
         status = PASS if equal else FAIL
-    return VerificationRecord(theorem, params, lhs, rhs, status, variant)
+    return VerificationRecord(theorem, params, lhs, rhs, status)

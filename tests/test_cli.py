@@ -191,6 +191,15 @@ class TestIntegral:
         code, _, _ = run_cli(capsys, ["integral", "--p", "3", "--q", "4"])
         assert code == EXIT_USAGE  # no terms
 
+    def test_negative_precision(self, capsys):
+        # --M -1 is a precision below N, not a request for the default
+        code, out, err = run_cli(capsys, [
+            "integral", "--p", "3", "--q", "4", "--m", "1", "--M", "-1",
+        ])
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err == "qgen: working precision M must be at least N\n"
+
     def test_unnormalized_column(self, capsys):
         code, out, _ = run_cli(capsys, [
             "integral", "--p", "3", "--q", "4", "--m", "0", "--N", "1",
@@ -318,7 +327,7 @@ class TestSerializeReport:
 
 class TestExitCodeContract:
     def test_gating_logic_synthetic(self):
-        # exit 1 exactly when an asserted-domain failure has no passing variant
+        # exit 1 exactly when some asserted-domain record fails
         from qgen.identities import unresolved_failures
 
         ok = compare("demo", (("n", 2),), ONE, ONE)

@@ -108,6 +108,8 @@ class TestContext:
             PadicContext(p=3, N=1, q=Fraction(4, 3))  # p in denominator
         with pytest.raises(ValueError):
             PadicContext(p=3, N=3, q=Fraction(4), M=1)  # M < N
+        with pytest.raises(ValueError):
+            PadicContext(p=3, N=1, q=Fraction(4), M=-1)  # no sentinel: M < N
 
 
 class TestIntegrandSpec:
