@@ -322,6 +322,9 @@ def _cmd_integral(args) -> int:
         print("qgen: provide at least one term via --m or --coeff", file=sys.stderr)
         return EXIT_USAGE
     spec = IntegrandSpec(terms)
+    if not spec:
+        print("qgen: the integrand is zero; nothing was checked", file=sys.stderr)
+        return EXIT_USAGE
     try:
         contexts = [PadicContext(p=args.p, N=N, q=args.q, M=args.M) for N in args.N]
         limit_sym = integrate(spec)

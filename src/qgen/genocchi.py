@@ -8,7 +8,8 @@ convention.  Three independent computations are provided:
 closed form    expand the bracket power binomially and integrate each
                q-exponential moment exactly:
                n [2]_q (1 - q^alpha)^-(n-1)
-                 * sum_l C(n-1, l) (-1)^l q^(alpha l x) / (1 + q^(alpha l + h));
+                 * sum_l C(n-1, l) (-1)^l q^(alpha l x) / (1 + q^(alpha l + h)),
+               the sum taken over one shared denominator with one gcd;
 
 recurrence     numbers only: (1 + q^h) g_1 = [2]_q and, for n > 1,
                (1 + q^(h + alpha (n-1))) g_n
@@ -40,7 +41,16 @@ from qgen.padic import (
     bracket_power_integrand,
     convergence_probe,
 )
-from qgen.qcore import ONE, RatFuncQ, ZERO, binomial, eval_at, q_power, qbracket
+from qgen.qcore import (
+    ONE,
+    RatFuncQ,
+    ZERO,
+    _sum_over_one_plus,
+    binomial,
+    eval_at,
+    q_power,
+    qbracket,
+)
 
 __all__ = [
     "GenocchiTable",
@@ -86,18 +96,12 @@ class WeightParams:
 def _closed(n: int, alpha: int, h: int, x: int) -> RatFuncQ:
     if n == 0:
         return ZERO
-    acc = ZERO
-    for l in range(n):
-        term = (
-            ((-1) ** l * binomial(n - 1, l))
-            * q_power(alpha * l * x)
-            / (ONE + q_power(alpha * l + h))
-        )
-        acc = acc + term
-    acc = (n * qbracket(2, 1)) * acc
-    if n > 1:
-        acc = acc / (ONE - q_power(alpha)) ** (n - 1)
-    return acc
+    prefactor = (ONE - q_power(alpha)) ** (1 - n)
+    moments = _sum_over_one_plus(
+        ((-1) ** l * binomial(n - 1, l) * prefactor * q_power(alpha * l * x), alpha * l + h)
+        for l in range(n)
+    )
+    return (n * qbracket(2, 1)) * moments
 
 
 def weighted_genocchi_poly_closed(n: int, w: WeightParams, x: int) -> RatFuncQ:

@@ -15,7 +15,11 @@ so symbolic integration reduces to finite moment combinations, and the
 truncated sums provide an independent numeric route whose convergence
 can be measured in the p-adic valuation.
 
-Costs, with K = p^N.  The modular path sums each term as the geometric
+Costs.  `integrate` puts the moments c_m / (1 + q^(m+1)) of a spec over
+one shared denominator (`qcore._sum_over_one_plus`) and reduces the sum
+once, with one gcd.
+
+With K = p^N, the modular path sums each term as the geometric
 series c (1 - r^K) / (1 - r), r = -q^(m+1), mod p^M: O(log K) per term.
 Since q = 1 mod p, 1 - r = 2 mod p is a unit, so this is an identity in
 Z/p^M, not an approximation.  The exact path is a K-step integer loop
@@ -41,6 +45,7 @@ from qgen.qcore import (
     ONE,
     RatFuncQ,
     ZERO,
+    _sum_over_one_plus,
     binomial,
     eval_at,
     q_power,
@@ -135,9 +140,9 @@ class PadicContext:
 class IntegrandSpec:
     """Finite combination x -> sum_m c_m q^(m x).
 
-    Exponents m are integers; coefficients live in Q(q) (rational
-    constants embed as constant rational functions).  Zero coefficients
-    are dropped.
+    Exponents m are integers (anything else is a TypeError); coefficients
+    live in Q(q) (rational constants embed as constant rational
+    functions).  Zero coefficients are dropped.
     """
 
     __slots__ = ("_terms",)
@@ -145,9 +150,11 @@ class IntegrandSpec:
     def __init__(self, terms: Mapping[int, CoeffLike]):
         out: dict[int, RatFuncQ] = {}
         for m, c in terms.items():
+            if not isinstance(m, int):
+                raise TypeError(f"expected an int exponent, got {m!r}")
             c = c if isinstance(c, RatFuncQ) else RatFuncQ(c)
             if not c.is_zero:
-                out[int(m)] = c
+                out[m] = c
         self._terms = out
 
     def items(self) -> list[tuple[int, RatFuncQ]]:
@@ -237,11 +244,13 @@ def moment_integral(m: int, normalized: bool = True) -> RatFuncQ:
 
 
 def integrate(spec: IntegrandSpec, normalized: bool = True) -> RatFuncQ:
-    """Integrate a finite q-exponential combination; exact and linear."""
-    total = ZERO
-    for m, c in spec.items():
-        total = total + c * moment_integral(m, normalized)
-    return total
+    """Integrate a finite q-exponential combination; exact and linear.
+
+    The moments sum_m c_m / (1 + q^(m+1)) are added over one shared
+    denominator and reduced once, then scaled by [2]_q (or by 2).
+    """
+    moments = _sum_over_one_plus((c, m + 1) for m, c in spec.items())
+    return (qbracket(2, 1) if normalized else RatFuncQ(2)) * moments
 
 
 # ---------------------------------------------------------------------------

@@ -25,6 +25,14 @@ large integer xi, take one integer gcd and read it back as balanced
 xi-adic digits, accepted only when they divide both inputs exactly.
 After six rejected values of xi the primitive PRS gcd decides.
 
+Sums of moments.  `_sum_over_one_plus` adds c_i / (1 + q^e_i) over one
+shared denominator, the lcm of the c_i denominators times the lcm of the
+1 + q^|e_i| (a product of cyclotomic factors, cached per exponent set).
+The integer numerators go into one list; common factors (1 - q), which
+the closed-form Genocchi sums carry to high order, are stripped with
+prefix sums while both sides vanish at q = 1, and one gcd removes the
+rest.  The result is canonical, so it equals the term-by-term sum.
+
 A value is built from an int, a Fraction or an ``{exponent: coefficient}``
 mapping for numerator and denominator, and read back through the
 ``num`` (content and shift included) and ``den`` views, plain
@@ -39,7 +47,10 @@ from __future__ import annotations
 
 import math
 import re
+from collections import Counter
 from fractions import Fraction
+from functools import lru_cache
+from itertools import accumulate
 from math import comb
 from typing import Mapping, Union
 
@@ -210,6 +221,120 @@ def _int_gcd_poly(a, b) -> tuple[list[int], list[int], list[int]]:
         g = _prs_gcd(a, b)
         found = g, _int_divexact(a, g), _int_divexact(b, g)
     return found
+
+
+def _div_binomial(a, k: int, s: int) -> list[int]:
+    # a / (1 + s q^k) in Z[q] for s = +-1, k >= 1, by the recurrence
+    # b[i] = a[i] - s b[i-k]; the top k values of b are the remainder
+    b = list(a)
+    for i in range(k, len(b)):
+        b[i] -= s * b[i - k]
+    top = max(len(b) - k, 0)
+    if any(b[top:]):
+        raise ArithmeticError("nonzero remainder in exact binomial division")
+    return b[:top]
+
+
+def _div_one_minus_q(a) -> list[int] | None:
+    # a / (1 - q) by prefix sums, or None when the last one, the remainder
+    # a(1), is nonzero
+    b = list(accumulate(a))
+    return None if b[-1] else b[:-1]
+
+
+def _divisors(n: int) -> list[int]:
+    return [d for d in range(1, n + 1) if n % d == 0]
+
+
+def _mobius(n: int) -> int:
+    mu, p = 1, 2
+    while p * p <= n:
+        if n % p == 0:
+            n //= p
+            if n % p == 0:
+                return 0
+            mu = -mu
+        p += 1
+    return -mu if n > 1 else mu
+
+
+@lru_cache(maxsize=None)
+def _one_plus_lcm(exps: tuple[int, ...]) -> tuple[tuple[int, ...], dict[int, tuple[int, ...]]]:
+    """L = lcm of the 1 + q^e over positive exps, and L / (1 + q^e) for each e.
+
+    1 + q^e = (1 - q^2e) / (1 - q^e) is the product of the cyclotomic
+    Phi_d with d | 2e and d not dividing e, so L = prod_{d in S} Phi_d.
+    For d > 1, Phi_d = prod_{k | d} (1 - q^k)^mu(d/k), so L is
+    prod_k (1 - q^k)^c_k with c_k = sum_{d in S, k | d} mu(d/k): sparse
+    multiplications for c_k > 0, then sparse exact divisions.
+    """
+    powers: Counter[int] = Counter()
+    for d in {d for e in exps for d in _divisors(2 * e) if e % d}:
+        for k in _divisors(d):
+            powers[k] += _mobius(d // k)
+    lcm = [1]
+    for k, c in sorted(powers.items()):
+        for _ in range(c):
+            lcm = lcm + [0] * k
+            for i in range(len(lcm) - 1, k - 1, -1):
+                lcm[i] -= lcm[i - k]
+    for k, c in sorted(powers.items()):
+        for _ in range(-c):
+            lcm = _div_binomial(lcm, k, -1)
+    return tuple(lcm), {e: tuple(_div_binomial(lcm, e, 1)) for e in exps}
+
+
+def _sum_over_one_plus(pairs) -> "RatFuncQ":
+    """sum of c / (1 + q^e) over (c, e) pairs, with RatFuncQ c and int e.
+
+    One shared denominator, reduced once: the lcm of the c denominators
+    (equal tuples need no gcd) times the lcm L of the 1 + q^|e|.  The
+    integer numerators are added into one list; e = 0 contributes c / 2
+    and e < 0 the shift of c q^-e / (1 + q^-e).  Common factors (1 - q)
+    are stripped with prefix sums, the rest by one `_int_gcd_poly`.
+    """
+    terms = [(c, e) for c, e in pairs if c._num]
+    if not terms:
+        return ZERO
+    dens = list(dict.fromkeys(c._den for c, _ in terms))
+    den = list(dens[0])
+    for d in dens[1:]:
+        _, _, d_rest = _int_gcd_poly(den, d)
+        den = _int_mul(den, d_rest)
+    den_cof = {d: _int_divexact(den, d) for d in dens}
+    lcm, cofs = _one_plus_lcm(tuple(sorted({abs(e) for _, e in terms if e})))
+    contents = [c._content / 2 if e == 0 else c._content for c, e in terms]
+    scale = math.lcm(*(r.denominator for r in contents))
+    shifts = [c._shift - min(e, 0) for c, e in terms]
+    lo = min(shifts)
+    parts = []
+    for (c, e), r, shift in zip(terms, contents, shifts):
+        part = _int_mul(_int_mul(c._num, den_cof[c._den]), cofs[abs(e)] if e else lcm)
+        parts.append((r.numerator * (scale // r.denominator), part, shift - lo))
+    acc = [0] * max(off + len(part) for _, part, off in parts)
+    for k, part, off in parts:
+        for i, x in enumerate(part, off):
+            acc[i] += k * x
+    _trim(acc)
+    if not acc:
+        return ZERO
+    start = 0
+    while not acc[start]:
+        start += 1
+    content = math.gcd(*acc)
+    num = [x // content for x in acc[start:]]
+    den = _int_mul(den, lcm)
+    for _ in range(len(den) - 1):  # (1 - q)^j divides den only for j < len(den)
+        if (num_1 := _div_one_minus_q(num)) is None or (den_1 := _div_one_minus_q(den)) is None:
+            break
+        num, den = num_1, den_1
+    # each (1 - q) flips both leading signs; den's sign goes into num
+    if den[-1] < 0:
+        num, den = [-x for x in num], [-x for x in den]
+    if num[-1] < 0:
+        num, content = [-x for x in num], -content
+    _, num, den = _int_gcd_poly(num, den)
+    return _new(lo + start, Fraction(content, scale), num, den)
 
 
 def _split(coeffs: Mapping[int, Rational]) -> tuple[int, Fraction, list[int]]:

@@ -191,6 +191,15 @@ class TestIntegral:
         code, _, _ = run_cli(capsys, ["integral", "--p", "3", "--q", "4"])
         assert code == EXIT_USAGE  # no terms
 
+    @pytest.mark.parametrize("terms", [["--m", "1", "--coeff", "1:-1"], ["--coeff", "1:0"],
+                                       ["--coeff", "0:0", "--coeff=-3:0"]])
+    def test_zero_integrand(self, capsys, terms):
+        # terms that cancel leave nothing to check: no limit-0, vp=inf report
+        code, out, err = run_cli(capsys, ["integral", "--p", "3", "--q", "4"] + terms)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err == "qgen: the integrand is zero; nothing was checked\n"
+
     def test_negative_precision(self, capsys):
         # --M -1 is a precision below N, not a request for the default
         code, out, err = run_cli(capsys, [

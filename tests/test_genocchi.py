@@ -23,7 +23,7 @@ from qgen.genocchi import (
     weighted_genocchi_recurrence,
 )
 from qgen.padic import PadicContext
-from qgen.qcore import ONE, Q, RatFuncQ, ZERO, binomial, eval_at, q_power, qbracket
+from qgen.qcore import ONE, Q, RatFuncQ, ZERO, _one_plus_lcm, binomial, eval_at, q_power, qbracket
 
 W = WeightParams
 
@@ -44,6 +44,21 @@ def bernoulli_oracle(n: int) -> Fraction:
 def genocchi_from_bernoulli(n: int) -> Fraction:
     """Independent oracle: G_n = 2 (1 - 2^n) B_n."""
     return 2 * (1 - Fraction(2) ** n) * bernoulli_oracle(n)
+
+
+def closed_termwise(n: int, alpha: int, h: int, x: int) -> RatFuncQ:
+    """Reference for the closed form: one RatFuncQ add per moment, then the
+    prefactor n [2]_q (1 - q^alpha)^-(n-1)."""
+    if n == 0:
+        return ZERO
+    acc = ZERO
+    for l in range(n):
+        acc = acc + ((-1) ** l * binomial(n - 1, l)) * q_power(alpha * l * x) / (
+            ONE + q_power(alpha * l + h))
+    acc = (n * qbracket(2, 1)) * acc
+    if n > 1:
+        acc = acc / (ONE - q_power(alpha)) ** (n - 1)
+    return acc
 
 
 class TestClosedForm:
@@ -88,6 +103,29 @@ class TestClosedForm:
                 f = weighted_genocchi_poly_closed(n, W(alpha, h), x)
                 assert sum(f.den.values()) != 0
                 eval_at(f, 1)  # must not raise
+
+    @pytest.mark.parametrize("alpha", [1, 2, 3])
+    @pytest.mark.parametrize("h", [1, 2, 3])
+    def test_matches_termwise_oracle(self, alpha, h):
+        # the shared-denominator sum equals the moment-by-moment one
+        w = W(alpha, h)
+        for n in range(12):
+            for x in range(-2, 4):
+                assert weighted_genocchi_poly_closed(n, w, x) == closed_termwise(n, alpha, h, x)
+
+    def test_deep_closed_form_within_ceiling(self):
+        # n = 40 at alpha = h = 3: moment denominators of degree in the thousands
+        from qgen.genocchi import _closed
+        from qgen.identities import verify_symmetry
+
+        _closed.cache_clear()
+        _one_plus_lcm.cache_clear()
+        start = time.perf_counter()
+        for x in (-1, 2):
+            assert verify_symmetry(39, W(3, 3), x).passed, x
+        assert eval_at(weighted_genocchi_number(40, W(1, 1)), 1) == classical_genocchi(40)
+        elapsed = time.perf_counter() - start
+        assert elapsed < 10.0, f"closed form at n=40 took {elapsed:.1f}s"
 
 
 class TestRecurrenceRoute:

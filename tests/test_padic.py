@@ -21,7 +21,7 @@ from qgen.padic import (
     truncated_integral,
     vp,
 )
-from qgen.qcore import ONE, Q, RatFuncQ, ZERO, eval_at, q_power, qbracket
+from qgen.qcore import ONE, Q, RatFuncQ, ZERO, _one_plus_lcm, eval_at, q_power, qbracket
 
 
 def naive_alternating_sum(terms: dict[int, Fraction], p: int, N: int,
@@ -35,6 +35,32 @@ def naive_alternating_sum(terms: dict[int, Fraction], p: int, N: int,
     if normalized:
         total /= (1 - (-q) ** (p**N)) / (1 + q)
     return total
+
+
+def integrate_termwise(spec: IntegrandSpec, normalized: bool = True) -> RatFuncQ:
+    """Reference for `integrate`: one RatFuncQ add per moment."""
+    total = ZERO
+    for m, c in spec.items():
+        total = total + c * moment_integral(m, normalized)
+    return total
+
+
+def seeded_integrand(rng: random.Random, kind: int) -> IntegrandSpec:
+    """A bracket-power expansion (exponents down to m < -1), the same
+    shifted, a linear combination of two with different denominators, or
+    q-exponentials with Fraction coefficients only."""
+    if kind == 3:
+        return random_spec(rng)
+    spec = bracket_power_integrand(rng.randint(-2, 2), rng.choice([-3, -2, -1, 1, 2, 3]),
+                                   rng.randint(0, 5), sign=rng.choice([1, -1]),
+                                   exp_shift=rng.randint(-5, 3))
+    if kind == 1:
+        return spec.shifted(rng.randint(-2, 2))
+    if kind == 2:
+        other = bracket_power_integrand(rng.randint(-2, 2), rng.choice([-2, -1, 1, 2]),
+                                        rng.randint(0, 4), exp_shift=rng.randint(-4, 2))
+        return Fraction(rng.randint(-5, 5), rng.randint(1, 4)) * spec + other
+    return spec
 
 
 def residue(r: Fraction, mod: int) -> int:
@@ -131,6 +157,12 @@ class TestIntegrandSpec:
         spec = IntegrandSpec({0: inv, 1: -inv})
         assert spec.at_zero() == ZERO
 
+    @pytest.mark.parametrize("terms", [{1: 1, 1.5: 2}, {"2": 1}, {Fraction(2): 1}])
+    def test_non_integer_exponent_rejected(self, terms):
+        # int() would truncate 1.5 onto the exponent 1 and lose a term
+        with pytest.raises(TypeError, match="int exponent"):
+            IntegrandSpec(terms)
+
 
 class TestMoments:
     def test_constant(self):
@@ -173,6 +205,19 @@ class TestIntegrate:
         spec = IntegrandSpec({0: inv, 1: -inv})
         expected = weighted_genocchi_number(2, WeightParams(1, 1)) / 2
         assert integrate(spec) == expected
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_matches_termwise_oracle(self, seed):
+        # the shared-denominator sum equals the moment-by-moment one
+        rng = random.Random(7000 + seed)
+        exponents = set()
+        for i in range(40):
+            spec = seeded_integrand(rng, i % 4)
+            exponents.update(m for m, _ in spec.items())
+            for normalized in (True, False):
+                assert integrate(spec, normalized) == integrate_termwise(spec, normalized), (
+                    spec, normalized)
+        assert -1 in exponents and min(exponents) < -1
 
     def test_linearity(self):
         rng = random.Random(17)
@@ -302,6 +347,7 @@ class TestConvergence:
     def test_deep_levels_within_ceiling(self):
         # p^12 = 244,140,625 residues: the modular path must not loop over them
         moment_integral.cache_clear()
+        _one_plus_lcm.cache_clear()
         start = time.perf_counter()
         trace = convergence_probe(IntegrandSpec({1: 1}), 5, 6, range(13))
         elapsed = time.perf_counter() - start

@@ -20,7 +20,16 @@ from qgen.qcore import (
     qbracket_reflect,
     subst_q_inverse,
 )
-from qgen.qcore import _heu_gcd, _int_divexact, _int_gcd_poly, _int_mul, _int_primitive, _prs_gcd
+from qgen.qcore import (
+    _heu_gcd,
+    _int_divexact,
+    _int_gcd_poly,
+    _int_mul,
+    _int_primitive,
+    _one_plus_lcm,
+    _prs_gcd,
+    _sum_over_one_plus,
+)
 
 
 def bracket_oracle(x: int, a: int, q0: Fraction) -> Fraction:
@@ -373,6 +382,58 @@ class TestGcd:
                 b = _int_mul(b, phis[rng.randint(2, 60)])
             assert max(len(a), len(b)) > 300
             self.check(a, b)
+
+
+class TestSumOverOnePlus:
+    """The shared-denominator kernel against term-by-term RatFuncQ sums."""
+
+    @staticmethod
+    def termwise(pairs):
+        total = ZERO
+        for c, e in pairs:
+            total = total + c / (ONE + q_power(e))
+        return total
+
+    @pytest.mark.parametrize("exps", [(1,), (2,), (1, 2, 3), (3, 6, 9, 12), (2, 5, 7, 10, 12)])
+    def test_lcm_is_product_of_cyclotomic_factors(self, exps):
+        # 1 + q^e is the product of Phi_d over d | 2e with d not dividing e
+        lcm, cofactors = _one_plus_lcm(exps)
+        want = [1]
+        for d in sorted({d for e in exps for d in range(1, 2 * e + 1) if 2 * e % d == 0 and e % d}):
+            want = _int_mul(want, cyclotomic(d))
+        assert list(lcm) == want
+        for e in exps:
+            assert _int_mul(cofactors[e], [1] + [0] * (e - 1) + [1]) == want
+
+    def test_random_coefficients_and_exponents(self):
+        # any numerators and denominators, repeated e, e = 0 and e < 0
+        rng = random.Random(1101)
+        for _ in range(150):
+            pairs = [(random_ratfunc(rng), rng.randint(-6, 6)) for _ in range(rng.randint(1, 5))]
+            assert _sum_over_one_plus(pairs) == self.termwise(pairs), pairs
+
+    def test_special_exponents(self):
+        c = qbracket(3, 2) / (ONE - Q)
+        assert _sum_over_one_plus([(c, 0)]) == c / 2
+        assert _sum_over_one_plus([(c, -3)]) == c * q_power(3) / (ONE + q_power(3))
+
+    def test_zero_sums(self):
+        c = ONE / (ONE - q_power(2))
+        assert _sum_over_one_plus([]) is ZERO
+        assert _sum_over_one_plus([(ZERO, 4)]) is ZERO
+        assert _sum_over_one_plus([(c, 2), (-c, 2), (ZERO, 0)]) == ZERO
+        # c / (1 + q) + c q / (1 + q) = c, with no (1 + q) left over
+        assert _sum_over_one_plus([(c, 1), (c * Q, 1)]) == c
+
+    def test_common_factors_cancel(self):
+        # the (1 - q) strip: 1/(1+q) - 1/(1+q^2) = q (q - 1) / ((1+q)(1+q^2))
+        c = ONE / (ONE - Q)
+        assert _sum_over_one_plus([(c, 1), (-c, 2)]) == -Q / ((ONE + Q) * (ONE + q_power(2)))
+        # the final gcd: (1 - q^2)^k / (1 + q) = (1 - q)^k (1 + q)^(k-1)
+        for k in range(1, 5):
+            got = _sum_over_one_plus([((ONE - q_power(2)) ** k, 1)])
+            assert got == (ONE - Q) ** k * (ONE + Q) ** (k - 1)
+            assert got.den == {0: 1}
 
 
 def random_tree(rng: random.Random, depth: int, q):
