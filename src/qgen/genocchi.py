@@ -13,7 +13,11 @@ closed form    expand the bracket power binomially and integrate each
 
 recurrence     numbers only: (1 + q^h) g_1 = [2]_q and, for n > 1,
                (1 + q^(h + alpha (n-1))) g_n
-                   = -q^(h - alpha) sum_{k=1}^{n-1} C(n, k) q^(alpha k) g_k;
+                   = -q^(h - alpha) sum_{k=1}^{n-1} C(n, k) q^(alpha k) g_k,
+               run fraction-free: g_n = q^sigma_n P_n / E_n with
+               E_n = prod_{j<n} (1 + q^(h + alpha j)) and P_n in Z[q]
+               a Horner sum of shifts and adds, reduced once per value
+               by stripping the known cyclotomic factors of E_n;
 
 umbral         polynomials from numbers:
                g_n(x) = q^(-alpha x) sum_k C(n, k) q^(alpha k x) g_k [x]_{q^alpha}^(n-k),
@@ -45,7 +49,9 @@ from qgen.qcore import (
     ONE,
     RatFuncQ,
     ZERO,
+    _over_one_plus,
     _sum_over_one_plus,
+    _trim,
     binomial,
     eval_at,
     q_power,
@@ -123,15 +129,32 @@ def weighted_genocchi_number(n: int, w: WeightParams) -> RatFuncQ:
 
 
 @lru_cache(maxsize=None)
+def _recurrence_numerator(n: int, alpha: int, h: int) -> tuple[int, ...]:
+    # P_n in g_n = q^sigma_n P_n / E_n, E_n = prod_{j<n} (1 + q^(h + alpha j)),
+    # sigma_1 = 0 and sigma_n = h for n > 1: -1 times the Horner sum over
+    # k = 1..n-1 of acc (1 + q^(h + alpha (k-1))) + C(n, k) q^(alpha (k-1) + sigma_k) P_k
+    if n == 1:
+        return (1, 1)
+    acc: list[int] = []
+    for k in range(1, n):
+        if acc:
+            pad = [0] * (h + alpha * (k - 1))
+            acc = [x + y for x, y in zip(acc + pad, pad + acc)]
+        p_k = _recurrence_numerator(k, alpha, h)
+        off = alpha * (k - 1) + (h if k > 1 else 0)
+        acc.extend([0] * (off + len(p_k) - len(acc)))
+        c = binomial(n, k)
+        for i, x in enumerate(p_k, off):
+            acc[i] += c * x
+    return tuple(-x for x in _trim(acc))
+
+
+@lru_cache(maxsize=None)
 def _recurrence_number(n: int, alpha: int, h: int) -> RatFuncQ:
     if n == 0:
         return ZERO
-    if n == 1:
-        return qbracket(2, 1) / (ONE + q_power(h))
-    acc = ZERO
-    for k in range(1, n):
-        acc = acc + binomial(n, k) * q_power(alpha * k) * _recurrence_number(k, alpha, h)
-    return -(q_power(h - alpha) * acc) / (ONE + q_power(h + alpha * (n - 1)))
+    return _over_one_plus(h if n > 1 else 0, _recurrence_numerator(n, alpha, h),
+                          [h + alpha * j for j in range(n)])
 
 
 def weighted_genocchi_recurrence(n_max: int, w: WeightParams) -> dict[int, RatFuncQ]:

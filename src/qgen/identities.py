@@ -76,9 +76,11 @@ def verify_shift2(n: int, w: WeightParams) -> VerificationRecord:
     return compare("shift2", params, lhs, rhs, boundary=(n < 2))
 
 
-def _reflected_integrand(n: int, w: WeightParams):
-    # q^((h-1) xi) [1 - xi]_{q^-alpha}^n, expanded to exact moments
-    return bracket_power_integrand(1, -w.alpha, n, sign=-1, exp_shift=w.h - 1)
+@lru_cache(maxsize=None)
+def _reflected_integral(n: int, w: WeightParams) -> RatFuncQ:
+    # integral of q^((h-1) xi) [1 - xi]_{q^-alpha}^n, shared by the shift
+    # and reflection checks
+    return integrate(bracket_power_integrand(1, -w.alpha, n, sign=-1, exp_shift=w.h - 1))
 
 
 def verify_integral_shift(n: int, w: WeightParams) -> VerificationRecord:
@@ -86,7 +88,7 @@ def verify_integral_shift(n: int, w: WeightParams) -> VerificationRecord:
     g_{n+1}(2) at 1/q divided by n+1."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    lhs = q_power(w.h - 1) * integrate(_reflected_integrand(n, w))
+    lhs = q_power(w.h - 1) * _reflected_integral(n, w)
     rhs = subst_q_inverse(weighted_genocchi_poly_closed(n + 1, w, 2)) / (n + 1)
     params = (("n", n),) + _weight_params(w)
     return compare("integral-shift", params, lhs, rhs)
@@ -105,7 +107,7 @@ def verify_integral_reflect(n: int, w: WeightParams) -> VerificationRecord:
     n = 0 is a boundary probe (it fails, fixing the implicit domain)."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    lhs = integrate(_reflected_integrand(n, w))
+    lhs = _reflected_integral(n, w)
     params = (("n", n),) + _weight_params(w)
     return compare("integral-reflect", params, lhs, _reflected(n, w), boundary=(n < 1))
 

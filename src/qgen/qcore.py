@@ -33,6 +33,12 @@ the closed-form Genocchi sums carry to high order, are stripped with
 prefix sums while both sides vanish at q = 1, and one gcd removes the
 rest.  The result is canonical, so it equals the term-by-term sum.
 
+Quotients by products of 1 + q^e.  `_over_one_plus` reduces
+q^shift num / prod (1 + q^e) with no gcd: the denominator's cyclotomic
+factors are known, so each is tested against num (modulo q^d - 1) and
+divided out as often as it divides; the rest form den.  Products and
+quotients of cyclotomic factors run as sparse steps by (1 - q^k).
+
 A value is built from an int, a Fraction or an ``{exponent: coefficient}``
 mapping for numerator and denominator, and read back through the
 ``num`` (content and shift included) and ``den`` views, plain
@@ -225,10 +231,12 @@ def _int_gcd_poly(a, b) -> tuple[list[int], list[int], list[int]]:
 
 def _div_binomial(a, k: int, s: int) -> list[int]:
     # a / (1 + s q^k) in Z[q] for s = +-1, k >= 1, by the recurrence
-    # b[i] = a[i] - s b[i-k]; the top k values of b are the remainder
+    # b[i] = a[i] - s b[i-k], run as one running sum per residue of i mod k;
+    # the top k values of b are the remainder
     b = list(a)
-    for i in range(k, len(b)):
-        b[i] -= s * b[i - k]
+    step = None if s < 0 else (lambda x, y: y - x)
+    for j in range(min(k, len(b) - k)):
+        b[j::k] = accumulate(b[j::k], step)
     top = max(len(b) - k, 0)
     if any(b[top:]):
         raise ArithmeticError("nonzero remainder in exact binomial division")
@@ -258,29 +266,101 @@ def _mobius(n: int) -> int:
     return -mu if n > 1 else mu
 
 
+def _mul_one_minus(a, k: int) -> list[int]:
+    # a (1 - q^k), sparse
+    pad = [0] * k
+    return [x - y for x, y in zip(list(a) + pad, pad + list(a))]
+
+
+@lru_cache(maxsize=None)
+def _cyclotomic_exponents(d: int) -> tuple[tuple[int, int], ...]:
+    # (k, mu(d/k)) with mu != 0: Phi_d = prod_{k | d} (1 - q^k)^mu(d/k), d > 1
+    return tuple((k, mu) for k in _divisors(d) if (mu := _mobius(d // k)))
+
+
+@lru_cache(maxsize=None)
+def _one_plus_factors(e: int) -> tuple[int, ...]:
+    # 1 + q^e = (1 - q^2e) / (1 - q^e) is the product of the Phi_d with
+    # d | 2e and d not dividing e
+    return tuple(d for d in _divisors(2 * e) if e % d)
+
+
+def _times_cyclotomic(a, mults: Mapping[int, int]) -> list[int]:
+    """a prod Phi_d^m over {d: m} with d > 1 and m of either sign.
+
+    The factor is prod_k (1 - q^k)^c_k with c_k = sum_d m mu(d/k): sparse
+    multiplications for c_k > 0, then sparse exact divisions, which raise
+    ArithmeticError when the quotient is not in Z[q].
+    """
+    powers: Counter[int] = Counter()
+    for d, m in mults.items():
+        for k, mu in _cyclotomic_exponents(d):
+            powers[k] += m * mu
+    for k, c in sorted(powers.items()):
+        for _ in range(c):
+            a = _mul_one_minus(a, k)
+    for k, c in sorted(powers.items()):
+        for _ in range(-c):
+            a = _div_binomial(a, k, -1)
+    return list(a)
+
+
+@lru_cache(maxsize=None)
+def _maximal_divisors(d: int) -> tuple[int, ...]:
+    # d / p for each prime p dividing d
+    return tuple(d // p for p in _divisors(d)[1:] if len(_divisors(p)) == 2)
+
+
+def _cyclotomic_divides(a, d: int) -> bool:
+    # Phi_d divides a iff q^d - 1 divides a prod_p (q^(d/p) - 1) over the
+    # primes p | d: the product holds every Phi_k with k | d, k < d, and
+    # not Phi_d.  Modulo q^d - 1, a folds to d coefficients and each factor
+    # is a rotation minus the identity.
+    f = [sum(a[i::d]) for i in range(d)]
+    for s in _maximal_divisors(d):
+        f = [x - y for x, y in zip(f[-s:] + f[:-s], f)]
+    return not any(f)
+
+
+def _over_one_plus(shift: int, num, exps) -> "RatFuncQ":
+    """q^shift num / prod_{e in exps} (1 + q^e) in canonical form, without a gcd.
+
+    num is in Z[q] and every e >= 1 (repeats allowed).  The denominator
+    is prod Phi_d^m_d, m_d the number of e with Phi_d | 1 + q^e.  Each
+    Phi_d is divided out of num as often as it divides, at most m_d
+    times: every round tests the candidates on num mod (q^d - 1), in
+    O(deg num) each, and divides num by the product of those that divide.
+    The Phi_d left over form den; each was tested against the reduced
+    num, so num and den are coprime.
+    """
+    num = _trim(list(num))
+    if not num:
+        return ZERO
+    start = 0
+    while not num[start]:
+        start += 1
+    num = num[start:]
+    mults = Counter(d for e in exps for d in _one_plus_factors(e))
+    candidates = list(mults)
+    while candidates:
+        found = [d for d in candidates if _cyclotomic_divides(num, d)]
+        num = _times_cyclotomic(num, dict.fromkeys(found, -1))
+        mults.subtract(found)
+        candidates = [d for d in found if mults[d]]
+    content = math.gcd(*num)
+    if num[-1] < 0:
+        content = -content
+    return _new(shift + start, Fraction(content), [x // content for x in num],
+                _times_cyclotomic([1], mults))
+
+
 @lru_cache(maxsize=None)
 def _one_plus_lcm(exps: tuple[int, ...]) -> tuple[tuple[int, ...], dict[int, tuple[int, ...]]]:
     """L = lcm of the 1 + q^e over positive exps, and L / (1 + q^e) for each e.
 
-    1 + q^e = (1 - q^2e) / (1 - q^e) is the product of the cyclotomic
-    Phi_d with d | 2e and d not dividing e, so L = prod_{d in S} Phi_d.
-    For d > 1, Phi_d = prod_{k | d} (1 - q^k)^mu(d/k), so L is
-    prod_k (1 - q^k)^c_k with c_k = sum_{d in S, k | d} mu(d/k): sparse
-    multiplications for c_k > 0, then sparse exact divisions.
+    L is the product of the distinct cyclotomic factors of the 1 + q^e.
     """
-    powers: Counter[int] = Counter()
-    for d in {d for e in exps for d in _divisors(2 * e) if e % d}:
-        for k in _divisors(d):
-            powers[k] += _mobius(d // k)
-    lcm = [1]
-    for k, c in sorted(powers.items()):
-        for _ in range(c):
-            lcm = lcm + [0] * k
-            for i in range(len(lcm) - 1, k - 1, -1):
-                lcm[i] -= lcm[i - k]
-    for k, c in sorted(powers.items()):
-        for _ in range(-c):
-            lcm = _div_binomial(lcm, k, -1)
+    lcm = _times_cyclotomic([1], dict.fromkeys({d for e in exps for d in _one_plus_factors(e)}, 1))
     return tuple(lcm), {e: tuple(_div_binomial(lcm, e, 1)) for e in exps}
 
 

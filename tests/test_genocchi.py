@@ -23,9 +23,20 @@ from qgen.genocchi import (
     weighted_genocchi_recurrence,
 )
 from qgen.padic import PadicContext
-from qgen.qcore import ONE, Q, RatFuncQ, ZERO, _one_plus_lcm, binomial, eval_at, q_power, qbracket
+from qgen.qcore import (ONE, Q, RatFuncQ, ZERO, _int_divexact, _one_plus_lcm, binomial, eval_at,
+                        q_power, qbracket)
 
 W = WeightParams
+
+
+def clear_recurrence_caches():
+    """Every memo the recurrence route fills, so a timed run starts cold."""
+    from qgen import genocchi, qcore
+
+    for cached in (genocchi._recurrence_number, genocchi._recurrence_numerator,
+                   qcore._one_plus_factors, qcore._cyclotomic_exponents,
+                   qcore._maximal_divisors):
+        cached.cache_clear()
 
 
 def bernoulli_oracle(n: int) -> Fraction:
@@ -148,17 +159,43 @@ class TestRecurrenceRoute:
         for n in range(11):
             assert table[n] == weighted_genocchi_number(n, w), n
 
+    @pytest.mark.parametrize("alpha", [1, 2, 3, 4, 6])
+    def test_grid_matches_closed_form(self, alpha):
+        # at even alpha some reduced denominators hold a cyclotomic factor
+        # twice (they do not divide the lcm of the 1 + q^e), which a
+        # reduction that strips each Phi_d only once gets wrong
+        repeated = 0
+        for h in range(1, 5):
+            w = W(alpha, h)
+            table = weighted_genocchi_recurrence(16, w)
+            for n in range(1, 17):
+                assert table[n] == weighted_genocchi_number(n, w), (n, h)
+                lcm, _ = _one_plus_lcm(tuple(sorted({h + alpha * j for j in range(n)})))
+                try:
+                    _int_divexact(list(lcm), list(table[n]._den))
+                except ArithmeticError:
+                    repeated += 1
+        assert (repeated > 0) == (alpha % 2 == 0), repeated
+
     def test_deep_recurrence_within_ceiling(self):
         # degree-400 values at n=30; the recurrence must stay usable there
-        from qgen.genocchi import _recurrence_number
-
-        _recurrence_number.cache_clear()
+        clear_recurrence_caches()
         w = W(3, 3)
         start = time.perf_counter()
         table = weighted_genocchi_recurrence(30, w)
         elapsed = time.perf_counter() - start
         assert elapsed < 10.0, f"recurrence to n=30 took {elapsed:.1f}s"
         assert table[30] == weighted_genocchi_number(30, w)
+
+    def test_deeper_recurrence_within_ceiling(self):
+        # n = 40: numerators of degree about 2,300 over 40 factors 1 + q^e
+        clear_recurrence_caches()
+        w = W(3, 3)
+        start = time.perf_counter()
+        table = weighted_genocchi_recurrence(40, w)
+        elapsed = time.perf_counter() - start
+        assert elapsed < 10.0, f"recurrence to n=40 took {elapsed:.1f}s"
+        assert table[40] == weighted_genocchi_number(40, w)
 
 
 class TestUmbralRoute:

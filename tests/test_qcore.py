@@ -27,6 +27,7 @@ from qgen.qcore import (
     _int_mul,
     _int_primitive,
     _one_plus_lcm,
+    _over_one_plus,
     _prs_gcd,
     _sum_over_one_plus,
 )
@@ -434,6 +435,36 @@ class TestSumOverOnePlus:
             got = _sum_over_one_plus([((ONE - q_power(2)) ** k, 1)])
             assert got == (ONE - Q) ** k * (ONE + Q) ** (k - 1)
             assert got.den == {0: 1}
+
+
+class TestOverOnePlus:
+    """The cyclotomic strip against a reduction by the PRS gcd."""
+
+    def test_random_cyclotomic_products(self):
+        # num = k q^z R prod Phi_d^j with Phi_d often repeated beyond its
+        # multiplicity in prod (1 + q^e), and some Phi_d not in it at all
+        rng = random.Random(2012)
+        for _ in range(200):
+            exps = [rng.randint(1, 6) for _ in range(rng.randint(1, 4))]
+            den = [1]
+            for e in exps:
+                den = _int_mul(den, [1] + [0] * (e - 1) + [1])
+            num = random_primitive(rng, rng.randint(0, 4), rng.randint(1, 20))
+            for _ in range(rng.randint(0, 7)):
+                num = _int_mul(num, cyclotomic(rng.randint(2, 14)))
+            k, z, shift = rng.choice([-3, -1, 1, 2, 6]), rng.randint(0, 2), rng.randint(-4, 4)
+            got = _over_one_plus(shift, [0] * z + [k * x for x in num], exps)
+            g = _prs_gcd(num, den)
+            want = (shift + z, Fraction(k), tuple(_int_divexact(num, g)), tuple(_int_divexact(den, g)))
+            assert (got._shift, got._content, got._num, got._den) == want, (exps, num)
+            as_dict = RatFuncQ({shift + z + i: k * x for i, x in enumerate(num)}, dict(enumerate(den)))
+            assert got == as_dict
+
+    def test_zero_and_full_cancellation(self):
+        assert _over_one_plus(3, [0, 0], [1, 2]) is ZERO
+        # (1 + q)^2 (1 + q^2) over the same product is 1
+        assert _over_one_plus(0, [1, 2, 2, 2, 1], [1, 1, 2]) == ONE
+        assert _over_one_plus(0, [1, 1], [1, 1]) == ONE / (ONE + Q)
 
 
 def random_tree(rng: random.Random, depth: int, q):
