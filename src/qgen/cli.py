@@ -45,7 +45,7 @@ from qgen.padic import (
     integrate,
     truncated_integral,
 )
-from qgen.qcore import PoleError, eval_at
+from qgen.qcore import PoleError, RatFuncQ, eval_at
 from qgen.records import VerificationRecord
 
 __all__ = ["build_parser", "console_main", "run", "serialize_report"]
@@ -147,12 +147,20 @@ def build_parser() -> argparse.ArgumentParser:
 # ---------------------------------------------------------------------------
 
 
-def _record_dict(rec: VerificationRecord) -> dict:
+def _canonical_string(value: RatFuncQ, strings: dict) -> str:
+    # strings memoizes the canonical string of each distinct value
+    text = strings.get(value)
+    if text is None:
+        text = strings[value] = value.to_canonical_string()
+    return text
+
+
+def _record_dict(rec: VerificationRecord, strings: dict) -> dict:
     return {
         "theorem": rec.theorem,
         "params": rec.params_text(),
-        "lhs": rec.lhs.to_canonical_string(),
-        "rhs": rec.rhs.to_canonical_string(),
+        "lhs": _canonical_string(rec.lhs, strings),
+        "rhs": _canonical_string(rec.rhs, strings),
         "status": rec.status,
         # every record checks an identity as printed; the key stays
         # because the golden report digest pins the report format
@@ -174,7 +182,8 @@ def _csv_dump(header: list[str], rows: list[list[str]]) -> str:
 
 def serialize_report(report: SweepReport, fmt: str, config_echo: dict | None = None) -> str:
     """Render a sweep report; byte-stable for identical inputs."""
-    records = [_record_dict(r) for r in report.records]
+    strings: dict = {}
+    records = [_record_dict(r, strings) for r in report.records]
     if fmt == "json":
         return _json_dump({
             "tool-version": __version__,

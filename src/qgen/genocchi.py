@@ -51,6 +51,7 @@ from qgen.qcore import (
     ZERO,
     _over_one_plus,
     _sum_over_one_plus,
+    _times_monomial,
     _trim,
     binomial,
     eval_at,
@@ -104,7 +105,7 @@ def _closed(n: int, alpha: int, h: int, x: int) -> RatFuncQ:
         return ZERO
     prefactor = (ONE - q_power(alpha)) ** (1 - n)
     moments = _sum_over_one_plus(
-        ((-1) ** l * binomial(n - 1, l) * prefactor * q_power(alpha * l * x), alpha * l + h)
+        (_times_monomial(prefactor, (-1) ** l * binomial(n - 1, l), alpha * l * x), alpha * l + h)
         for l in range(n)
     )
     return (n * qbracket(2, 1)) * moments

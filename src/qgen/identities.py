@@ -9,20 +9,22 @@ PASS/FAIL records, and every FAIL gates regressions; probes outside it
 (e.g. the shift identity below its stated n > 1) are recorded with
 BOUNDARY-* statuses and never gate.  The single, double and s-fold
 Bernstein identities all reduce to one equation in D = sum(n_i) and
-K = s k, computed once per (D, K, w).
+K = s k.  Its two sides are alternating binomial sums, read from two
+Pascal-rule tables per w: the j-th differences of g_i / i and the k-th
+differences of the reflected values, each entry one subtraction of two
+memoized neighbours.
 """
 
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from itertools import product
 
 from qgen.genocchi import WeightParams, weighted_genocchi_number, weighted_genocchi_poly_closed
 from qgen.padic import bracket_power_integrand, integrate
-from qgen.qcore import RatFuncQ, binomial, q_power, qbracket, subst_q_inverse
+from qgen.qcore import RatFuncQ, q_power, qbracket, subst_q_inverse
 from qgen.records import FAIL, VerificationRecord, compare
 
 __all__ = [
@@ -113,18 +115,27 @@ def verify_integral_reflect(n: int, w: WeightParams) -> VerificationRecord:
 
 
 @lru_cache(maxsize=None)
+def _moment_difference(j: int, i: int, w: WeightParams) -> RatFuncQ:
+    # sum_{l=0}^{j} (-1)^l C(j, l) g_{i+l} / (i+l), by Pascal's rule
+    if j == 0:
+        return weighted_genocchi_number(i, w) / i
+    return _moment_difference(j - 1, i, w) - _moment_difference(j - 1, i + 1, w)
+
+
+@lru_cache(maxsize=None)
+def _reflected_difference(k: int, d: int, w: WeightParams) -> RatFuncQ:
+    # sum_{l=0}^{k} (-1)^(k+l) C(k, l) _reflected(d - l), by Pascal's rule
+    if k == 0:
+        return _reflected(d, w)
+    return _reflected_difference(k - 1, d - 1, w) - _reflected_difference(k - 1, d, w)
+
+
 def _bernstein_sides(D: int, K: int, w: WeightParams) -> tuple[RatFuncQ, RatFuncQ]:
     """Both sides of the Bernstein identity of total degree D and K = s k:
     sum_{l=0}^{D-K} C(D-K, l) (-1)^l g_{l+K+1} / (l+K+1) against
-    sum_{l=0}^{K} C(K, l) (-1)^(K+l) _reflected(D - l)."""
-    lhs = RatFuncQ(0)
-    for l in range(D - K + 1):
-        g = weighted_genocchi_number(l + K + 1, w)
-        lhs = lhs + (-1) ** l * binomial(D - K, l) * g / (l + K + 1)
-    rhs = RatFuncQ(0)
-    for l in range(K + 1):
-        rhs = rhs + (-1) ** (K + l) * binomial(K, l) * _reflected(D - l, w)
-    return lhs, rhs
+    sum_{l=0}^{K} C(K, l) (-1)^(K+l) _reflected(D - l), each one entry
+    of a memoized difference table per w."""
+    return _moment_difference(D - K, K + 1, w), _reflected_difference(K, D, w)
 
 
 def verify_bernstein_single(n: int, k: int, w: WeightParams) -> VerificationRecord:
@@ -356,6 +367,9 @@ def sweep(config: SweepConfig | None = None, workers: int | None = None,
             raise ValueError(f"unknown theorems: {sorted(unknown)}")
         tasks = [t for t in tasks if t[0] in only]
     if workers > 1 and len(tasks) > 1:
+        # imported here: multiprocessing is a cost only parallel sweeps pay
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             records = tuple(pool.map(_run_task, tasks,
                                      chunksize=max(1, len(tasks) // (workers * 8))))

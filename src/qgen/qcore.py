@@ -23,7 +23,10 @@ integers except for the content.  The gcd that keeps num and den coprime
 is GCDHEU (Char, Geddes & Gonnet, 1989): evaluate both polynomials at a
 large integer xi, take one integer gcd and read it back as balanced
 xi-adic digits, accepted only when they divide both inputs exactly.
-After six rejected values of xi the primitive PRS gcd decides.
+A rejected xi grows to floor(73794 xi floor(xi^(1/4)) / 27011), the
+growth rule of Char, Geddes & Gonnet (and of sympy), so a few tries
+pass gcd coefficients far larger than the first xi; after six rejected
+values of xi the primitive PRS gcd decides.
 
 Sums of moments.  `_sum_over_one_plus` adds c_i / (1 + q^e_i) over one
 shared denominator, the lcm of the c_i denominators times the lcm of the
@@ -190,7 +193,7 @@ def _heu_gcd(a, b) -> tuple[list[int], list[int], list[int]] | None:
                 return g, _int_divexact(a, g), _int_divexact(b, g)
             except ArithmeticError:
                 pass
-        xi = xi * 73794 // 27011
+        xi = 73794 * xi * math.isqrt(math.isqrt(xi)) // 27011
     return None
 
 
@@ -666,6 +669,13 @@ def _new(shift: int, content: Fraction, num, den) -> RatFuncQ:
     f = RatFuncQ.__new__(RatFuncQ)
     f._shift, f._content, f._num, f._den = shift, content, tuple(num), tuple(den)
     return f
+
+
+def _times_monomial(f: RatFuncQ, k: int, e: int) -> RatFuncQ:
+    # k q^e f with no gcd: an integer monomial leaves num and den as they are
+    if not k or not f._num:
+        return ZERO
+    return _new(f._shift + e, f._content * k, f._num, f._den)
 
 
 def _ratio_str(n: int, d: int) -> str:

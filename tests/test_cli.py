@@ -3,7 +3,11 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -12,6 +16,8 @@ from qgen.identities import SweepConfig, SweepReport, sweep
 from qgen.padic import IntegrandSpec, PadicContext, truncated_integral
 from qgen.qcore import ONE, Q, RatFuncQ
 from qgen.records import compare
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 def run_cli(capsys, argv):
@@ -332,6 +338,39 @@ class TestSerializeReport:
     def test_unknown_format(self):
         with pytest.raises(ValueError):
             serialize_report(SweepReport(records=()), "yaml")
+
+    def test_every_string_is_its_records_canonical_string(self):
+        # the per-call memo of strings by value must give each record its
+        # own sides: equal values built apart, constants that hash like
+        # their Fractions, and records whose sides differ
+        config = SweepConfig(n_max=2, scalar_n_max=2, alpha_max=2, h_max=1, x_min=0,
+                             x_max=1, single_n_max=3, pair_n_max=2, multi_n_max=1,
+                             s_max=2, product_alpha_max=1, product_h_max=1)
+        extra = (
+            compare("demo", (("n", 0),), RatFuncQ(2), RatFuncQ({0: Fraction(4, 2)})),
+            compare("demo", (("n", 1),), ONE, Q),
+            compare("demo", (("n", 2),), (ONE + Q) * (ONE + Q), ONE + 2 * Q + Q * Q),
+            compare("demo", (("n", 3),), -ONE, Q / (ONE + Q)),
+        )
+        records = sweep(config, workers=1).records + extra
+        assert any(rec.lhs != rec.rhs for rec in records)
+        report = SweepReport(records=records)
+        rows = list(csv.reader(io.StringIO(serialize_report(report, "csv"))))[1:]
+        entries = json.loads(serialize_report(report, "json"))["records"]
+        assert len(rows) == len(entries) == len(records)
+        for rec, row, entry in zip(records, rows, entries):
+            want = [rec.lhs.to_canonical_string(), rec.rhs.to_canonical_string()]
+            assert row[3:] == want
+            assert [entry["lhs"], entry["rhs"]] == want
+
+
+def test_cli_import_leaves_multiprocessing_unloaded():
+    # the process pool is imported only by a parallel sweep
+    code = "import sys, qgen.cli; print('multiprocessing' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 class TestExitCodeContract:

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from qgen import identities
-from qgen.genocchi import WeightParams
+from qgen.genocchi import WeightParams, weighted_genocchi_number
 from qgen.identities import (
     THEOREMS,
     SweepConfig,
@@ -19,7 +19,7 @@ from qgen.identities import (
     verify_shift2,
     verify_symmetry,
 )
-from qgen.qcore import ONE, PoleError, q_power, qbracket
+from qgen.qcore import ONE, PoleError, RatFuncQ, binomial, q_power, qbracket
 from qgen.records import FAIL, VerificationRecord
 
 W = WeightParams
@@ -191,6 +191,61 @@ class TestBernsteinDoubleMulti:
             verify_bernstein_multi([1, 1], 1, W(1, 1))
 
 
+def clear_bernstein_caches():
+    """Forget the Pascal-rule tables and the reflected values they start from."""
+    for cached in (identities._moment_difference, identities._reflected_difference,
+                   identities._reflected):
+        cached.cache_clear()
+
+
+def direct_bernstein_sides(D, K, w):
+    """Both Bernstein sides as the plain alternating binomial sums."""
+    lhs = RatFuncQ(0)
+    for l in range(D - K + 1):
+        g = weighted_genocchi_number(l + K + 1, w)
+        lhs = lhs + (-1) ** l * binomial(D - K, l) * g / (l + K + 1)
+    rhs = RatFuncQ(0)
+    for l in range(K + 1):
+        rhs = rhs + (-1) ** (K + l) * binomial(K, l) * identities._reflected(D - l, w)
+    return lhs, rhs
+
+
+def default_grid_sides():
+    """Every (D, K, w) the default sweep's Bernstein records check."""
+    keys = set()
+    for theorem, args in identities._tasks(SweepConfig()):
+        if theorem == "bernstein-single":
+            n, k, w = args
+            keys.add((n, k, w))
+        elif theorem == "bernstein-double":
+            n1, n2, k, w = args
+            keys.add((n1 + n2, 2 * k, w))
+        elif theorem == "bernstein-multi":
+            n_list, k, w = args
+            keys.add((sum(n_list), len(n_list) * k, w))
+    return keys
+
+
+class TestBernsteinSides:
+    """The Pascal-rule tables against the direct sums they replace."""
+
+    def test_default_grid(self):
+        keys = default_grid_sides()
+        # the 36 pairs K < D <= 8 of the single grid, and (9, 0), (9, 3),
+        # (9, 6) from s = 3, each at four weights
+        assert len(keys) == 156
+        for D, K, w in keys:
+            assert identities._bernstein_sides(D, K, w) == direct_bernstein_sides(D, K, w), (D, K, w)
+
+    @pytest.mark.parametrize("alpha", [1, 2, 3])
+    @pytest.mark.parametrize("h", [1, 2, 3])
+    def test_degree_up_to_twelve(self, alpha, h):
+        w = W(alpha, h)
+        for D in range(1, 13):
+            for K in range(D):
+                assert identities._bernstein_sides(D, K, w) == direct_bernstein_sides(D, K, w), (D, K)
+
+
 SMALL_CONFIG = SweepConfig(
     n_max=3, scalar_n_max=3, alpha_max=2, h_max=2, x_min=0, x_max=1,
     single_n_max=3, pair_n_max=2, multi_n_max=2, s_max=2,
@@ -302,13 +357,11 @@ class TestUnresolvedFailures:
         def perturbed(n, w):
             return original(n, w) + (1 if n == 4 else 0)
 
-        identities._bernstein_sides.cache_clear()
-        identities._reflected.cache_clear()
+        clear_bernstein_caches()
         monkeypatch.setattr(identities, "weighted_genocchi_number", perturbed)
         yield
         monkeypatch.undo()
-        identities._bernstein_sides.cache_clear()
-        identities._reflected.cache_clear()
+        clear_bernstein_caches()
 
     def test_failure_beyond_min_degree_gates(self, perturbed_g4):
         # at k > min(n_i) the cancelled prefactor prod C(n_i, k) is 0; a

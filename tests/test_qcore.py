@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from qgen.genocchi import _recurrence_number, _recurrence_numerator
 from qgen.qcore import (
     ONE,
     PoleError,
@@ -30,6 +31,7 @@ from qgen.qcore import (
     _over_one_plus,
     _prs_gcd,
     _sum_over_one_plus,
+    _times_monomial,
 )
 
 
@@ -383,6 +385,32 @@ class TestGcd:
                 b = _int_mul(b, phis[rng.randint(2, 60)])
             assert max(len(a), len(b)) > 300
             self.check(a, b)
+
+    def test_recurrence_numerator_and_denominator(self):
+        # P_22 and E_22 = prod_{j<22} (1 + q^(3 + 3j)) at alpha = h = 3: the
+        # first xi follows E_22's unit coefficients, far below the gcd's, so
+        # xi must grow fast enough to get there within six tries
+        p = _int_primitive(list(_recurrence_numerator(22, 3, 3)))
+        p = p if p[-1] > 0 else [-x for x in p]
+        e = [1]
+        for j in range(22):
+            e = _int_mul(e, [1] + [0] * (2 + 3 * j) + [1])
+        found = _heu_gcd(p, e)
+        assert found is not None, "GCDHEU fell back"
+        g, cp, ce = found
+        assert len(g) - 1 == 145
+        assert _int_mul(g, cp) == p and _int_mul(g, ce) == e
+        # the recurrence's own reduction strips the same factors with no gcd
+        assert len(_recurrence_number(22, 3, 3)._den) == len(ce)
+
+
+class TestTimesMonomial:
+    def test_matches_product(self):
+        rng = random.Random(4711)
+        for _ in range(100):
+            f = random_ratfunc(rng)
+            k, e = rng.randint(-5, 5), rng.randint(-6, 6)
+            assert _times_monomial(f, k, e) == k * q_power(e) * f, (f, k, e)
 
 
 class TestSumOverOnePlus:
