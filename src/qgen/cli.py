@@ -182,6 +182,23 @@ def _csv_dump(header: list[str], rows: list[list[str]]) -> str:
 
 def serialize_report(report: SweepReport, fmt: str, config_echo: dict | None = None) -> str:
     """Render a sweep report; byte-stable for identical inputs."""
+    if fmt == "text":  # status, theorem and params only: no side is rendered
+        lines = [f"qgen {__version__} verification report"]
+        for rec in report.records:
+            lines.append(f"{rec.status:<14} {rec.theorem} {rec.params_text()}")
+        lines.append("")
+        lines.append("summary:")
+        for theorem, counts in report.summary.items():
+            text = " ".join(f"{k}={v}" for k, v in counts.items())
+            lines.append(f"  {theorem}: {text}")
+        if report.boundaries:
+            lines.append("domain boundaries (status flips along n):")
+            for b in report.boundaries:
+                lines.append(
+                    f"  {b['theorem']} {b['params']}: {b['flip']} between "
+                    f"n={b['n_from']} and n={b['n_to']}"
+                )
+        return "\n".join(lines) + "\n"
     strings: dict = {}
     records = [_record_dict(r, strings) for r in report.records]
     if fmt == "json":
@@ -196,23 +213,6 @@ def serialize_report(report: SweepReport, fmt: str, config_echo: dict | None = N
         rows = [[r["theorem"], r["params"], r["status"], r["lhs"], r["rhs"]]
                 for r in records]
         return _csv_dump(["theorem", "params", "status", "lhs", "rhs"], rows)
-    if fmt == "text":
-        lines = [f"qgen {__version__} verification report"]
-        for r in records:
-            lines.append(f"{r['status']:<14} {r['theorem']} {r['params']}")
-        lines.append("")
-        lines.append("summary:")
-        for theorem, counts in report.summary.items():
-            text = " ".join(f"{k}={v}" for k, v in counts.items())
-            lines.append(f"  {theorem}: {text}")
-        if report.boundaries:
-            lines.append("domain boundaries (status flips along n):")
-            for b in report.boundaries:
-                lines.append(
-                    f"  {b['theorem']} {b['params']}: {b['flip']} between "
-                    f"n={b['n_from']} and n={b['n_to']}"
-                )
-        return "\n".join(lines) + "\n"
     raise ValueError(f"unknown format: {fmt!r}")
 
 

@@ -9,7 +9,14 @@ closed form    expand the bracket power binomially and integrate each
                q-exponential moment exactly:
                n [2]_q (1 - q^alpha)^-(n-1)
                  * sum_l C(n-1, l) (-1)^l q^(alpha l x) / (1 + q^(alpha l + h)),
-               the sum taken over one shared denominator with one gcd;
+               run in integers over the lcm L of the 1 + q^(alpha l + h).
+               The denominator is known: with alpha' the odd part of
+               alpha, (1 - q^alpha')^(n-1) divides the numerator exactly
+               (sparse divisions that raise on a remainder), [2]_q
+               cancels the Phi_2 of L when it is there, and the rest,
+               D = L ((1 - q^alpha) / (1 - q^alpha'))^(n-1) without that
+               Phi_2, is cached per (n, alpha, h) and shared by every x;
+               one gcd with D makes the value canonical;
 
 recurrence     numbers only: (1 + q^h) g_1 = [2]_q and, for n > 1,
                (1 + q^(h + alpha (n-1))) g_n
@@ -34,6 +41,7 @@ numbers reproduces the classical Genocchi integers generated by
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -46,12 +54,15 @@ from qgen.padic import (
     convergence_probe,
 )
 from qgen.qcore import (
-    ONE,
     RatFuncQ,
     ZERO,
+    _div_binomial,
+    _int_gcd_poly,
+    _int_mul,
+    _int_pow,
+    _new,
+    _one_plus_lcm,
     _over_one_plus,
-    _sum_over_one_plus,
-    _times_monomial,
     _trim,
     binomial,
     eval_at,
@@ -100,15 +111,67 @@ class WeightParams:
 
 
 @lru_cache(maxsize=None)
+def _closed_denominator(n: int, alpha: int, h: int) -> tuple[tuple[int, ...], bool]:
+    # (D, halved): L = lcm of the 1 + q^(alpha l + h) over l < n holds
+    # Phi_2 = [2]_q once exactly when some alpha l + h is odd (halved);
+    # D = L / Phi_2^halved * ((1 - q^alpha) / (1 - q^alpha'))^(n-1),
+    # alpha' the odd part of alpha, is the same for every x
+    exps = tuple(alpha * l + h for l in range(n))
+    lcm, _ = _one_plus_lcm(exps)
+    halved = any(e % 2 for e in exps)
+    den = _div_binomial(lcm, 1, 1) if halved else list(lcm)
+    odd = alpha // (alpha & -alpha)
+    if odd < alpha:
+        geometric = ([1] + [0] * (odd - 1)) * (alpha // odd - 1) + [1]
+        den = _int_mul(den, _int_pow(geometric, n - 1))
+    return tuple(den), halved
+
+
+def _closed_numerator(n: int, alpha: int, h: int, x: int) -> tuple[int, list[int]]:
+    # (lo, N) with q^lo N = sum_l (-1)^l C(n-1, l) q^(alpha l x) L / (1 + q^(alpha l + h))
+    _, cofs = _one_plus_lcm(tuple(alpha * l + h for l in range(n)))
+    step = alpha * x
+    lo = min(0, step * (n - 1))
+    acc = [0] * (abs(step) * (n - 1) + len(cofs[h]))
+    for l in range(n):
+        c, cof, off = (-1) ** l * binomial(n - 1, l), cofs[alpha * l + h], step * l - lo
+        acc[off:off + len(cof)] = [a + c * y for a, y in zip(acc[off:off + len(cof)], cof)]
+    return lo, _trim(acc)
+
+
+def _strip_odd_part(num: list[int], alpha: int, n: int) -> list[int]:
+    # num / (1 - q^alpha')^(n-1): every cyclotomic factor of the reduced
+    # denominator, a divisor of E_n, is a Phi_d with d even, and those of
+    # 1 - q^alpha' have d odd, so the quotient is exact; a remainder raises
+    # ArithmeticError
+    odd = alpha // (alpha & -alpha)
+    for _ in range(n - 1):
+        num = _div_binomial(num, odd, -1)
+    return num
+
+
+@lru_cache(maxsize=None)
 def _closed(n: int, alpha: int, h: int, x: int) -> RatFuncQ:
+    # n [2]_q q^lo N / ((1 - q^alpha)^(n-1) L): the odd part of the
+    # (1 - q^alpha) power divides N, [2]_q cancels Phi_2 of L when it is
+    # there, and one gcd with the rest, D, reduces the value
     if n == 0:
         return ZERO
-    prefactor = (ONE - q_power(alpha)) ** (1 - n)
-    moments = _sum_over_one_plus(
-        (_times_monomial(prefactor, (-1) ** l * binomial(n - 1, l), alpha * l * x), alpha * l + h)
-        for l in range(n)
-    )
-    return (n * qbracket(2, 1)) * moments
+    den, halved = _closed_denominator(n, alpha, h)
+    lo, num = _closed_numerator(n, alpha, h, x)
+    num = _strip_odd_part(num, alpha, n)
+    if not num:
+        return ZERO
+    if not halved:
+        num = [a + b for a, b in zip(num + [0], [0] + num)]
+    start = 0
+    while not num[start]:
+        start += 1
+    content = math.gcd(*num)
+    if num[-1] < 0:
+        content = -content
+    _, num, den = _int_gcd_poly([a // content for a in num[start:]], den)
+    return _new(lo + start, Fraction(n * content), num, den)
 
 
 def weighted_genocchi_poly_closed(n: int, w: WeightParams, x: int) -> RatFuncQ:

@@ -32,7 +32,7 @@ Sums of moments.  `_sum_over_one_plus` adds c_i / (1 + q^e_i) over one
 shared denominator, the lcm of the c_i denominators times the lcm of the
 1 + q^|e_i| (a product of cyclotomic factors, cached per exponent set).
 The integer numerators go into one list; common factors (1 - q), which
-the closed-form Genocchi sums carry to high order, are stripped with
+the fermionic integrals of bracket powers carry, are stripped with
 prefix sums while both sides vanish at q = 1, and one gcd removes the
 rest.  The result is canonical, so it equals the term-by-term sum.
 
@@ -370,6 +370,8 @@ def _one_plus_lcm(exps: tuple[int, ...]) -> tuple[tuple[int, ...], dict[int, tup
 def _sum_over_one_plus(pairs) -> "RatFuncQ":
     """sum of c / (1 + q^e) over (c, e) pairs, with RatFuncQ c and int e.
 
+    The kernel of `padic.integrate`, its only caller.
+
     One shared denominator, reduced once: the lcm of the c denominators
     (equal tuples need no gcd) times the lcm L of the 1 + q^|e|.  The
     integer numerators are added into one list; e = 0 contributes c / 2
@@ -669,13 +671,6 @@ def _new(shift: int, content: Fraction, num, den) -> RatFuncQ:
     f = RatFuncQ.__new__(RatFuncQ)
     f._shift, f._content, f._num, f._den = shift, content, tuple(num), tuple(den)
     return f
-
-
-def _times_monomial(f: RatFuncQ, k: int, e: int) -> RatFuncQ:
-    # k q^e f with no gcd: an integer monomial leaves num and den as they are
-    if not k or not f._num:
-        return ZERO
-    return _new(f._shift + e, f._content * k, f._num, f._den)
 
 
 def _ratio_str(n: int, d: int) -> str:

@@ -363,6 +363,30 @@ class TestSerializeReport:
             assert row[3:] == want
             assert [entry["lhs"], entry["rhs"]] == want
 
+    def test_text_report_renders_no_side(self, monkeypatch):
+        # the text format prints status, theorem and params only; its lines
+        # are read here from the JSON report of the same sweep
+        config = SweepConfig(n_max=2, scalar_n_max=2, alpha_max=2, h_max=1, x_min=0,
+                             x_max=1, single_n_max=3, pair_n_max=2, multi_n_max=1,
+                             s_max=2, product_alpha_max=1, product_h_max=1)
+        report = sweep(config, workers=1)
+        payload = json.loads(serialize_report(report, "json"))
+        want = [f"qgen {payload['tool-version']} verification report"]
+        want += [f"{r['status']:<14} {r['theorem']} {r['params']}" for r in payload["records"]]
+        want += ["", "summary:"]
+        want += [f"  {theorem}: " + " ".join(f"{k}={v}" for k, v in counts.items())
+                 for theorem, counts in payload["summary"].items()]
+        want += ["domain boundaries (status flips along n):"]
+        want += [f"  {b['theorem']} {b['params']}: {b['flip']} between "
+                 f"n={b['n_from']} and n={b['n_to']}" for b in payload["boundaries"]]
+        assert payload["boundaries"]
+
+        def refuse(self):
+            raise AssertionError("text report rendered a side")
+
+        monkeypatch.setattr(RatFuncQ, "to_canonical_string", refuse)
+        assert serialize_report(report, "text") == "\n".join(want) + "\n"
+
 
 def test_cli_import_leaves_multiprocessing_unloaded():
     # the process pool is imported only by a parallel sweep

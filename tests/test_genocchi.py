@@ -115,21 +115,39 @@ class TestClosedForm:
                 assert sum(f.den.values()) != 0
                 eval_at(f, 1)  # must not raise
 
-    @pytest.mark.parametrize("alpha", [1, 2, 3])
-    @pytest.mark.parametrize("h", [1, 2, 3])
+    @pytest.mark.parametrize("alpha", [1, 2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("h", [1, 2, 3, 4])
     def test_matches_termwise_oracle(self, alpha, h):
-        # the shared-denominator sum equals the moment-by-moment one
+        # the value over its known denominator equals the moment-by-moment
+        # sum; alpha = 2, 4 and 6 have an even part, 6 an odd part above 1
         w = W(alpha, h)
         for n in range(12):
-            for x in range(-2, 4):
+            for x in range(-3, 4):
                 assert weighted_genocchi_poly_closed(n, w, x) == closed_termwise(n, alpha, h, x)
+
+    @pytest.mark.parametrize("alpha", [1, 2, 3, 6])
+    def test_odd_part_division_is_checked(self, alpha):
+        # (1 - q^alpha')^(n-1) divides the moment numerator exactly; one
+        # coefficient off and the division raises instead of truncating
+        from qgen.genocchi import _closed_numerator, _strip_odd_part
+
+        n = 7
+        for x in (-2, 0, 3):
+            _, num = _closed_numerator(n, alpha, 2, x)
+            _strip_odd_part(num, alpha, n)
+            for i in (0, len(num) // 2, len(num) - 1):
+                bad = list(num)
+                bad[i] += 1
+                with pytest.raises(ArithmeticError):
+                    _strip_odd_part(bad, alpha, n)
 
     def test_deep_closed_form_within_ceiling(self):
         # n = 40 at alpha = h = 3: moment denominators of degree in the thousands
-        from qgen.genocchi import _closed
+        from qgen.genocchi import _closed, _closed_denominator
         from qgen.identities import verify_symmetry
 
         _closed.cache_clear()
+        _closed_denominator.cache_clear()
         _one_plus_lcm.cache_clear()
         start = time.perf_counter()
         for x in (-1, 2):

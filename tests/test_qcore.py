@@ -31,7 +31,6 @@ from qgen.qcore import (
     _over_one_plus,
     _prs_gcd,
     _sum_over_one_plus,
-    _times_monomial,
 )
 
 
@@ -402,15 +401,6 @@ class TestGcd:
         assert _int_mul(g, cp) == p and _int_mul(g, ce) == e
         # the recurrence's own reduction strips the same factors with no gcd
         assert len(_recurrence_number(22, 3, 3)._den) == len(ce)
-
-
-class TestTimesMonomial:
-    def test_matches_product(self):
-        rng = random.Random(4711)
-        for _ in range(100):
-            f = random_ratfunc(rng)
-            k, e = rng.randint(-5, 5), rng.randint(-6, 6)
-            assert _times_monomial(f, k, e) == k * q_power(e) * f, (f, k, e)
 
 
 class TestSumOverOnePlus:
