@@ -17,7 +17,6 @@ from qgen.qcore import (
     eval_at,
     q_power,
     qbracket,
-    qbracket_reflect,
     subst_q_inverse,
 )
 from qgen.records import VerificationRecord
@@ -31,7 +30,6 @@ from qgen.padic import (
     functional_equation_check,
     functional_equation_residual,
     integrate,
-    moment_integral,
     truncated_integral,
     vp,
 )
@@ -97,10 +95,8 @@ __all__ = [
     "functional_equation_check",
     "functional_equation_residual",
     "integrate",
-    "moment_integral",
     "q_power",
     "qbracket",
-    "qbracket_reflect",
     "subst_q_inverse",
     "sweep",
     "truncated_integral",

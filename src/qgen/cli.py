@@ -113,8 +113,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--x-min", type=int, default=None)
     p_verify.add_argument("--x-max", type=int, default=None)
     p_verify.add_argument("--s-max", type=int, default=None)
-    p_verify.add_argument("--workers", type=int, default=None,
-                          help="sweep parallelism (default: QGEN_WORKERS or 1)")
 
     p_int = sub.add_parser("integral", parents=[common],
                            help="truncated fermionic sums and convergence diagnostics")
@@ -305,7 +303,7 @@ def _cmd_verify(args) -> int:
     config = _verify_config(args)
     only = None if args.theorem == "all" else (args.theorem,)
     try:
-        report = sweep(config, workers=args.workers, only=only)
+        report = sweep(config, only=only)
     except ValueError as exc:
         print(f"qgen: {exc}", file=sys.stderr)
         return EXIT_USAGE

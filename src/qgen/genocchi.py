@@ -378,20 +378,15 @@ class GenocchiTable:
         return key in self._values
 
 
-def build_table(n_max: int, w: WeightParams, xs: tuple[int, ...] = (0,),
-                routes: tuple[str, ...] = (ROUTE_CLOSED, ROUTE_RECURRENCE, ROUTE_UMBRAL)
-                ) -> GenocchiTable:
+def build_table(n_max: int, w: WeightParams, xs: tuple[int, ...] = (0,)) -> GenocchiTable:
     """Fill a table over n = 0..n_max and the given x values, cross-checking
-    every requested route against the others."""
+    the three routes against one another."""
     table = GenocchiTable()
-    if ROUTE_RECURRENCE in routes:
-        for n, value in weighted_genocchi_recurrence(max(n_max, 1), w).items():
-            if n <= n_max:
-                table.record(n, w, 0, value, ROUTE_RECURRENCE)
+    for n, value in weighted_genocchi_recurrence(max(n_max, 1), w).items():
+        if n <= n_max:
+            table.record(n, w, 0, value, ROUTE_RECURRENCE)
     for x in xs:
         for n in range(n_max + 1):
-            if ROUTE_CLOSED in routes:
-                table.record(n, w, x, weighted_genocchi_poly_closed(n, w, x), ROUTE_CLOSED)
-            if ROUTE_UMBRAL in routes:
-                table.record(n, w, x, weighted_genocchi_poly_umbral(n, w, x), ROUTE_UMBRAL)
+            table.record(n, w, x, weighted_genocchi_poly_closed(n, w, x), ROUTE_CLOSED)
+            table.record(n, w, x, weighted_genocchi_poly_umbral(n, w, x), ROUTE_UMBRAL)
     return table

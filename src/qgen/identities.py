@@ -17,7 +17,6 @@ memoized neighbours.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from itertools import product
@@ -331,50 +330,23 @@ def _boundaries(records: tuple[VerificationRecord, ...]) -> tuple[dict, ...]:
     return tuple(out)
 
 
-def _worker_count(workers: int | None = None) -> int:
-    """The sweep's parallelism: `workers`, else QGEN_WORKERS, else 1.
-
-    Raises ValueError unless the value is a positive integer.
-    """
-    if workers is None:
-        text = os.environ.get("QGEN_WORKERS", "1") or "1"
-        try:
-            workers = int(text)
-        except ValueError:
-            workers = 0
-        if workers < 1:
-            raise ValueError(f"QGEN_WORKERS must be a positive integer, got {text!r}")
-    elif workers < 1:
-        raise ValueError(f"workers must be a positive integer, got {workers}")
-    return workers
-
-
-def sweep(config: SweepConfig | None = None, workers: int | None = None,
+def sweep(config: SweepConfig | None = None,
           only: tuple[str, ...] | None = None) -> SweepReport:
     """Run every verifier over its grid; deterministic record order
     (theorem declaration order, then lexicographic parameters).
 
-    `only` restricts the run to the named theorems.  Parallelism is
-    capped by `workers` or the QGEN_WORKERS environment variable; the
-    report ordering is schedule-independent.
+    `only` restricts the run to the named theorems.  The run is one
+    sequential pass, so the theorems share the memoized closed forms
+    and Pascal-rule tables.
     """
     config = config or SweepConfig()
-    workers = _worker_count(workers)
     tasks = _tasks(config)
     if only is not None:
         unknown = set(only) - set(THEOREMS)
         if unknown:
             raise ValueError(f"unknown theorems: {sorted(unknown)}")
         tasks = [t for t in tasks if t[0] in only]
-    if workers > 1 and len(tasks) > 1:
-        # imported here: multiprocessing is a cost only parallel sweeps pay
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            records = tuple(pool.map(_run_task, tasks,
-                                     chunksize=max(1, len(tasks) // (workers * 8))))
-    else:
-        records = tuple(_run_task(t) for t in tasks)
+    records = tuple(_run_task(t) for t in tasks)
     return SweepReport(records=records, summary=_summarize(records),
                        boundaries=_boundaries(records))
 

@@ -29,8 +29,8 @@ for the modular one.
 Note on normalization: without the 1/[p^N]_{-q} factor the limiting
 functional satisfies q I(f1) + I(f) = 2 f(0) instead of the q-shift
 equation q I(f1) + I(f) = [2]_q f(0).  The normalized reading is the
-one adopted throughout; the unnormalized sums and moments remain
-available for comparison (``normalized=False``).
+one adopted throughout; `integrate` and the truncated sums take
+``normalized=False`` for the unnormalized reading.
 """
 
 from __future__ import annotations
@@ -38,7 +38,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Iterable, Mapping, Union
 
 from qgen.qcore import (
@@ -63,7 +62,6 @@ __all__ = [
     "functional_equation_check",
     "functional_equation_residual",
     "integrate",
-    "moment_integral",
     "truncated_integral",
     "vp",
 ]
@@ -228,19 +226,8 @@ def bracket_power_integrand(x: int, scale: int, power: int, *, sign: int = 1,
 
 
 # ---------------------------------------------------------------------------
-# exact moments and symbolic integration
+# symbolic integration
 # ---------------------------------------------------------------------------
-
-
-@lru_cache(maxsize=None)
-def moment_integral(m: int, normalized: bool = True) -> RatFuncQ:
-    """Exact value of the integral of q^(m x): [2]_q / (1 + q^(m+1)).
-
-    With ``normalized=False`` this is instead 2 / (1 + q^(m+1)), the
-    p-adic limit of the raw (un-normalized) alternating sums.
-    """
-    num = qbracket(2, 1) if normalized else RatFuncQ(2)
-    return num / (ONE + q_power(m + 1))
 
 
 def integrate(spec: IntegrandSpec, normalized: bool = True) -> RatFuncQ:

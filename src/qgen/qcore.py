@@ -73,7 +73,6 @@ __all__ = [
     "eval_at",
     "q_power",
     "qbracket",
-    "qbracket_reflect",
     "subst_q_inverse",
 ]
 
@@ -774,21 +773,6 @@ def qbracket(x: int, a: int) -> RatFuncQ:
     lo, hi = min(0, x), max(0, x)
     ones = (1,) + ((0,) * (abs(a) - 1) + (1,)) * (hi - lo - 1)
     return _new(min(a * lo, a * (hi - 1)), Fraction(-1 if x < 0 else 1), ones, (1,))
-
-
-def qbracket_reflect(x: int, alpha: int, n: int) -> tuple[RatFuncQ, RatFuncQ]:
-    """Both sides of [1-x]_{q^-a}^n == (-1)^n q^(n a) [x-1]_{q^a}^n.
-
-    Returned as a pair so the reflection stays a permanent regression
-    witness; the two components are structurally equal.
-    """
-    if alpha < 1:
-        raise ValueError("weight must be a positive integer")
-    if n < 0:
-        raise ValueError("power must be nonnegative")
-    lhs = qbracket(1 - x, -alpha) ** n
-    rhs = (-1) ** n * q_power(n * alpha) * qbracket(x - 1, alpha) ** n
-    return lhs, rhs
 
 
 def subst_q_inverse(f: RatFuncQ) -> RatFuncQ:

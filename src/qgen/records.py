@@ -33,10 +33,6 @@ class VerificationRecord:
     def passed(self) -> bool:
         return self.status in (PASS, BOUNDARY_PASS)
 
-    @property
-    def boundary(self) -> bool:
-        return self.status in (BOUNDARY_PASS, BOUNDARY_FAIL)
-
     def params_dict(self) -> dict[str, object]:
         return dict(self.params)
 

@@ -126,14 +126,14 @@ class TestVerify:
         assert out == ""
         json.loads(target.read_text())
 
-    @pytest.mark.parametrize("value", ["abc", "0"])
-    def test_bad_worker_count(self, capsys, monkeypatch, value):
-        monkeypatch.setenv("QGEN_WORKERS", value)
-        code, out, err = run_cli(capsys, ["verify", "all", *SMALL_VERIFY])
+    def test_workers_option_is_gone(self, capsys):
+        # verify has no parallelism option: argparse rejects it, exit 2
+        code, out, err = run_cli(capsys, ["verify", "all", "--workers", "2"])
         assert code == EXIT_USAGE
         assert out == ""
-        assert "QGEN_WORKERS" in err
-        assert err.count("\n") == 1
+        assert err.startswith("usage:")
+        assert "unrecognized arguments: --workers 2" in err
+        assert "Traceback" not in err
 
     def test_empty_grid(self, capsys):
         # a run that checked nothing is not a success
@@ -352,7 +352,7 @@ class TestSerializeReport:
             compare("demo", (("n", 2),), (ONE + Q) * (ONE + Q), ONE + 2 * Q + Q * Q),
             compare("demo", (("n", 3),), -ONE, Q / (ONE + Q)),
         )
-        records = sweep(config, workers=1).records + extra
+        records = sweep(config).records + extra
         assert any(rec.lhs != rec.rhs for rec in records)
         report = SweepReport(records=records)
         rows = list(csv.reader(io.StringIO(serialize_report(report, "csv"))))[1:]
@@ -369,7 +369,7 @@ class TestSerializeReport:
         config = SweepConfig(n_max=2, scalar_n_max=2, alpha_max=2, h_max=1, x_min=0,
                              x_max=1, single_n_max=3, pair_n_max=2, multi_n_max=1,
                              s_max=2, product_alpha_max=1, product_h_max=1)
-        report = sweep(config, workers=1)
+        report = sweep(config)
         payload = json.loads(serialize_report(report, "json"))
         want = [f"qgen {payload['tool-version']} verification report"]
         want += [f"{r['status']:<14} {r['theorem']} {r['params']}" for r in payload["records"]]
@@ -389,7 +389,8 @@ class TestSerializeReport:
 
 
 def test_cli_import_leaves_multiprocessing_unloaded():
-    # the process pool is imported only by a parallel sweep
+    # the sweep runs in one process; loading multiprocessing would only
+    # add to the start-up of every command
     code = "import sys, qgen.cli; print('multiprocessing' in sys.modules)"
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,

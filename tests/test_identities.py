@@ -315,20 +315,6 @@ class TestSweep:
         with pytest.raises(ValueError):
             sweep(config, only=("no-such-theorem",))
 
-    def test_parallel_matches_serial(self, monkeypatch):
-        config = SweepConfig(
-            n_max=2, scalar_n_max=2, alpha_max=1, h_max=1, x_min=0, x_max=1,
-            single_n_max=2, pair_n_max=1, multi_n_max=1, s_max=2,
-            product_alpha_max=1, product_h_max=1,
-        )
-        serial = sweep(config, workers=1)
-        parallel = sweep(config, workers=2)
-        assert serial.records == parallel.records
-        # worker count may also come from the environment
-        monkeypatch.setenv("QGEN_WORKERS", "2")
-        from_env = sweep(config)
-        assert from_env.records == serial.records
-
     def test_spot_check_consistency(self, small_report):
         for record in small_report.records[::7]:
             spot_check(record)
@@ -367,7 +353,7 @@ class TestUnresolvedFailures:
         # at k > min(n_i) the cancelled prefactor prod C(n_i, k) is 0; a
         # failure there must gate like any other
         config = SweepConfig(pair_n_max=4, product_alpha_max=1, product_h_max=1)
-        report = sweep(config, workers=1, only=("bernstein-double",))
+        report = sweep(config, only=("bernstein-double",))
         failures = [rec for rec in report.records if rec.status == FAIL]
         assert failures
         assert unresolved_failures(report) == failures
@@ -396,6 +382,6 @@ def test_sweep_calls_each_verifier_by_name(theorem, monkeypatch):
         return original(*args, **kwargs)
 
     monkeypatch.setattr(identities, name, counting)
-    report = sweep(TINY_CONFIG, workers=1, only=(theorem,))
+    report = sweep(TINY_CONFIG, only=(theorem,))
     assert report.records
     assert len(calls) == len(report.records)

@@ -18,7 +18,6 @@ from qgen.qcore import (
     eval_at,
     q_power,
     qbracket,
-    qbracket_reflect,
     subst_q_inverse,
 )
 from qgen.qcore import (
@@ -32,6 +31,17 @@ from qgen.qcore import (
     _prs_gcd,
     _sum_over_one_plus,
 )
+
+
+def qbracket_reflect(x: int, alpha: int, n: int) -> tuple[RatFuncQ, RatFuncQ]:
+    """Both sides of [1-x]_{q^-a}^n == (-1)^n q^(n a) [x-1]_{q^a}^n."""
+    if alpha < 1:
+        raise ValueError("weight must be a positive integer")
+    if n < 0:
+        raise ValueError("power must be nonnegative")
+    lhs = qbracket(1 - x, -alpha) ** n
+    rhs = (-1) ** n * q_power(n * alpha) * qbracket(x - 1, alpha) ** n
+    return lhs, rhs
 
 
 def bracket_oracle(x: int, a: int, q0: Fraction) -> Fraction:
