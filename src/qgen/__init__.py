@@ -4,114 +4,22 @@ mechanical verification of the identities connecting them.
 
 All arithmetic is exact (big rationals and reduced Laurent rational
 functions in q); identity checking is structural equality of canonical
-forms, never numeric comparison.
+forms, never numeric comparison.  Each module's ``__all__`` is its public
+API; the package re-exports the union of those lists.
 """
 
-from qgen.qcore import (
-    PoleError,
-    Q,
-    ONE,
-    ZERO,
-    RatFuncQ,
-    binomial,
-    eval_at,
-    q_power,
-    qbracket,
-    subst_q_inverse,
-)
-from qgen.records import VerificationRecord
-from qgen.padic import (
-    ConvergenceTrace,
-    IntegrandSpec,
-    PadicContext,
-    PrecisionError,
-    bracket_power_integrand,
-    convergence_probe,
-    functional_equation_check,
-    functional_equation_residual,
-    integrate,
-    truncated_integral,
-    vp,
-)
-from qgen.genocchi import (
-    GenocchiTable,
-    WeightParams,
-    build_table,
-    classical_genocchi,
-    unweighted_reductions,
-    weighted_genocchi_integral_route,
-    weighted_genocchi_number,
-    weighted_genocchi_poly_closed,
-    weighted_genocchi_poly_umbral,
-    weighted_genocchi_recurrence,
-)
-from qgen.bernstein import (
-    BernsteinIndex,
-    bernstein_operator,
-    bernstein_poly,
-    bernstein_symmetry_check,
-)
-from qgen.identities import (
-    SweepConfig,
-    SweepReport,
-    sweep,
-    verify_bernstein_double,
-    verify_bernstein_multi,
-    verify_bernstein_single,
-    verify_integral_reflect,
-    verify_integral_shift,
-    verify_shift2,
-    verify_symmetry,
-)
+# layer order: each module imports only the ones above it
+from qgen.qcore import *  # noqa: F401,F403
+from qgen.records import *  # noqa: F401,F403
+from qgen.padic import *  # noqa: F401,F403
+from qgen.genocchi import *  # noqa: F401,F403
+from qgen.bernstein import *  # noqa: F401,F403
+from qgen.identities import *  # noqa: F401,F403
+from qgen import bernstein, genocchi, identities, padic, qcore, records
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BernsteinIndex",
-    "ConvergenceTrace",
-    "GenocchiTable",
-    "IntegrandSpec",
-    "ONE",
-    "PadicContext",
-    "PoleError",
-    "PrecisionError",
-    "Q",
-    "RatFuncQ",
-    "SweepConfig",
-    "SweepReport",
-    "VerificationRecord",
-    "WeightParams",
-    "ZERO",
-    "__version__",
-    "bernstein_operator",
-    "bernstein_poly",
-    "bernstein_symmetry_check",
-    "binomial",
-    "bracket_power_integrand",
-    "build_table",
-    "classical_genocchi",
-    "convergence_probe",
-    "eval_at",
-    "functional_equation_check",
-    "functional_equation_residual",
-    "integrate",
-    "q_power",
-    "qbracket",
-    "subst_q_inverse",
-    "sweep",
-    "truncated_integral",
-    "unweighted_reductions",
-    "verify_bernstein_double",
-    "verify_bernstein_multi",
-    "verify_bernstein_single",
-    "verify_integral_reflect",
-    "verify_integral_shift",
-    "verify_shift2",
-    "verify_symmetry",
-    "vp",
-    "weighted_genocchi_integral_route",
-    "weighted_genocchi_number",
-    "weighted_genocchi_poly_closed",
-    "weighted_genocchi_poly_umbral",
-    "weighted_genocchi_recurrence",
-]
+__all__ = ["__version__"] + sorted(
+    {name for module in (qcore, records, padic, genocchi, bernstein, identities)
+     for name in module.__all__}
+)

@@ -28,7 +28,7 @@ from fractions import Fraction
 
 from qgen import __version__
 from qgen.bernstein import BernsteinIndex, bernstein_poly, bernstein_symmetry_check
-from qgen.genocchi import WeightParams, build_table, weighted_genocchi_poly_closed
+from qgen.genocchi import WeightParams, build_table
 from qgen.identities import (
     THEOREMS,
     SweepConfig,
@@ -214,63 +214,62 @@ def serialize_report(report: SweepReport, fmt: str, config_echo: dict | None = N
     raise ValueError(f"unknown format: {fmt!r}")
 
 
-def _write_output(text: str, path: str | None) -> int:
+def _write_output(text: str, path: str | None, failed: bool = False) -> int:
+    """Write the report; exit 1 when an asserted check failed."""
     if path is None:
         sys.stdout.write(text)
-        return EXIT_OK
-    try:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    except OSError as exc:
-        print(f"qgen: cannot write {path}: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    return EXIT_OK
+    else:
+        try:
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            print(f"qgen: cannot write {path}: {exc}", file=sys.stderr)
+            return EXIT_USAGE
+    return EXIT_FAIL if failed else EXIT_OK
+
+
+def _write_rows(args, title: list[str], config: dict, rows: list[dict], line,
+                extra: dict | None = None, failed: bool = False) -> int:
+    """The report of table, integral and bernstein: one row per value.
+
+    json carries {tool-version, config-echo, rows} plus `extra`; the csv
+    header is the row keys; text is the title lines, then `line(row)`.
+    """
+    if args.format == "json":
+        text = _json_dump({"tool-version": __version__, "config-echo": config,
+                           "rows": rows, **(extra or {})})
+    elif args.format == "csv":
+        text = _csv_dump(list(rows[0]), [list(r.values()) for r in rows])
+    else:
+        text = "\n".join(title + [line(r) for r in rows]) + "\n"
+    return _write_output(text, args.output, failed)
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: bad input raises ValueError, IndexError or PoleError (exit 2)
+# or PrecisionError (exit 3), and `run` prints the one-line message
 # ---------------------------------------------------------------------------
 
 
 def _cmd_table(args) -> int:
-    try:
-        w = WeightParams(args.alpha, args.h)
-    except ValueError as exc:
-        print(f"qgen: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    w = WeightParams(args.alpha, args.h)
     if args.n_max < 0:
-        print("qgen: --n-max must be nonnegative", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError("--n-max must be nonnegative")
     try:
-        build_table(args.n_max, w, xs=(args.x,))  # cross-checks all three routes
+        table = build_table(args.n_max, w, xs=(args.x,))  # cross-checks all three routes
     except ValueError as exc:
         print(f"qgen: {exc}", file=sys.stderr)
         return EXIT_FAIL
     rows = []
-    for n in range(args.n_max + 1):
-        value = weighted_genocchi_poly_closed(n, w, args.x)
-        if args.at_q is not None:
-            try:
-                text = str(eval_at(value, args.at_q))
-            except PoleError as exc:
-                print(f"qgen: {exc}", file=sys.stderr)
-                return EXIT_USAGE
-        else:
-            text = value.to_canonical_string()
-        rows.append({"n": n, "alpha": w.alpha, "h": w.h, "x": args.x, "value": text})
+    # sorted by n; the recurrence's entries at x = 0 are skipped unless --x is 0
+    for (n, _, _, x), value, _ in table.entries():
+        if x == args.x:
+            text = value.to_canonical_string() if args.at_q is None else eval_at(value, args.at_q)
+            rows.append({"n": n, "alpha": w.alpha, "h": w.h, "x": x, "value": str(text)})
     config = {"n-max": args.n_max, "alpha": w.alpha, "h": w.h, "x": args.x,
               "at-q": str(args.at_q) if args.at_q is not None else None}
-    if args.format == "json":
-        text = _json_dump({"tool-version": __version__, "config-echo": config, "rows": rows})
-    elif args.format == "csv":
-        text = _csv_dump(["n", "alpha", "h", "x", "value"],
-                         [[str(r["n"]), str(r["alpha"]), str(r["h"]), str(r["x"]), r["value"]]
-                          for r in rows])
-    else:
-        lines = [f"weighted Genocchi table alpha={w.alpha} h={w.h} x={args.x}"]
-        lines += [f"  n={r['n']:<3} {r['value']}" for r in rows]
-        text = "\n".join(lines) + "\n"
-    return _write_output(text, args.output)
+    return _write_rows(args, [f"weighted Genocchi table alpha={w.alpha} h={w.h} x={args.x}"],
+                       config, rows, lambda r: f"  n={r['n']:<3} {r['value']}")
 
 
 def _verify_config(args) -> SweepConfig:
@@ -301,22 +300,18 @@ def _verify_config(args) -> SweepConfig:
 
 def _cmd_verify(args) -> int:
     config = _verify_config(args)
-    only = None if args.theorem == "all" else (args.theorem,)
-    try:
-        report = sweep(config, only=only)
-    except ValueError as exc:
-        print(f"qgen: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    requested = THEOREMS if args.theorem == "all" else (args.theorem,)
+    report = sweep(config, only=requested)
     if not report.records:
-        print("qgen: the verify grid is empty; nothing was checked", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError("the verify grid is empty; nothing was checked")
+    empty = [t for t in requested if t not in report.summary]
+    if empty:
+        raise ValueError(f"the verify grid is empty for {', '.join(empty)}; "
+                         "nothing was checked there")
     config_echo = {k: getattr(config, k) for k in sorted(config.__dataclass_fields__)}
     config_echo["theorem"] = args.theorem
     text = serialize_report(report, args.format, config_echo)
-    code = _write_output(text, args.output)
-    if code != EXIT_OK:
-        return code
-    return EXIT_FAIL if unresolved_failures(report) else EXIT_OK
+    return _write_output(text, args.output, bool(unresolved_failures(report)))
 
 
 def _cmd_integral(args) -> int:
@@ -326,97 +321,54 @@ def _cmd_integral(args) -> int:
     for m, c in args.coeff or []:
         terms[m] = terms.get(m, Fraction(0)) + c
     if not terms:
-        print("qgen: provide at least one term via --m or --coeff", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError("provide at least one term via --m or --coeff")
     spec = IntegrandSpec(terms)
     if not spec:
-        print("qgen: the integrand is zero; nothing was checked", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        contexts = [PadicContext(p=args.p, N=N, q=args.q, M=args.M) for N in args.N]
-        limit_sym = integrate(spec)
-        limit = eval_at(limit_sym, args.q)
-        rows = []
-        for ctx in contexts:
-            value = truncated_integral(spec, ctx)
-            valuation = _diff_valuation(value - limit, ctx)  # inf when the sum equals the limit
-            suffix = ""
-            if ctx.N > _EXACT_MAX_N:
-                # a residue mod p^M: a difference that vanishes mod p^M
-                # only shows that the valuation is at least M
-                suffix = f" mod {ctx.p}^{ctx.M}"
-                if valuation >= ctx.M:
-                    valuation = f">={ctx.M}"
-            row = {"N": ctx.N, "value": f"{value}{suffix}", "valuation": str(valuation)}
-            if args.unnormalized:
-                row["raw-sum"] = f"{truncated_integral(spec, ctx, normalized=False)}{suffix}"
-            rows.append(row)
-    except PrecisionError as exc:
-        print(f"qgen: precision error: {exc}", file=sys.stderr)
-        return EXIT_PRECISION
-    except (ValueError, PoleError) as exc:
-        print(f"qgen: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError("the integrand is zero; nothing was checked")
+    contexts = [PadicContext(p=args.p, N=N, q=args.q, M=args.M) for N in args.N]
+    limit_sym = integrate(spec)
+    limit = eval_at(limit_sym, args.q)
+    rows = []
+    for ctx in contexts:
+        value = truncated_integral(spec, ctx)
+        valuation = _diff_valuation(value - limit, ctx)  # inf when the sum equals the limit
+        suffix = ""
+        if ctx.N > _EXACT_MAX_N:
+            # a residue mod p^M: a difference that vanishes mod p^M
+            # only shows that the valuation is at least M
+            suffix = f" mod {ctx.p}^{ctx.M}"
+            if valuation >= ctx.M:
+                valuation = f">={ctx.M}"
+        row = {"N": ctx.N, "value": f"{value}{suffix}", "valuation": str(valuation)}
+        if args.unnormalized:
+            row["raw-sum"] = f"{truncated_integral(spec, ctx, normalized=False)}{suffix}"
+        rows.append(row)
     config = {"p": args.p, "q": str(args.q), "spec": spec.describe(),
               "N": args.N, "M": args.M, "unnormalized": args.unnormalized}
-    payload = {
-        "tool-version": __version__,
-        "config-echo": config,
-        "limit": str(limit),
-        "limit-symbolic": limit_sym.to_canonical_string(),
-        "rows": rows,
-    }
-    if args.format == "json":
-        text = _json_dump(payload)
-    elif args.format == "csv":
-        header = ["N", "value", "valuation"] + (["raw-sum"] if args.unnormalized else [])
-        text = _csv_dump(header, [[str(r["N"]), r["value"], r["valuation"]]
-                                  + ([r["raw-sum"]] if args.unnormalized else [])
-                                  for r in rows])
-    else:
-        lines = [f"fermionic integral: p={args.p} q={args.q} spec {{{spec.describe()}}}",
-                 f"  exact limit = {limit}  (symbolic: {limit_sym})"]
-        for r in rows:
-            extra = f"  raw-sum={r['raw-sum']}" if args.unnormalized else ""
-            lines.append(f"  N={r['N']:<3} value={r['value']}  vp(diff)={r['valuation']}{extra}")
-        text = "\n".join(lines) + "\n"
-    return _write_output(text, args.output)
+    title = [f"fermionic integral: p={args.p} q={args.q} spec {{{spec.describe()}}}",
+             f"  exact limit = {limit}  (symbolic: {limit_sym})"]
+
+    def line(r: dict) -> str:
+        extra = f"  raw-sum={r['raw-sum']}" if args.unnormalized else ""
+        return f"  N={r['N']:<3} value={r['value']}  vp(diff)={r['valuation']}{extra}"
+
+    return _write_rows(args, title, config, rows, line,
+                       {"limit": str(limit), "limit-symbolic": limit_sym.to_canonical_string()})
 
 
 def _cmd_bernstein(args) -> int:
-    try:
-        # a negative --n still builds k = 0, so BernsteinIndex rejects it
-        ks = [args.k] if args.k is not None else list(range(max(args.n, 0) + 1))
-        indices = [BernsteinIndex(k, args.n, args.alpha) for k in ks]
-    except (IndexError, ValueError) as exc:
-        print(f"qgen: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    rows = []
-    any_fail = False
-    for idx in indices:
-        value = bernstein_poly(idx, args.x)
-        check = bernstein_symmetry_check(idx, args.x)
-        any_fail = any_fail or not check.passed
-        rows.append({
-            "k": idx.k, "n": idx.n, "alpha": idx.alpha, "x": args.x,
-            "value": value.to_canonical_string(),
-            "symmetry": check.status,
-        })
+    # a negative --n still builds k = 0, so BernsteinIndex rejects it
+    ks = [args.k] if args.k is not None else list(range(max(args.n, 0) + 1))
+    indices = [BernsteinIndex(k, args.n, args.alpha) for k in ks]
+    checks = [bernstein_symmetry_check(idx, args.x) for idx in indices]
+    rows = [{"k": idx.k, "n": idx.n, "alpha": idx.alpha, "x": args.x,
+             "value": bernstein_poly(idx, args.x).to_canonical_string(),
+             "symmetry": check.status} for idx, check in zip(indices, checks)]
     config = {"n": args.n, "alpha": args.alpha, "x": args.x, "k": args.k}
-    if args.format == "json":
-        text = _json_dump({"tool-version": __version__, "config-echo": config, "rows": rows})
-    elif args.format == "csv":
-        text = _csv_dump(["k", "n", "alpha", "x", "value", "symmetry"],
-                         [[str(r["k"]), str(r["n"]), str(r["alpha"]), str(r["x"]),
-                           r["value"], r["symmetry"]] for r in rows])
-    else:
-        lines = [f"weighted q-Bernstein basis n={args.n} alpha={args.alpha} x={args.x}"]
-        lines += [f"  k={r['k']:<3} {r['symmetry']:<5} {r['value']}" for r in rows]
-        text = "\n".join(lines) + "\n"
-    code = _write_output(text, args.output)
-    if code != EXIT_OK:
-        return code
-    return EXIT_FAIL if any_fail else EXIT_OK
+    title = [f"weighted q-Bernstein basis n={args.n} alpha={args.alpha} x={args.x}"]
+    return _write_rows(args, title, config, rows,
+                       lambda r: f"  k={r['k']:<3} {r['symmetry']:<5} {r['value']}",
+                       failed=not all(check.passed for check in checks))
 
 
 def run(argv: list[str] | None = None) -> int:
@@ -433,7 +385,14 @@ def run(argv: list[str] | None = None) -> int:
         "integral": _cmd_integral,
         "bernstein": _cmd_bernstein,
     }
-    return handlers[args.command](args)
+    try:
+        return handlers[args.command](args)
+    except PrecisionError as exc:
+        print(f"qgen: precision error: {exc}", file=sys.stderr)
+        return EXIT_PRECISION
+    except (ValueError, IndexError, PoleError) as exc:
+        print(f"qgen: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 def console_main() -> None:

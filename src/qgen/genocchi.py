@@ -78,7 +78,6 @@ __all__ = [
     "WeightParams",
     "build_table",
     "classical_genocchi",
-    "unweighted_recurrence_residual",
     "unweighted_reductions",
     "weighted_genocchi_integral_route",
     "weighted_genocchi_number",
@@ -359,23 +358,11 @@ class GenocchiTable:
         self._values[key] = value
         self._routes.setdefault(key, set()).add(route)
 
-    def value(self, n: int, w: WeightParams, x: int = 0) -> RatFuncQ:
-        return self._values[(n, w.alpha, w.h, x)]
-
-    def routes(self, n: int, w: WeightParams, x: int = 0) -> set[str]:
-        return set(self._routes[(n, w.alpha, w.h, x)])
-
     def entries(self) -> list[tuple[tuple[int, int, int, int], RatFuncQ, set[str]]]:
         return [
             (key, self._values[key], set(self._routes[key]))
             for key in sorted(self._values)
         ]
-
-    def __len__(self) -> int:
-        return len(self._values)
-
-    def __contains__(self, key: tuple[int, int, int, int]) -> bool:
-        return key in self._values
 
 
 def build_table(n_max: int, w: WeightParams, xs: tuple[int, ...] = (0,)) -> GenocchiTable:

@@ -13,6 +13,8 @@ from dataclasses import dataclass
 
 from qgen.qcore import RatFuncQ
 
+__all__ = ["VerificationRecord"]
+
 PASS = "PASS"
 FAIL = "FAIL"
 BOUNDARY_PASS = "BOUNDARY-PASS"

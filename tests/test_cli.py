@@ -1,6 +1,7 @@
 """Command-line interface: formats, determinism, exit codes."""
 
 import csv
+import hashlib
 import io
 import json
 import os
@@ -134,6 +135,18 @@ class TestVerify:
         assert err.startswith("usage:")
         assert "unrecognized arguments: --workers 2" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("argv, empty", [
+        (["--x-min", "3", "--x-max", "-3"], "symmetry"),
+        (["--s-max", "1"], "bernstein-multi"),
+        (["--n-max", "0"], "bernstein-single, bernstein-double, bernstein-multi"),
+    ], ids=["x-range", "s-max", "n-max"])
+    def test_empty_theorem(self, capsys, argv, empty):
+        # a theorem that checked nothing is not a success, even when
+        # the others checked something
+        code, out, err = run_cli(capsys, ["verify", "all", "--format", "json", *argv])
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err == f"qgen: the verify grid is empty for {empty}; nothing was checked there\n"
 
     def test_empty_grid(self, capsys):
         # a run that checked nothing is not a success
@@ -306,6 +319,104 @@ class TestUsage:
 
     def test_help_exits_zero(self, capsys):
         assert run_cli(capsys, ["--help"])[0] == 0
+
+
+# sha256 of stdout per invocation and format; the invocations reach
+# --at-q, --unnormalized, a residue row at N >= 5 and a censored ">=M"
+# valuation
+FRONT_DOOR_DIGESTS = {
+    ("table", "--n-max", "5", "--alpha", "2", "--h", "3", "--x=-1"): {
+        "text": "7df1d7a3f64142a2405496ae539d44e5d6cbcf933a464afe02b806dfcebb56d0",
+        "json": "89dc7e49c9cac4b647bf1c5cda4ef2cc603bdfd77d5e3d5a1b34cbc3c4d9b605",
+        "csv": "9439d57a7ef7ec06a089cbf9c8c6cbec874f9f1cce4aa93ea7fc5512b9c42abc",
+    },
+    ("table", "--n-max", "6", "--alpha", "1", "--h", "2", "--x", "2", "--at-q", "3/2"): {
+        "text": "a9244c9d58dd21f19c628e420fb7b92575987d050c1624143a57433eea96d3b2",
+        "json": "507f2065b89522e2ca978414e76f10f6106ab22288458e394446c1519c73aa95",
+        "csv": "d07215d03a4de57b515072c2fb1ac6dd967bf7c49e3924db983159f748585802",
+    },
+    ("integral", "--p", "3", "--q", "4", "--m", "1", "--coeff=-2:1/2", "--N", "2,4,5",
+     "--unnormalized"): {
+        "text": "1122bbcbc89e4df75fba8a1a3cbef0a2fb676ba67607c1ab07006743d90c6428",
+        "json": "a0190802b44e4f2637d5846192b820058414bfe9a06bf24f7b29e33cb57bfe06",
+        "csv": "f14cb2e23fd64fa5be409a9940797f246c9c013af60ce4f12157fb6d59c790fa",
+    },
+    ("integral", "--p", "5", "--q", "6", "--m", "0", "--coeff", "3:-2/3", "--N", "1,6",
+     "--M", "6"): {
+        "text": "425eb75a99b4644ca99df1e12a4534aa67763f6250c83b0780142435faa1d92f",
+        "json": "14c9f4a1f008b9f3e47a90022889f61f4c836fa0b0607138dc1bc681afd28548",
+        "csv": "ee5eb3841c19bd4e33c695339dc2e7113f35e2a59fd35db76792c08c6ff9d32c",
+    },
+    ("bernstein", "--n", "4", "--alpha", "2", "--x", "3"): {
+        "text": "36ee0c5c53bb2841a7f94bd06569656faa338d4100be4ff38f19651e0a075b52",
+        "json": "47adf3c4704744476a50cffd983c7461f38322b118219aa8f95aa8ff143bf3dc",
+        "csv": "b118a1f55e37a5308c4b12fb9d3d0d516a2cb98dc0250ac49800352b88ec177b",
+    },
+    ("bernstein", "--n", "3", "--k", "1", "--x=-2"): {
+        "text": "4141568f5cfb5720a6f97016c4605e1bc203edb88cac98b3ddb9abeac0c1acd8",
+        "json": "902e376a6720c5a08d31af2caef5e36cc25a1291a0659dc26bd331bedf7834ca",
+        "csv": "083a018d4fd390cf9c54fa1bb6c006a441db4a85c2534d39b95492db55eea167",
+    },
+}
+
+
+@pytest.mark.parametrize("argv, fmt, digest", [
+    pytest.param(argv, fmt, digest, id=" ".join([*argv, fmt]))
+    for argv, digests in FRONT_DOOR_DIGESTS.items()
+    for fmt, digest in digests.items()
+])
+def test_report_bytes(capsys, argv, fmt, digest):
+    code, out, err = run_cli(capsys, [*argv, "--format", fmt])
+    assert (code, err) == (EXIT_OK, "")
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+# every "qgen:" line the CLI prints for bad input, with its exit code;
+# {tmp} stands for a fresh temporary directory
+BAD_INPUT = [
+    (["table", "--alpha", "0"], EXIT_USAGE, "weight alpha must be a positive integer"),
+    (["table", "--h", "0"], EXIT_USAGE, "h must be a positive integer"),
+    (["table", "--n-max", "-1"], EXIT_USAGE, "--n-max must be nonnegative"),
+    (["table", "--n-max", "3", "--alpha", "2", "--at-q", "-1"], EXIT_USAGE,
+     "denominator vanishes at q = -1"),
+    (["verify", "all", "--alpha-max", "0"], EXIT_USAGE,
+     "the verify grid is empty; nothing was checked"),
+    (["verify", "all", "--n-max", "-1"], EXIT_USAGE,
+     "the verify grid is empty; nothing was checked"),
+    (["verify", "symmetry", "--x-min", "3", "--x-max", "-3"], EXIT_USAGE,
+     "the verify grid is empty; nothing was checked"),
+    (["verify", "shift2", "--n-max", "1", "--output", "{tmp}/missing/r.json"], EXIT_USAGE,
+     "cannot write {tmp}/missing/r.json: [Errno 2] No such file or directory: "
+     "'{tmp}/missing/r.json'"),
+    (["integral", "--p", "3", "--q", "4"], EXIT_USAGE,
+     "provide at least one term via --m or --coeff"),
+    (["integral", "--p", "3", "--q", "4", "--coeff", "1:0"], EXIT_USAGE,
+     "the integrand is zero; nothing was checked"),
+    (["integral", "--p", "4", "--q", "4", "--m", "0"], EXIT_USAGE, "p must be an odd prime"),
+    (["integral", "--p", "2", "--q", "3", "--m", "0"], EXIT_USAGE, "p must be an odd prime"),
+    (["integral", "--p", "3", "--q", "2", "--m", "0"], EXIT_USAGE,
+     "q must satisfy v_p(q - 1) >= 1"),
+    (["integral", "--p", "3", "--q", "1/3", "--m", "0"], EXIT_USAGE,
+     "q must have a p-free denominator"),
+    (["integral", "--p", "3", "--q", "4", "--m", "1", "--M", "-1"], EXIT_USAGE,
+     "working precision M must be at least N"),
+    (["integral", "--p", "3", "--q", "4", "--coeff", "0:1/3", "--N", "5"], EXIT_PRECISION,
+     "precision error: denominator 3 divisible by p=3; raise M or use the exact path"),
+    (["bernstein", "--n", "2", "--k", "5"], EXIT_USAGE, "basis index k=5 exceeds degree n=2"),
+    (["bernstein", "--n", "-1"], EXIT_USAGE, "basis indices must be nonnegative"),
+    (["bernstein", "--n", "2", "--k", "-1"], EXIT_USAGE, "basis indices must be nonnegative"),
+    (["bernstein", "--n", "2", "--alpha", "0"], EXIT_USAGE,
+     "weight alpha must be a positive integer"),
+]
+
+
+@pytest.mark.parametrize("argv, code, message", BAD_INPUT,
+                         ids=[" ".join(argv) for argv, _, _ in BAD_INPUT])
+def test_bad_input(capsys, tmp_path, argv, code, message):
+    # one "qgen:" line on stderr, nothing on stdout, never a traceback
+    argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
+    message = message.replace("{tmp}", str(tmp_path))
+    assert run_cli(capsys, argv) == (code, "", f"qgen: {message}\n")
 
 
 class TestSerializeReport:

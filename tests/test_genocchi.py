@@ -341,13 +341,15 @@ class TestUnweightedReductions:
 class TestTable:
     def test_entry_zero(self):
         table = build_table(4, W(1, 2), xs=(0, 1))
-        assert table.value(0, W(1, 2), 0) == ZERO
+        values = {key: value for key, value, _ in table.entries()}
+        assert values[(0, 1, 2, 0)] == ZERO
 
     def test_routes_collected(self):
         table = build_table(5, W(1, 2), xs=(0,))
-        assert table.routes(3, W(1, 2), 0) == {ROUTE_CLOSED, ROUTE_RECURRENCE, ROUTE_UMBRAL}
-        assert (3, 1, 2, 0) in table
-        assert len(table) == 6
+        routes = {key: routes for key, _, routes in table.entries()}
+        assert routes[(3, 1, 2, 0)] == {ROUTE_CLOSED, ROUTE_RECURRENCE, ROUTE_UMBRAL}
+        assert (3, 1, 2, 0) in routes
+        assert len(routes) == 6
 
     def test_mismatch_detection(self):
         table = GenocchiTable()
