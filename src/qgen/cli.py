@@ -40,10 +40,9 @@ from qgen.padic import (
     IntegrandSpec,
     PadicContext,
     PrecisionError,
-    _EXACT_MAX_N,
-    _diff_valuation,
     integrate,
     truncated_integral,
+    truncated_reading,
 )
 from qgen.qcore import PoleError, RatFuncQ, eval_at
 from qgen.records import VerificationRecord
@@ -261,7 +260,7 @@ def _cmd_table(args) -> int:
         print(f"qgen: {exc}", file=sys.stderr)
         return EXIT_FAIL
     rows = []
-    # sorted by n; the recurrence's entries at x = 0 are skipped unless --x is 0
+    # sorted by n; the entries at x = 0 are skipped unless --x is 0
     for (n, _, _, x), value, _ in table.entries():
         if x == args.x:
             text = value.to_canonical_string() if args.at_q is None else eval_at(value, args.at_q)
@@ -330,18 +329,11 @@ def _cmd_integral(args) -> int:
     limit = eval_at(limit_sym, args.q)
     rows = []
     for ctx in contexts:
-        value = truncated_integral(spec, ctx)
-        valuation = _diff_valuation(value - limit, ctx)  # inf when the sum equals the limit
-        suffix = ""
-        if ctx.N > _EXACT_MAX_N:
-            # a residue mod p^M: a difference that vanishes mod p^M
-            # only shows that the valuation is at least M
-            suffix = f" mod {ctx.p}^{ctx.M}"
-            if valuation >= ctx.M:
-                valuation = f">={ctx.M}"
-        row = {"N": ctx.N, "value": f"{value}{suffix}", "valuation": str(valuation)}
+        value, valuation = truncated_reading(truncated_integral(spec, ctx), limit, ctx)
+        row = {"N": ctx.N, "value": value, "valuation": valuation}
         if args.unnormalized:
-            row["raw-sum"] = f"{truncated_integral(spec, ctx, normalized=False)}{suffix}"
+            raw = truncated_integral(spec, ctx, normalized=False)
+            row["raw-sum"] = truncated_reading(raw, limit, ctx)[0]
         rows.append(row)
     config = {"p": args.p, "q": str(args.q), "spec": spec.describe(),
               "N": args.N, "M": args.M, "unnormalized": args.unnormalized}

@@ -366,13 +366,14 @@ class GenocchiTable:
 
 
 def build_table(n_max: int, w: WeightParams, xs: tuple[int, ...] = (0,)) -> GenocchiTable:
-    """Fill a table over n = 0..n_max and the given x values, cross-checking
-    the three routes against one another."""
+    """Fill a table over n = 0..n_max at x = 0 and the given x values,
+    cross-checking the routes against one another: all three at x = 0,
+    where the recurrence gives the numbers, the other two elsewhere."""
     table = GenocchiTable()
     for n, value in weighted_genocchi_recurrence(max(n_max, 1), w).items():
         if n <= n_max:
             table.record(n, w, 0, value, ROUTE_RECURRENCE)
-    for x in xs:
+    for x in dict.fromkeys((0, *xs)):
         for n in range(n_max + 1):
             table.record(n, w, x, weighted_genocchi_poly_closed(n, w, x), ROUTE_CLOSED)
             table.record(n, w, x, weighted_genocchi_poly_umbral(n, w, x), ROUTE_UMBRAL)

@@ -63,6 +63,7 @@ __all__ = [
     "functional_equation_residual",
     "integrate",
     "truncated_integral",
+    "truncated_reading",
     "vp",
 ]
 
@@ -321,6 +322,18 @@ def truncated_integral(spec: IntegrandSpec, ctx: PadicContext, *,
     if method == "modular":
         return _truncated_modular(spec, ctx, normalized)
     raise ValueError(f"unknown method: {method!r}")
+
+
+def truncated_reading(value: Fraction, limit: Fraction, ctx: PadicContext) -> tuple[str, str]:
+    """A truncated sum and vp(sum - limit) as printed: exact up to N = 4
+    (inf when the sum equals the limit); above, the sum is a residue
+    ``r mod p^M`` and a valuation that reaches M reads ``>=M``, since the
+    residue shows only that the sum agrees with the limit in M digits."""
+    valuation = _diff_valuation(value - limit, ctx)
+    if ctx.N <= _EXACT_MAX_N:
+        return str(value), str(valuation)
+    text = f">={ctx.M}" if valuation >= ctx.M else str(valuation)
+    return f"{value} mod {ctx.p}^{ctx.M}", text
 
 
 # ---------------------------------------------------------------------------

@@ -19,22 +19,19 @@ Canonical form.  A `RatFuncQ` stores its value once, as integers:
 * zero is its own value: shift 0, content 0, num (), den (1,).
 
 Equal values therefore have equal tuples.  Arithmetic never leaves the
-integers except for the content.  The gcd that keeps num and den coprime
-is GCDHEU (Char, Geddes & Gonnet, 1989): evaluate both polynomials at a
-large integer xi, take one integer gcd and read it back as balanced
-xi-adic digits, accepted only when they divide both inputs exactly.
-A rejected xi grows to floor(73794 xi floor(xi^(1/4)) / 27011), the
-growth rule of Char, Geddes & Gonnet (and of sympy), so a few tries
-pass gcd coefficients far larger than the first xi; after six rejected
-values of xi the primitive PRS gcd decides.
+integers except for the content.  The one gcd, which keeps num and den
+coprime, is GCDHEU (Char, Geddes & Gonnet, 1989): evaluate both
+polynomials at a large integer xi, take one integer gcd and read it
+back as balanced xi-adic digits, accepted only when they divide both
+inputs exactly.  A rejected xi grows by the rule of Char, Geddes &
+Gonnet (and of sympy) until a candidate divides; that happens at the
+latest once xi exceeds 2 |Res(a/g, b/g)| |g| (see `_int_gcd_poly`).
 
 Sums of moments.  `_sum_over_one_plus` adds c_i / (1 + q^e_i) over one
 shared denominator, the lcm of the c_i denominators times the lcm of the
 1 + q^|e_i| (a product of cyclotomic factors, cached per exponent set).
-The integer numerators go into one list; common factors (1 - q), which
-the fermionic integrals of bracket powers carry, are stripped with
-prefix sums while both sides vanish at q = 1, and one gcd removes the
-rest.  The result is canonical, so it equals the term-by-term sum.
+The integer numerators go into one list, and one gcd reduces it.  The
+result is canonical, so it equals the term-by-term sum.
 
 Quotients by products of 1 + q^e.  `_over_one_plus` reduces
 q^shift num / prod (1 + q^e) with no gcd: the denominator's cyclotomic
@@ -138,62 +135,9 @@ def _int_divexact(a, b) -> list[int]:
     return _trim(out)
 
 
-def _pseudo_rem(a: list[int], b: list[int]) -> list[int]:
-    # remainder of lc(b)^k * a by b, computed without fractions
-    r = list(a)
-    db = len(b) - 1
-    lb = b[-1]
-    while len(r) - 1 >= db:
-        lr = r[-1]
-        d = len(r) - 1 - db
-        r = [lb * x for x in r]
-        for j, y in enumerate(b):
-            r[j + d] -= lr * y
-        _trim(r)
-    return r
-
-
 def _int_primitive(cs: list[int]) -> list[int]:
-    c = math.gcd(*cs) if cs else 0
-    if c in (0, 1):
-        return list(cs)
+    c = math.gcd(*cs)
     return [x // c for x in cs]
-
-
-def _prs_gcd(a, b) -> list[int]:
-    """Primitive-PRS gcd of primitive a, b in Z[q], with a positive lead.
-
-    The fallback of `_int_gcd_poly` and the reference its tests compare with.
-    """
-    a, b = (list(a), list(b)) if len(a) >= len(b) else (list(b), list(a))
-    while b:
-        a, b = b, _int_primitive(_pseudo_rem(a, b))
-    return a if a[-1] > 0 else [-x for x in a]
-
-
-def _heu_gcd(a, b) -> tuple[list[int], list[int], list[int]] | None:
-    """GCDHEU on primitive a, b: (gcd, a/gcd, b/gcd), or None after six xi.
-
-    With xi > 2 min(|a|, |b|) + 2, a candidate read from the balanced
-    xi-adic digits of gcd(a(xi), b(xi)) that divides both inputs is their
-    gcd (Char, Geddes & Gonnet 1989).  The exact divisions test that, and
-    their quotients are the cofactors.
-    """
-    xi = 2 * min(max(map(abs, a)), max(map(abs, b))) + 29
-    for _ in range(6):
-        ea, eb = _eval_int(a, xi), _eval_int(b, xi)
-        h = math.gcd(ea, eb)
-        g = _digits(h, xi)
-        if len(g) == 1:
-            return [1], a, b
-        if len(g) <= min(len(a), len(b)):
-            g = _int_primitive(g)
-            try:
-                return g, _int_divexact(a, g), _int_divexact(b, g)
-            except ArithmeticError:
-                pass
-        xi = 73794 * xi * math.isqrt(math.isqrt(xi)) // 27011
-    return None
 
 
 def _eval_int(cs, xi: int) -> int:
@@ -219,16 +163,28 @@ def _int_gcd_poly(a, b) -> tuple[list[int], list[int], list[int]]:
     """gcd of primitive, positively led a and b in Z[q], with cofactors.
 
     Returns (g, a/g, b/g); g is primitive with a positive leading term.
+    GCDHEU (Char, Geddes & Gonnet 1989): with xi > 2 min(|a|, |b|) + 2, a
+    candidate read from the balanced xi-adic digits of gcd(a(xi), b(xi))
+    that divides both inputs is their gcd, and the exact divisions that
+    test it give the cofactors.  A rejected xi grows, and the loop ends:
+    gcd(a(xi), b(xi)) is g(xi) times a divisor r of the nonzero resultant
+    Res(a/g, b/g), so once xi > 2 |Res| |g| the digits are those of r g,
+    whose primitive part g divides both inputs.
     """
     if len(a) == 1 or len(b) == 1:
         return [1], a, b
-    if tuple(a) == tuple(b):
-        return a, [1], [1]
-    found = _heu_gcd(a, b)
-    if found is None:
-        g = _prs_gcd(a, b)
-        found = g, _int_divexact(a, g), _int_divexact(b, g)
-    return found
+    xi = 2 * min(max(map(abs, a)), max(map(abs, b))) + 29
+    while True:
+        g = _digits(math.gcd(_eval_int(a, xi), _eval_int(b, xi)), xi)
+        if len(g) == 1:
+            return [1], a, b
+        if len(g) <= min(len(a), len(b)):
+            g = _int_primitive(g)
+            try:
+                return g, _int_divexact(a, g), _int_divexact(b, g)
+            except ArithmeticError:
+                pass
+        xi = 73794 * xi * math.isqrt(math.isqrt(xi)) // 27011
 
 
 def _div_binomial(a, k: int, s: int) -> list[int]:
@@ -243,13 +199,6 @@ def _div_binomial(a, k: int, s: int) -> list[int]:
     if any(b[top:]):
         raise ArithmeticError("nonzero remainder in exact binomial division")
     return b[:top]
-
-
-def _div_one_minus_q(a) -> list[int] | None:
-    # a / (1 - q) by prefix sums, or None when the last one, the remainder
-    # a(1), is nonzero
-    b = list(accumulate(a))
-    return None if b[-1] else b[:-1]
 
 
 def _divisors(n: int) -> list[int]:
@@ -374,8 +323,8 @@ def _sum_over_one_plus(pairs) -> "RatFuncQ":
     One shared denominator, reduced once: the lcm of the c denominators
     (equal tuples need no gcd) times the lcm L of the 1 + q^|e|.  The
     integer numerators are added into one list; e = 0 contributes c / 2
-    and e < 0 the shift of c q^-e / (1 + q^-e).  Common factors (1 - q)
-    are stripped with prefix sums, the rest by one `_int_gcd_poly`.
+    and e < 0 the shift of c q^-e / (1 + q^-e).  One `_int_gcd_poly`
+    removes every common factor, (1 - q) powers included.
     """
     terms = [(c, e) for c, e in pairs if c._num]
     if not terms:
@@ -406,18 +355,10 @@ def _sum_over_one_plus(pairs) -> "RatFuncQ":
     while not acc[start]:
         start += 1
     content = math.gcd(*acc)
+    if acc[-1] < 0:
+        content = -content
     num = [x // content for x in acc[start:]]
-    den = _int_mul(den, lcm)
-    for _ in range(len(den) - 1):  # (1 - q)^j divides den only for j < len(den)
-        if (num_1 := _div_one_minus_q(num)) is None or (den_1 := _div_one_minus_q(den)) is None:
-            break
-        num, den = num_1, den_1
-    # each (1 - q) flips both leading signs; den's sign goes into num
-    if den[-1] < 0:
-        num, den = [-x for x in num], [-x for x in den]
-    if num[-1] < 0:
-        num, content = [-x for x in num], -content
-    _, num, den = _int_gcd_poly(num, den)
+    _, num, den = _int_gcd_poly(num, _int_mul(den, lcm))
     return _new(lo + start, Fraction(content, scale), num, den)
 
 

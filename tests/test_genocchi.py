@@ -351,6 +351,15 @@ class TestTable:
         assert (3, 1, 2, 0) in routes
         assert len(routes) == 6
 
+    def test_x_zero_checked_by_all_routes(self):
+        # the recurrence gives only numbers, so x = 0 is filled whatever xs is
+        table = build_table(2, W(1, 1), xs=(2,))
+        routes = {key: routes for key, _, routes in table.entries()}
+        assert sorted(routes) == [(n, 1, 1, x) for n in range(3) for x in (0, 2)]
+        for n in range(3):
+            assert routes[(n, 1, 1, 0)] == {ROUTE_CLOSED, ROUTE_RECURRENCE, ROUTE_UMBRAL}
+            assert routes[(n, 1, 1, 2)] == {ROUTE_CLOSED, ROUTE_UMBRAL}
+
     def test_mismatch_detection(self):
         table = GenocchiTable()
         w = W(1, 1)

@@ -3,6 +3,7 @@ reflection identity."""
 
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -21,15 +22,14 @@ from qgen.qcore import (
     subst_q_inverse,
 )
 from qgen.qcore import (
-    _heu_gcd,
     _int_divexact,
     _int_gcd_poly,
     _int_mul,
     _int_primitive,
     _one_plus_lcm,
     _over_one_plus,
-    _prs_gcd,
     _sum_over_one_plus,
+    _trim,
 )
 
 
@@ -364,16 +364,47 @@ def random_primitive(rng: random.Random, degree: int, bits: int) -> list[int]:
     return [c // g for c in cs]
 
 
+def _pseudo_rem(a: list[int], b: list[int]) -> list[int]:
+    # remainder of lc(b)^k * a by b, computed without fractions
+    r = list(a)
+    db = len(b) - 1
+    lb = b[-1]
+    while len(r) - 1 >= db:
+        lr = r[-1]
+        d = len(r) - 1 - db
+        r = [lb * x for x in r]
+        for j, y in enumerate(b):
+            r[j + d] -= lr * y
+        _trim(r)
+    return r
+
+
+def _prs_gcd(a, b) -> list[int]:
+    """Primitive-PRS gcd of primitive a, b in Z[q], with a positive lead:
+    the reference the GCDHEU of `_int_gcd_poly` is compared with."""
+    a, b = (list(a), list(b)) if len(a) >= len(b) else (list(b), list(a))
+    while b:
+        a, b = b, _int_primitive(_pseudo_rem(a, b))
+    return a if a[-1] > 0 else [-x for x in a]
+
+
+def recurrence_pair(n: int, alpha: int, h: int) -> tuple[list[int], list[int]]:
+    """Primitive, positively led P_n and E_n = prod_{j<n} (1 + q^(h + alpha j))."""
+    p = _int_primitive(list(_recurrence_numerator(n, alpha, h)))
+    p = p if p[-1] > 0 else [-x for x in p]
+    e = [1]
+    for j in range(n):
+        e = _int_mul(e, [1] + [0] * (h + alpha * j - 1) + [1])
+    return p, e
+
+
 class TestGcd:
     """GCDHEU against the primitive-PRS gcd kept as its reference."""
 
     def check(self, a, b):
-        found = _heu_gcd(a, b)
-        assert found is not None, "GCDHEU fell back"
-        g, ca, cb = found
+        g, ca, cb = _int_gcd_poly(a, b)
         assert g == _prs_gcd(a, b)
         assert _int_mul(g, ca) == a and _int_mul(g, cb) == b
-        assert _int_gcd_poly(a, b) == (g, ca, cb)
 
     def test_random_with_common_factor(self):
         rng = random.Random(1989)
@@ -398,19 +429,24 @@ class TestGcd:
     def test_recurrence_numerator_and_denominator(self):
         # P_22 and E_22 = prod_{j<22} (1 + q^(3 + 3j)) at alpha = h = 3: the
         # first xi follows E_22's unit coefficients, far below the gcd's, so
-        # xi must grow fast enough to get there within six tries
-        p = _int_primitive(list(_recurrence_numerator(22, 3, 3)))
-        p = p if p[-1] > 0 else [-x for x in p]
-        e = [1]
-        for j in range(22):
-            e = _int_mul(e, [1] + [0] * (2 + 3 * j) + [1])
-        found = _heu_gcd(p, e)
-        assert found is not None, "GCDHEU fell back"
-        g, cp, ce = found
+        # xi must grow fast to get there in a few tries
+        p, e = recurrence_pair(22, 3, 3)
+        g, cp, ce = _int_gcd_poly(p, e)
         assert len(g) - 1 == 145
         assert _int_mul(g, cp) == p and _int_mul(g, ce) == e
         # the recurrence's own reduction strips the same factors with no gcd
         assert len(_recurrence_number(22, 3, 3)._den) == len(ce)
+
+    def test_seventh_xi_within_ceiling(self):
+        # (P_25, E_25) at alpha = 8, h = 6 rejects six xi; the seventh gives
+        # the degree-240 gcd (a PRS gcd did not finish in 600 s)
+        p, e = recurrence_pair(25, 8, 6)
+        start = time.perf_counter()
+        g, cp, ce = _int_gcd_poly(p, e)
+        assert time.perf_counter() - start < 30
+        assert len(g) - 1 == 240
+        assert _int_mul(g, cp) == p and _int_mul(g, ce) == e
+        assert len(_recurrence_number(25, 8, 6)._den) == len(ce)
 
 
 class TestSumOverOnePlus:
@@ -455,7 +491,7 @@ class TestSumOverOnePlus:
         assert _sum_over_one_plus([(c, 1), (c * Q, 1)]) == c
 
     def test_common_factors_cancel(self):
-        # the (1 - q) strip: 1/(1+q) - 1/(1+q^2) = q (q - 1) / ((1+q)(1+q^2))
+        # one gcd cancels (1 - q): 1/(1+q) - 1/(1+q^2) = q (q - 1) / ((1+q)(1+q^2))
         c = ONE / (ONE - Q)
         assert _sum_over_one_plus([(c, 1), (-c, 2)]) == -Q / ((ONE + Q) * (ONE + q_power(2)))
         # the final gcd: (1 - q^2)^k / (1 + q) = (1 - q)^k (1 + q)^(k-1)
