@@ -313,24 +313,6 @@ def unweighted_reductions(n: int, variant: str, h: int | None = None) -> RatFunc
     raise ValueError(f"unknown variant: {variant!r}")
 
 
-def unweighted_recurrence_residual(n: int, h: int) -> RatFuncQ:
-    """Residual of the printed umbral recurrence for the weight-1 family:
-
-        q^(h-1) (q g + 1)^n + g_n - [2]_q delta_{n,1}
-
-    with g^k -> g_k and g^0 -> g_0 = 0.  The q-Genocchi case is h = 2.
-    Zero certifies that the reductions satisfy their own recurrences.
-    """
-    w = WeightParams(1, h)
-    acc = ZERO
-    for k in range(n + 1):
-        acc = acc + binomial(n, k) * q_power(k) * weighted_genocchi_number(k, w)
-    residual = q_power(h - 1) * acc + weighted_genocchi_number(n, w)
-    if n == 1:
-        residual = residual - qbracket(2, 1)
-    return residual
-
-
 # ---------------------------------------------------------------------------
 # memo table with provenance
 # ---------------------------------------------------------------------------

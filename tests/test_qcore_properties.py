@@ -74,3 +74,19 @@ def test_canonical_string_round_trip(f):
     text = f.to_canonical_string()
     assert RatFuncQ.from_canonical_string(text) == f
     assert RatFuncQ.from_canonical_string(text).to_canonical_string() == text
+
+
+@PROPERTY
+@given(ratfuncs, ratfuncs, coefficients)
+def test_equal_values_hash_equal(f, g, c):
+    # a == b implies hash(a) == hash(b): for equal values built by different
+    # routes, and for constants against the int and Fraction they equal
+    pairs = [(f * g, g * f), ((f + g) - g, f), (f + g, g + f), (f * ONE, f),
+             (RatFuncQ(c), c), (RatFuncQ(c) * ONE, c), (RatFuncQ({0: c}, {0: 1}), c),
+             (RatFuncQ(c.numerator), c.numerator)]
+    if g:
+        pairs += [((f * g) / g, f), ((f / g) * g, f)]
+    for a, b in pairs:
+        assert a == b and b == a
+        assert hash(a) == hash(b)
+    assert len({f * g, g * f}) == 1
