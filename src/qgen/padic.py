@@ -22,9 +22,12 @@ once, with one gcd.
 With K = p^N, the modular path sums each term as the geometric
 series c (1 - r^K) / (1 - r), r = -q^(m+1), mod p^M: O(log K) per term.
 Since q = 1 mod p, 1 - r = 2 mod p is a unit, so this is an identity in
-Z/p^M, not an approximation.  The exact path is a K-step integer loop
-over x, one reduction per term, kept as the literal-definition oracle
-for the modular one.
+Z/p^M, not an approximation.  The exact path never divides by 1 - r: it
+writes r = u/w and regroups the K terms of the finite sum by halving,
+A_2n = A_n (u^n + w^n) and A_(n+1) = A_n w + u^n for
+A_n = sum_{x<n} u^x w^(n-1-x), so each term costs about 2 log2 K
+big-integer products and one reduction.  The literal-definition oracle,
+a K-step loop over x, is `naive_alternating_sum` in the tests.
 
 Note on normalization: without the 1/[p^N]_{-q} factor the limiting
 functional satisfies q I(f1) + I(f) = 2 f(0) instead of the q-shift
@@ -251,18 +254,25 @@ def _coeff_values(spec: IntegrandSpec, q: Fraction) -> list[tuple[int, Fraction]
 
 
 def _truncated_exact(spec: IntegrandSpec, ctx: PadicContext, normalized: bool) -> Fraction:
-    # q^(m x) (-q)^x = (u/w)^x: sum u^x w^(K-1-x) over x < K, reduce once
+    # q^(m x) (-q)^x = (u/w)^x, and A_n = sum_{x<n} u^x w^(n-1-x) obeys
+    # A_2n = A_n (u^n + w^n) and A_(n+1) = A_n w + u^n: walk the bits of K
+    # from the top, then reduce A_K / w^(K-1) once
     q = ctx.q
     count = ctx.p**ctx.N
     total = Fraction(0)
     for m, c in _coeff_values(spec, q):
         r = -q ** (m + 1)
         u, w = r.numerator, r.denominator
-        acc, pw = 0, 1
-        for _ in range(count):
-            acc = acc * u + pw
-            pw *= w
-        total += c * Fraction(acc, pw // w)
+        acc, un, wn = 1, u, w  # A_n, u^n, w^n at n = 1
+        for bit in bin(count)[3:]:
+            acc *= un + wn
+            un *= un
+            wn *= wn
+            if bit == "1":
+                acc = acc * w + un
+                un *= u
+                wn *= w
+        total += c * Fraction(acc, wn // w)
     if normalized:
         bracket = (1 - (-q) ** count) / (1 + q)
         total /= bracket
@@ -284,7 +294,8 @@ def _diff_valuation(diff: Fraction, ctx: PadicContext) -> float:
 def _to_mod(r: Fraction, p: int, mod: int) -> int:
     if r.denominator % p == 0:
         raise PrecisionError(
-            f"denominator {r.denominator} divisible by p={p}; raise M or use the exact path"
+            f"a coefficient has denominator {r.denominator}, divisible by p={p}, "
+            f"so it has no residue mod p^M for any M"
         )
     return r.numerator * pow(r.denominator, -1, mod) % mod
 
@@ -309,10 +320,11 @@ def truncated_integral(spec: IntegrandSpec, ctx: PadicContext, *,
                        normalized: bool = True, method: str = "auto") -> Fraction:
     """Truncated sum S_N(f) at q = ctx.q.
 
-    Exact rational for N <= 4 (or ``method="exact"``), from a p^N-step
-    integer loop kept as the oracle; for larger N the value is a reduced
-    representative mod p^M (``method="modular"``), from the geometric
-    closed form in O(log p^N) per term.  The raw sum without the
+    Exact rational for N <= 4 (or ``method="exact"``), from the finite
+    sum regrouped by halving along the bits of p^N; for larger N the
+    value is a reduced representative mod p^M (``method="modular"``),
+    from the geometric closed form.  Both take O(log p^N) products per
+    term, and neither loops over x.  The raw sum without the
     1/[p^N]_{-q} normalizer is available via ``normalized=False``.
     """
     if method == "auto":
@@ -325,15 +337,34 @@ def truncated_integral(spec: IntegrandSpec, ctx: PadicContext, *,
 
 
 def truncated_reading(value: Fraction, limit: Fraction, ctx: PadicContext) -> tuple[str, str]:
-    """A truncated sum and vp(sum - limit) as printed: exact up to N = 4
-    (inf when the sum equals the limit); above, the sum is a residue
-    ``r mod p^M`` and a valuation that reaches M reads ``>=M``, since the
-    residue shows only that the sum agrees with the limit in M digits."""
+    """A truncated sum and vp(sum - limit) as printed: exact up to N = 4,
+    in full at any size (inf when the sum equals the limit); above, the
+    sum is a residue ``r mod p^M`` and a valuation that reaches M reads
+    ``>=M``, since the residue shows only that the sum agrees with the
+    limit in M digits."""
     valuation = _diff_valuation(value - limit, ctx)
     if ctx.N <= _EXACT_MAX_N:
-        return str(value), str(valuation)
+        return _fraction_text(value), str(valuation)
     text = f">={ctx.M}" if valuation >= ctx.M else str(valuation)
-    return f"{value} mod {ctx.p}^{ctx.M}", text
+    return f"{_fraction_text(value)} mod {ctx.p}^{ctx.M}", text
+
+
+def _fraction_text(value: Fraction) -> str:
+    """str(value) at any size (an exact sum at N = 4 can pass 4,300 digits)."""
+    num = _decimal(value.numerator)
+    return num if value.denominator == 1 else f"{num}/{_decimal(value.denominator)}"
+
+
+def _decimal(n: int) -> str:
+    # str() refuses an int longer than sys.get_int_max_str_digits() (4,300
+    # by default, never below 640 when set), so split at a power of ten
+    if n.bit_length() <= 2000:  # 603 digits
+        return str(n)
+    if n < 0:
+        return "-" + _decimal(-n)
+    k = n.bit_length() * 3 // 20  # half the digits, log10(2) ~ 0.3
+    high, low = divmod(n, 10**k)
+    return _decimal(high) + _decimal(low).zfill(k)
 
 
 # ---------------------------------------------------------------------------

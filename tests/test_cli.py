@@ -28,6 +28,21 @@ def run_cli(capsys, argv):
     return code, captured.out, captured.err
 
 
+def big_fraction(text: str) -> Fraction:
+    """Fraction(text) at any length: int() refuses a decimal longer than
+    sys.get_int_max_str_digits(), so each part is read 500 digits at a time."""
+    def big_int(digits: str) -> int:
+        sign, digits = (-1, digits[1:]) if digits.startswith("-") else (1, digits)
+        n = 0
+        for i in range(0, len(digits), 500):
+            chunk = digits[i:i + 500]
+            n = n * 10 ** len(chunk) + int(chunk)
+        return sign * n
+
+    num, _, den = text.partition("/")
+    return Fraction(big_int(num), big_int(den or "1"))
+
+
 SMALL_VERIFY = ["--n-max", "2", "--alpha-max", "1", "--h-max", "1",
                 "--x-min", "0", "--x-max", "1"]
 
@@ -278,6 +293,29 @@ class TestIntegral:
         value = self._residue(IntegrandSpec({1: 1}), 5, 5, True)
         assert rows == [["N", "value", "valuation"], ["5", f"{value} mod 3^5", ">=5"]]
 
+    @pytest.mark.parametrize("argv, terms, N, M", [
+        (["--p", "7", "--q", "8", "--m", "1", "--N", "4"], {1: 1}, 4, None),
+        (["--p", "7", "--q", "9/2", "--m", "2", "--coeff=-3:2/5", "--N", "4"],
+         {2: 1, -3: Fraction(2, 5)}, 4, None),
+        (["--p", "7", "--q", "8", "--m", "1", "--N", "5", "--M", "5200"], {1: 1}, 5, 5200),
+    ])
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_values_past_the_int_digit_limit(self, capsys, argv, terms, N, M, fmt):
+        # str() of an int refuses more than 4,300 digits by default; the
+        # exact sums at N = 4 and a residue mod 7^5200 print in full
+        code, out, err = run_cli(capsys, ["integral", *argv, "--format", fmt])
+        assert (code, err) == (EXIT_OK, "")
+        if fmt == "json":
+            printed = json.loads(out)["rows"][0]["value"]
+        else:
+            printed = out.splitlines()[-1].partition("value=")[2].partition("  vp(diff)=")[0]
+        ctx = PadicContext(p=7, N=N, q=Fraction(argv[3]), M=M)
+        value = truncated_integral(IntegrandSpec(terms), ctx)
+        assert max(value.numerator, value.denominator).bit_length() > 14_300
+        if M is not None:
+            printed = printed.removesuffix(f" mod 7^{M}")
+        assert big_fraction(printed) == value
+
 
 class TestBernstein:
     def test_all_indices(self, capsys):
@@ -354,6 +392,12 @@ FRONT_DOOR_DIGESTS = {
         "json": "14c9f4a1f008b9f3e47a90022889f61f4c836fa0b0607138dc1bc681afd28548",
         "csv": "ee5eb3841c19bd4e33c695339dc2e7113f35e2a59fd35db76792c08c6ff9d32c",
     },
+    ("integral", "--p", "7", "--q", "9/2", "--m", "2", "--coeff=-3:2/5", "--N", "0,1,2,3",
+     "--unnormalized"): {
+        "text": "8faa9b9c5428023bf1a4d6bbaf2a891455fcb20ff913e5e208c64712874bb9b7",
+        "json": "a80e003bd6e46e5828844c1dff11a7608fb5bd9c58b60b3dc50cc0f710378aa6",
+        "csv": "f2c8ae80d972d8afc4e5f6db1033866307628bce5e06181cec75d233db1d6d73",
+    },
     ("bernstein", "--n", "4", "--alpha", "2", "--x", "3"): {
         "text": "36ee0c5c53bb2841a7f94bd06569656faa338d4100be4ff38f19651e0a075b52",
         "json": "47adf3c4704744476a50cffd983c7461f38322b118219aa8f95aa8ff143bf3dc",
@@ -408,7 +452,8 @@ BAD_INPUT = [
     (["integral", "--p", "3", "--q", "4", "--m", "1", "--M", "-1"], EXIT_USAGE,
      "working precision M must be at least N"),
     (["integral", "--p", "3", "--q", "4", "--coeff", "0:1/3", "--N", "5"], EXIT_PRECISION,
-     "precision error: denominator 3 divisible by p=3; raise M or use the exact path"),
+     "precision error: a coefficient has denominator 3, divisible by p=3, so it has no "
+     "residue mod p^M for any M"),
     (["bernstein", "--n", "2", "--k", "5"], EXIT_USAGE, "basis index k=5 exceeds degree n=2"),
     (["bernstein", "--n", "-1"], EXIT_USAGE, "basis indices must be nonnegative"),
     (["bernstein", "--n", "2", "--k", "-1"], EXIT_USAGE, "basis indices must be nonnegative"),

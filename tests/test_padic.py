@@ -302,6 +302,36 @@ class TestTruncated:
                 got = truncated_integral(spec, ctx, normalized=normalized, method="modular")
                 assert got == residue(want, p**ctx.M), (spec, q, normalized)
 
+    @pytest.mark.parametrize("p,q,N,terms", [
+        (3, "4", 4, {1: 1, -2: Fraction(1, 2), 0: -3}),  # K = 81 = 0b1010001
+        (5, "6", 4, {2: Fraction(-3, 4), -1: 5}),  # K = 625 = 0b1001110001
+        (3, "5/2", 4, {3: 2, -4: Fraction(1, 7)}),
+        (5, "-4", 3, {-1: Fraction(2, 3)}),  # m = -1: r = -1
+        (3, "7/4", 3, {-3: 1, -1: -2, 5: Fraction(1, 3)}),  # m + 1 < 0: w = 7^2 > 1
+        (7, "19/5", 0, {-2: 3, 4: Fraction(-1, 2)}),  # K = 1
+    ])
+    def test_halving_matches_definition_oracle(self, p, q, N, terms):
+        # the exact path regroups the K terms by halving; the literal sum
+        # over x is the oracle, at both bit values of K and the edge r's
+        q = Fraction(q)
+        ctx = PadicContext(p=p, N=N, q=q)
+        for normalized in (True, False):
+            got = truncated_integral(IntegrandSpec(terms), ctx, normalized=normalized,
+                                     method="exact")
+            assert got == naive_alternating_sum(terms, p, N, q, normalized), normalized
+
+    def test_exact_path_does_not_loop_over_x(self):
+        # p^10 = 59,049 terms: a step per x takes over a second, halving
+        # about 2 log2 K products per term
+        spec = IntegrandSpec({1: 1, -2: Fraction(1, 2)})
+        ctx = PadicContext(p=3, N=10, q=Fraction(4))
+        start = time.perf_counter()
+        exact = truncated_integral(spec, ctx, method="exact")
+        elapsed = time.perf_counter() - start
+        assert elapsed < 0.5, f"exact sum over 3^10 terms took {elapsed:.2f}s"
+        modular = truncated_integral(spec, ctx, method="modular")
+        assert residue(exact, 3**ctx.M) == modular
+
     def test_precision_error(self):
         ctx = PadicContext(p=3, N=5, q=Fraction(4))
         with pytest.raises(PrecisionError):
