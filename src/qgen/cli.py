@@ -27,7 +27,7 @@ from dataclasses import replace
 from fractions import Fraction
 
 from qgen import __version__
-from qgen.bernstein import BernsteinIndex, bernstein_poly, bernstein_symmetry_check
+from qgen.bernstein import BernsteinIndex, bernstein_symmetry_check
 from qgen.genocchi import WeightParams, build_table
 from qgen.identities import (
     THEOREMS,
@@ -374,7 +374,7 @@ def _cmd_bernstein(args) -> int:
     indices = [BernsteinIndex(k, args.n, args.alpha) for k in ks]
     checks = [bernstein_symmetry_check(idx, args.x) for idx in indices]
     rows = [{"k": idx.k, "n": idx.n, "alpha": idx.alpha, "x": args.x,
-             "value": bernstein_poly(idx, args.x).to_canonical_string(),
+             "value": check.lhs.to_canonical_string(),
              "symmetry": check.status} for idx, check in zip(indices, checks)]
     config = {"n": args.n, "alpha": args.alpha, "x": args.x, "k": args.k}
     title = [f"weighted q-Bernstein basis n={args.n} alpha={args.alpha} x={args.x}"]

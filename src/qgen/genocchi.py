@@ -15,8 +15,9 @@ closed form    expand the bracket power binomially and integrate each
                (sparse divisions that raise on a remainder), [2]_q
                cancels the Phi_2 of L when it is there, and the rest,
                D = L ((1 - q^alpha) / (1 - q^alpha'))^(n-1) without that
-               Phi_2, is cached per (n, alpha, h) and shared by every x;
-               one gcd with D makes the value canonical;
+               Phi_2, is cached per (n, alpha, h) as Phi_d multiplicities
+               and shared by every x; the one reducer of qcore divides
+               its Phi_d out of the numerator as often as they divide;
 
 recurrence     numbers only: (1 + q^h) g_1 = [2]_q and, for n > 1,
                (1 + q^(h + alpha (n-1))) g_n
@@ -41,7 +42,7 @@ numbers reproduces the classical Genocchi integers generated by
 
 from __future__ import annotations
 
-import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -57,12 +58,10 @@ from qgen.qcore import (
     RatFuncQ,
     ZERO,
     _div_binomial,
-    _int_gcd_poly,
-    _int_mul,
-    _int_pow,
-    _new,
+    _divisors,
     _one_plus_lcm,
     _over_one_plus,
+    _reduced,
     _trim,
     binomial,
     eval_at,
@@ -78,7 +77,6 @@ __all__ = [
     "WeightParams",
     "build_table",
     "classical_genocchi",
-    "unweighted_reductions",
     "weighted_genocchi_integral_route",
     "weighted_genocchi_number",
     "weighted_genocchi_poly_closed",
@@ -110,20 +108,19 @@ class WeightParams:
 
 
 @lru_cache(maxsize=None)
-def _closed_denominator(n: int, alpha: int, h: int) -> tuple[tuple[int, ...], bool]:
-    # (D, halved): L = lcm of the 1 + q^(alpha l + h) over l < n holds
-    # Phi_2 = [2]_q once exactly when some alpha l + h is odd (halved);
-    # D = L / Phi_2^halved * ((1 - q^alpha) / (1 - q^alpha'))^(n-1),
+def _closed_denominator(n: int, alpha: int, h: int) -> tuple[tuple[tuple[int, int], ...], bool]:
+    # (D, halved) as multiplicities: L = lcm of the 1 + q^(alpha l + h) over
+    # l < n holds Phi_2 = [2]_q once exactly when some alpha l + h is odd
+    # (halved); D = L / Phi_2^halved * ((1 - q^alpha) / (1 - q^alpha'))^(n-1),
     # alpha' the odd part of alpha, is the same for every x
     exps = tuple(alpha * l + h for l in range(n))
     lcm, _ = _one_plus_lcm(exps)
     halved = any(e % 2 for e in exps)
-    den = _div_binomial(lcm, 1, 1) if halved else list(lcm)
     odd = alpha // (alpha & -alpha)
-    if odd < alpha:
-        geometric = ([1] + [0] * (odd - 1)) * (alpha // odd - 1) + [1]
-        den = _int_mul(den, _int_pow(geometric, n - 1))
-    return tuple(den), halved
+    den = Counter(dict(lcm))
+    den[2] -= halved
+    den.update({d: n - 1 for d in _divisors(alpha) if odd % d})
+    return tuple(sorted((+den).items())), halved
 
 
 def _closed_numerator(n: int, alpha: int, h: int, x: int) -> tuple[int, list[int]]:
@@ -153,24 +150,15 @@ def _strip_odd_part(num: list[int], alpha: int, n: int) -> list[int]:
 def _closed(n: int, alpha: int, h: int, x: int) -> RatFuncQ:
     # n [2]_q q^lo N / ((1 - q^alpha)^(n-1) L): the odd part of the
     # (1 - q^alpha) power divides N, [2]_q cancels Phi_2 of L when it is
-    # there, and one gcd with the rest, D, reduces the value
+    # there, and the reducer tests the rest, D, factor by factor
     if n == 0:
         return ZERO
     den, halved = _closed_denominator(n, alpha, h)
     lo, num = _closed_numerator(n, alpha, h, x)
     num = _strip_odd_part(num, alpha, n)
-    if not num:
-        return ZERO
-    if not halved:
+    if num and not halved:
         num = [a + b for a, b in zip(num + [0], [0] + num)]
-    start = 0
-    while not num[start]:
-        start += 1
-    content = math.gcd(*num)
-    if num[-1] < 0:
-        content = -content
-    _, num, den = _int_gcd_poly([a // content for a in num[start:]], den)
-    return _new(lo + start, Fraction(n * content), num, den)
+    return _reduced(lo, num, den, den, top=n)
 
 
 def weighted_genocchi_poly_closed(n: int, w: WeightParams, x: int) -> RatFuncQ:
@@ -273,7 +261,7 @@ def weighted_genocchi_integral_route(n: int, w: WeightParams, x: int,
 
 
 # ---------------------------------------------------------------------------
-# classical limit and unweighted specializations
+# classical limit
 # ---------------------------------------------------------------------------
 
 _genocchi_cache: list[Fraction] = []
@@ -296,21 +284,6 @@ def classical_genocchi(n: int) -> Fraction:
             acc -= c_i * Fraction(1, factorial(j - i))
         _genocchi_cache.append(acc / 2 * factorial(j))
     return _genocchi_cache[n]
-
-
-def unweighted_reductions(n: int, variant: str, h: int | None = None) -> RatFuncQ:
-    """q-Genocchi and (h,q)-Genocchi numbers as weight-1 specializations.
-
-    variant "q-genocchi" is the weight-1, h=2 family; "hq-genocchi"
-    requires h and is the weight-1 family at that h.
-    """
-    if variant == "q-genocchi":
-        return weighted_genocchi_number(n, WeightParams(1, 2))
-    if variant == "hq-genocchi":
-        if h is None:
-            raise ValueError("hq-genocchi requires h")
-        return weighted_genocchi_number(n, WeightParams(1, h))
-    raise ValueError(f"unknown variant: {variant!r}")
 
 
 # ---------------------------------------------------------------------------

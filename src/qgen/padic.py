@@ -17,7 +17,7 @@ can be measured in the p-adic valuation.
 
 Costs.  `integrate` puts the moments c_m / (1 + q^(m+1)) of a spec over
 one shared denominator (`qcore._sum_over_one_plus`) and reduces the sum
-once, with one gcd.
+once, by the cyclotomic factors of that denominator.
 
 With K = p^N, the modular path sums each term as the geometric
 series c (1 - r^K) / (1 - r), r = -q^(m+1), mod p^M: O(log K) per term.
@@ -41,6 +41,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterable, Mapping, Union
 
 from qgen.qcore import (
@@ -53,7 +54,6 @@ from qgen.qcore import (
     q_power,
     qbracket,
 )
-from qgen.records import VerificationRecord, compare
 
 __all__ = [
     "ConvergenceTrace",
@@ -62,7 +62,6 @@ __all__ = [
     "PrecisionError",
     "bracket_power_integrand",
     "convergence_probe",
-    "functional_equation_check",
     "functional_equation_residual",
     "integrate",
     "truncated_integral",
@@ -249,8 +248,10 @@ def integrate(spec: IntegrandSpec, normalized: bool = True) -> RatFuncQ:
 # ---------------------------------------------------------------------------
 
 
-def _coeff_values(spec: IntegrandSpec, q: Fraction) -> list[tuple[int, Fraction]]:
-    return [(m, eval_at(c, q)) for m, c in spec.items()]
+@lru_cache(maxsize=64)
+def _coeff_values(spec: IntegrandSpec, q: Fraction) -> tuple[tuple[int, Fraction], ...]:
+    # every level of a convergence probe sums the same values
+    return tuple((m, eval_at(c, q)) for m, c in spec.items())
 
 
 def _truncated_exact(spec: IntegrandSpec, ctx: PadicContext, normalized: bool) -> Fraction:
@@ -393,20 +394,29 @@ class ConvergenceTrace:
 def convergence_probe(spec: IntegrandSpec, p: int, q: Union[Fraction, int],
                       N_list: Iterable[int], M: int | None = None) -> ConvergenceTrace:
     """Measure vp(S_N(f) - L) for each N, where L is the exact symbolic
-    integral evaluated at q.  Raises if the valuation sequence ever
-    decreases (it is asserted, not assumed)."""
+    integral evaluated at q, and check it against the a-priori bound
+
+        vp(S_N - L) >= N + min over m != 0 of (vp(c_m(q)) + vp(q - 1) + vp(m)),
+
+    capped at M above N = 4; a level below it raises ArithmeticError.  For
+    one term c q^(m x) and K = p^N, S_N - L is
+    c (1 + q) q^K (q^(m K) - 1) / ((1 + q^(m+1)) (1 + q^K)), whose one
+    non-unit factor q^(m K) - 1 has valuation vp(q - 1) + vp(m) + N by
+    lifting the exponent (p odd, q = 1 mod p), so the bound is exact for
+    one term; the m = 0 term contributes nothing."""
     q = Fraction(q)
     limit = eval_at(integrate(spec), q)
+    offset = min((vp(c, p) + vp(m, p) for m, c in _coeff_values(spec, q) if m and c),
+                 default=math.inf)
     entries: list[tuple[int, float]] = []
-    previous = -math.inf
     for N in sorted(set(int(n) for n in N_list)):
         ctx = PadicContext(p=p, N=N, q=q, M=M)
         v = _diff_valuation(truncated_integral(spec, ctx) - limit, ctx)
-        if v < previous:
-            raise ValueError(
-                f"valuation sequence decreased at N={N}: {v} < {previous}"
-            )
-        previous = v
+        bound = N + vp(q - 1, p) + offset
+        if N > _EXACT_MAX_N:
+            bound = min(bound, ctx.M)
+        if v < bound:
+            raise ArithmeticError(f"vp(S_{N} - L) = {v} is below the a-priori bound {bound}")
         entries.append((N, v))
     finite = [N - int(v) for N, v in entries if v != math.inf]
     constant = max(finite) if finite else None
@@ -427,10 +437,3 @@ def functional_equation_residual(spec: IntegrandSpec, normalized: bool = True) -
     """
     lhs = q_power(1) * integrate(spec.shifted(1), normalized) + integrate(spec, normalized)
     return lhs - qbracket(2, 1) * spec.at_zero()
-
-
-def functional_equation_check(spec: IntegrandSpec) -> VerificationRecord:
-    """PASS iff q I(f1) + I(f) equals [2]_q f(0) as canonical forms."""
-    lhs = q_power(1) * integrate(spec.shifted(1)) + integrate(spec)
-    rhs = qbracket(2, 1) * spec.at_zero()
-    return compare("functional-equation", (("spec", spec.describe()),), lhs, rhs)

@@ -1,52 +1,45 @@
-"""Exact arithmetic over the rational function field Q(q).
+"""Exact arithmetic over the rational functions in q with cyclotomic denominators.
 
-`RatFuncQ` is the one number type: a canonically reduced quotient of
-Laurent polynomials in a single indeterminate q with rational
-coefficients.  The canonical form is chosen so that mathematical
-equality is plain structural equality of representations: every
-identity check downstream is ``lhs == rhs``, with no numeric tolerance
-and no randomized equality testing.
+`RatFuncQ` is the one number type: a canonically reduced quotient of a
+Laurent polynomial in q with rational coefficients by a product of
+cyclotomic polynomials Phi_d.  Such values form the subring of Q(q)
+where every value of the paper lives: the fermionic moments
+[2]_q / (1 + q^(m+1)) and the weight (1 - q^alpha)^-n have no other
+denominators.  Equal values have equal representations, so every
+identity check downstream is ``lhs == rhs``, with no numeric tolerance.
 
-Canonical form.  A `RatFuncQ` stores its value once, as integers:
+Canonical form.  A `RatFuncQ` stores its value once:
 
-    content * q^shift * num(q) / den(q)
+    content * q^shift * num(q) / prod_d Phi_d(q)^m_d
 
-* ``num`` and ``den`` are tuples of integer coefficients in ascending
-  order.  Each is primitive (coprime coefficients) with a positive
-  leading and a nonzero constant coefficient, and the two are coprime;
+* ``num`` is a tuple of integer coefficients in ascending order:
+  primitive, with a positive leading and a nonzero constant coefficient,
+  and divisible by no Phi_d of the denominator;
+* the denominator is stored as its multiplicities ((d, m_d), ...), d
+  increasing and m_d >= 1, with Phi_1 = q - 1 so that the expansion
+  (`_den_poly`, cached; only to print and to evaluate) is monic;
 * ``shift`` carries the overall power of q and ``content`` (a nonzero
   Fraction) the sign and the rational content;
-* zero is its own value: shift 0, content 0, num (), den (1,).
+* zero is its own value: shift 0, content 0, num (), den ().
 
-Equal values therefore have equal tuples.  Arithmetic never leaves the
-integers except for the content.  The one gcd, which keeps num and den
-coprime, is GCDHEU (Char, Geddes & Gonnet, 1989): evaluate both
-polynomials at a large integer xi, take one integer gcd and read it
-back as balanced xi-adic digits, accepted only when they divide both
-inputs exactly.  A rejected xi grows by the rule of Char, Geddes &
-Gonnet (and of sympy) until a candidate divides; that happens at the
-latest once xi exceeds 2 |Res(a/g, b/g)| |g| (see `_int_gcd_poly`).
-
-Sums of moments.  `_sum_over_one_plus` adds c_i / (1 + q^e_i) over one
-shared denominator, the lcm of the c_i denominators times the lcm of the
-1 + q^|e_i| (a product of cyclotomic factors, cached per exponent set).
-The integer numerators go into one list, and one gcd reduces it.  The
-result is canonical, so it equals the term-by-term sum.
-
-Quotients by products of 1 + q^e.  `_over_one_plus` reduces
-q^shift num / prod (1 + q^e) with no gcd: the denominator's cyclotomic
-factors are known, so each is tested against num (modulo q^d - 1) and
-divided out as often as it divides; the rest form den.  Products and
-quotients of cyclotomic factors run as sparse steps by (1 - q^k).
+One reducer, no gcd.  The factors of every denominator are known, so
+`_divide_out` keeps num and den coprime by testing each Phi_d against
+num (folded modulo q^d - 1, `_cyclotomic_divides`, linear time) and
+dividing it out as often as it divides, at most m_d times.  `+` takes
+the lcm as the maximum of the multiplicities and tests only the Phi_d of
+equal multiplicity on both sides (no other can divide the sum); `*`
+tests each numerator against the other side's factors; `**` scales the
+multiplicities; q -> 1/q keeps them.  Division and the constructor
+factor their new denominator over the Phi_d and raise ValueError when it
+is no such product.  Multiplying and dividing by Phi_d are sparse steps
+by (1 - q^k).
 
 A value is built from an int, a Fraction or an ``{exponent: coefficient}``
 mapping for numerator and denominator, and read back through the
 ``num`` (content and shift included) and ``den`` views, plain
-``{exponent: Fraction}`` dicts built on demand.
-
-q is treated as a formal indeterminate here.  Substituting a rational
-number for q is a separate, explicit step (`eval_at`), and the p-adic
-reading of q lives entirely in the `padic` module.
+``{exponent: Fraction}`` dicts built on demand.  q is a formal
+indeterminate here: substituting a rational number is an explicit step
+(`eval_at`), and the p-adic reading of q lives in the `padic` module.
 """
 
 from __future__ import annotations
@@ -58,6 +51,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
 from math import comb
+from operator import add, or_, sub
 from typing import Mapping, Union
 
 __all__ = [
@@ -74,6 +68,8 @@ __all__ = [
 ]
 
 Rational = Union[Fraction, int]
+# ((d, m_d), ...): prod Phi_d^m_d with d increasing and every m_d >= 1
+Den = tuple[tuple[int, int], ...]
 
 
 class PoleError(ArithmeticError):
@@ -116,77 +112,6 @@ def _int_pow(a, k: int) -> list[int]:
     return out
 
 
-def _int_divexact(a, b) -> list[int]:
-    # exact division in Z[q]; ArithmeticError when b does not divide a
-    rem = list(a)
-    lb = b[-1]
-    out = [0] * (len(a) - len(b) + 1)
-    for shift in range(len(a) - len(b), -1, -1):
-        c = rem[shift + len(b) - 1]
-        if c % lb:
-            raise ArithmeticError("inexact polynomial division")
-        c //= lb
-        out[shift] = c
-        if c:
-            for j, y in enumerate(b):
-                rem[shift + j] -= c * y
-    if any(rem):
-        raise ArithmeticError("nonzero remainder in exact polynomial division")
-    return _trim(out)
-
-
-def _int_primitive(cs: list[int]) -> list[int]:
-    c = math.gcd(*cs)
-    return [x // c for x in cs]
-
-
-def _eval_int(cs, xi: int) -> int:
-    acc = 0
-    for c in reversed(cs):
-        acc = acc * xi + c
-    return acc
-
-
-def _digits(v: int, xi: int) -> list[int]:
-    # balanced base-xi digits of v, lowest first
-    out = []
-    while v:
-        v, r = divmod(v, xi)
-        if 2 * r > xi:
-            r -= xi
-            v += 1
-        out.append(r)
-    return out
-
-
-def _int_gcd_poly(a, b) -> tuple[list[int], list[int], list[int]]:
-    """gcd of primitive, positively led a and b in Z[q], with cofactors.
-
-    Returns (g, a/g, b/g); g is primitive with a positive leading term.
-    GCDHEU (Char, Geddes & Gonnet 1989): with xi > 2 min(|a|, |b|) + 2, a
-    candidate read from the balanced xi-adic digits of gcd(a(xi), b(xi))
-    that divides both inputs is their gcd, and the exact divisions that
-    test it give the cofactors.  A rejected xi grows, and the loop ends:
-    gcd(a(xi), b(xi)) is g(xi) times a divisor r of the nonzero resultant
-    Res(a/g, b/g), so once xi > 2 |Res| |g| the digits are those of r g,
-    whose primitive part g divides both inputs.
-    """
-    if len(a) == 1 or len(b) == 1:
-        return [1], a, b
-    xi = 2 * min(max(map(abs, a)), max(map(abs, b))) + 29
-    while True:
-        g = _digits(math.gcd(_eval_int(a, xi), _eval_int(b, xi)), xi)
-        if len(g) == 1:
-            return [1], a, b
-        if len(g) <= min(len(a), len(b)):
-            g = _int_primitive(g)
-            try:
-                return g, _int_divexact(a, g), _int_divexact(b, g)
-            except ArithmeticError:
-                pass
-        xi = 73794 * xi * math.isqrt(math.isqrt(xi)) // 27011
-
-
 def _div_binomial(a, k: int, s: int) -> list[int]:
     # a / (1 + s q^k) in Z[q] for s = +-1, k >= 1, by the recurrence
     # b[i] = a[i] - s b[i-k], run as one running sum per residue of i mod k;
@@ -199,6 +124,17 @@ def _div_binomial(a, k: int, s: int) -> list[int]:
     if any(b[top:]):
         raise ArithmeticError("nonzero remainder in exact binomial division")
     return b[:top]
+
+
+def _mul_one_minus(a, k: int) -> list[int]:
+    # a (1 - q^k), sparse
+    pad = [0] * k
+    return [x - y for x, y in zip(list(a) + pad, pad + list(a))]
+
+
+# ---------------------------------------------------------------------------
+# cyclotomic factors
+# ---------------------------------------------------------------------------
 
 
 def _divisors(n: int) -> list[int]:
@@ -217,16 +153,66 @@ def _mobius(n: int) -> int:
     return -mu if n > 1 else mu
 
 
-def _mul_one_minus(a, k: int) -> list[int]:
-    # a (1 - q^k), sparse
-    pad = [0] * k
-    return [x - y for x, y in zip(list(a) + pad, pad + list(a))]
+@lru_cache(maxsize=None)
+def _cyclotomic_exponents(d: int) -> tuple[tuple[int, int], ...]:
+    # (k, mu(d/k)) with mu != 0: prod_{k | d} (1 - q^k)^mu(d/k) is Phi_d for
+    # d > 1 and 1 - q = -Phi_1 for d = 1
+    return tuple((k, mu) for k in _divisors(d) if (mu := _mobius(d // k)))
 
 
 @lru_cache(maxsize=None)
-def _cyclotomic_exponents(d: int) -> tuple[tuple[int, int], ...]:
-    # (k, mu(d/k)) with mu != 0: Phi_d = prod_{k | d} (1 - q^k)^mu(d/k), d > 1
-    return tuple((k, mu) for k in _divisors(d) if (mu := _mobius(d // k)))
+def _fold_plan(d: int) -> tuple[int, tuple[int, ...]]:
+    # phi(d) = deg Phi_d, and d / p for each prime p dividing d
+    maximal = tuple(d // p for p in _divisors(d)[1:] if len(_divisors(p)) == 2)
+    return sum(k * mu for k, mu in _cyclotomic_exponents(d)), maximal
+
+
+def _cyclotomic_divides(a, d: int) -> bool:
+    # Phi_d divides a iff q^d - 1 divides a prod_p (q^(d/p) - 1) over the
+    # primes p | d: the product holds every Phi_k with k | d, k < d, and
+    # not Phi_d.  Modulo q^d - 1, a folds to d coefficients and each factor
+    # is a rotation minus the identity.  A nonzero a of degree below
+    # phi(d) is not divisible.
+    phi, maximal = _fold_plan(d)
+    if len(a) <= phi:
+        return False
+    f = [sum(a[i::d]) for i in range(d)] if len(a) > d else list(a) + [0] * (d - len(a))
+    for s in maximal:
+        f = list(map(sub, f[-s:] + f[:-s], f))
+    return not any(f)
+
+
+@lru_cache(maxsize=4096)
+def _binomial_plan(mults: Den) -> tuple[bool, tuple[int, ...], tuple[int, ...]]:
+    # prod Phi_d^m over mults (m of either sign) as (-1)^m_1 prod_k (1 - q^k)^c_k,
+    # c_k = sum_d m mu(d/k): the sign, the k with c_k > 0 and those with c_k < 0
+    powers: Counter[int] = Counter()
+    for d, m in mults:
+        for k, mu in _cyclotomic_exponents(d):
+            powers[k] += m * mu
+    ups = tuple(k for k, c in sorted(powers.items()) for _ in range(c))
+    downs = tuple(k for k, c in sorted(powers.items()) for _ in range(-c))
+    return dict(mults).get(1, 0) % 2 == 1, ups, downs
+
+
+def _times_cyclotomic(a, mults: Den) -> list[int]:
+    """a prod Phi_d^m over ((d, m), ...) with m of either sign.
+
+    Sparse multiplications by (1 - q^k), then sparse exact divisions, which
+    raise ArithmeticError when the quotient is not in Z[q].
+    """
+    negate, ups, downs = _binomial_plan(mults)
+    for k in ups:
+        a = _mul_one_minus(a, k)
+    for k in downs:
+        a = _div_binomial(a, k, -1)
+    return [-x for x in a] if negate else list(a)
+
+
+@lru_cache(maxsize=1024)
+def _den_poly(den: Den) -> tuple[int, ...]:
+    """The expanded denominator prod Phi_d^m_d: monic, nonzero constant term."""
+    return tuple(_times_cyclotomic([1], den))
 
 
 @lru_cache(maxsize=None)
@@ -236,83 +222,108 @@ def _one_plus_factors(e: int) -> tuple[int, ...]:
     return tuple(d for d in _divisors(2 * e) if e % d)
 
 
-def _times_cyclotomic(a, mults: Mapping[int, int]) -> list[int]:
-    """a prod Phi_d^m over {d: m} with d > 1 and m of either sign.
+def _cyclotomic_factors(a) -> Den:
+    """The multiplicities of a = prod Phi_d^m_d; ValueError when a is no such product.
 
-    The factor is prod_k (1 - q^k)^c_k with c_k = sum_d m mu(d/k): sparse
-    multiplications for c_k > 0, then sparse exact divisions, which raise
-    ArithmeticError when the quotient is not in Z[q].
+    a is primitive with a positive leading and a nonzero constant
+    coefficient.  Such a product is monic with constant term +-1 and
+    palindromic up to sign, which settles most other inputs at once.  Then
+    each d with phi(d) <= deg a is divided out, in increasing order, as
+    often as it divides; d < 6 phi(d) bounds the search (d / phi(d) >= 6
+    needs nine distinct primes, so phi(d) >= 36,495,360).
     """
-    powers: Counter[int] = Counter()
-    for d, m in mults.items():
-        for k, mu in _cyclotomic_exponents(d):
-            powers[k] += m * mu
-    for k, c in sorted(powers.items()):
-        for _ in range(c):
-            a = _mul_one_minus(a, k)
-    for k, c in sorted(powers.items()):
-        for _ in range(-c):
-            a = _div_binomial(a, k, -1)
-    return list(a)
+    a = list(a)
+    if a[-1] != 1 or abs(a[0]) != 1 or (a[::-1] != a and a[::-1] != [-x for x in a]):
+        raise ValueError("denominator is not a product of cyclotomic polynomials")
+    mults: dict[int, int] = {}
+    d = 1
+    while len(a) > 1 and d < 6 * len(a):
+        if _cyclotomic_divides(a, d):
+            a = _times_cyclotomic(a, ((d, -1),))
+            mults[d] = mults.get(d, 0) + 1
+        else:
+            d += 1
+    if len(a) > 1:
+        raise ValueError("denominator is not a product of cyclotomic polynomials")
+    return tuple(mults.items())
 
 
-@lru_cache(maxsize=None)
-def _maximal_divisors(d: int) -> tuple[int, ...]:
-    # d / p for each prime p dividing d
-    return tuple(d // p for p in _divisors(d)[1:] if len(_divisors(p)) == 2)
+def _divide_out(num, den: Den, cands: Den) -> tuple[list[int], Den]:
+    """The one reducer: num / prod Phi_d^k_d and den without those factors.
 
-
-def _cyclotomic_divides(a, d: int) -> bool:
-    # Phi_d divides a iff q^d - 1 divides a prod_p (q^(d/p) - 1) over the
-    # primes p | d: the product holds every Phi_k with k | d, k < d, and
-    # not Phi_d.  Modulo q^d - 1, a folds to d coefficients and each factor
-    # is a rotation minus the identity.
-    f = [sum(a[i::d]) for i in range(d)]
-    for s in _maximal_divisors(d):
-        f = [x - y for x, y in zip(f[-s:] + f[:-s], f)]
-    return not any(f)
-
-
-def _over_one_plus(shift: int, num, exps) -> "RatFuncQ":
-    """q^shift num / prod_{e in exps} (1 + q^e) in canonical form, without a gcd.
-
-    num is in Z[q] and every e >= 1 (repeats allowed).  The denominator
-    is prod Phi_d^m_d, m_d the number of e with Phi_d | 1 + q^e.  Each
-    Phi_d is divided out of num as often as it divides, at most m_d
-    times: every round tests the candidates on num mod (q^d - 1), in
-    O(deg num) each, and divides num by the product of those that divide.
-    The Phi_d left over form den; each was tested against the reduced
-    num, so num and den are coprime.
+    Each Phi_d of cands (a part of den) is divided out of num as often as
+    it divides, k_d at most its multiplicity in cands.  Every round tests
+    the remaining candidates on num and divides num by the product of
+    those that divide.
     """
-    num = _trim(list(num))
+    if len(num) == 1 or not cands:
+        return num, den
+    limit, removed = dict(cands), Counter()
+    candidates = list(limit)
+    while candidates:
+        found = [d for d in candidates if _cyclotomic_divides(num, d)]
+        if found:
+            num = _times_cyclotomic(num, tuple((d, -1) for d in found))
+            removed.update(found)
+        candidates = [d for d in found if removed[d] < limit[d]]
+    if not removed:
+        return num, den
+    return num, tuple((d, m - removed[d]) for d, m in den if m > removed[d])
+
+
+def _reduced(shift: int, num: list[int], den: Den, cands: Den,
+             top: int = 1, scale: int = 1) -> "RatFuncQ":
+    """(top / scale) q^shift num / den in canonical form.
+
+    num is any list in Z[q] (zeros at either end allowed); its content
+    and sign move into the content, and `_divide_out` reduces it against
+    the factors cands of den.
+    """
+    _trim(num)
     if not num:
         return ZERO
     start = 0
     while not num[start]:
         start += 1
-    num = num[start:]
-    mults = Counter(d for e in exps for d in _one_plus_factors(e))
-    candidates = list(mults)
-    while candidates:
-        found = [d for d in candidates if _cyclotomic_divides(num, d)]
-        num = _times_cyclotomic(num, dict.fromkeys(found, -1))
-        mults.subtract(found)
-        candidates = [d for d in found if mults[d]]
     content = math.gcd(*num)
     if num[-1] < 0:
         content = -content
-    return _new(shift + start, Fraction(content), [x // content for x in num],
-                _times_cyclotomic([1], mults))
+    num, den = _divide_out([x // content for x in num[start:]], den, cands)
+    return _new(shift + start, Fraction(top * content, scale), num, den)
+
+
+def _den_op(op, d1: Den, d2: Den) -> Den:
+    # lcm (or_), product (add) or quotient (sub) of two denominators
+    return tuple(sorted(op(Counter(dict(d1)), Counter(dict(d2))).items()))
+
+
+@lru_cache(maxsize=1024)
+def _lcm_parts(d1: Den, d2: Den) -> tuple[Den, tuple[int, ...], tuple[int, ...], Den]:
+    # (lcm, lcm / d1, lcm / d2, the Phi_d with equal multiplicity in d1 and d2)
+    lcm = _den_op(or_, d1, d2)
+    common = tuple(sorted(set(d1) & set(d2)))
+    return lcm, _den_poly(_den_op(sub, lcm, d1)), _den_poly(_den_op(sub, lcm, d2)), common
+
+
+def _over_one_plus(shift: int, num, exps) -> "RatFuncQ":
+    """q^shift num / prod_{e in exps} (1 + q^e) in canonical form.
+
+    num is in Z[q] and every e >= 1 (repeats allowed); the denominator's
+    multiplicities count the e with Phi_d | 1 + q^e.
+    """
+    den = tuple(sorted(Counter(d for e in exps for d in _one_plus_factors(e)).items()))
+    return _reduced(shift, list(num), den, den)
 
 
 @lru_cache(maxsize=None)
-def _one_plus_lcm(exps: tuple[int, ...]) -> tuple[tuple[int, ...], dict[int, tuple[int, ...]]]:
+def _one_plus_lcm(exps: tuple[int, ...]) -> tuple[Den, dict[int, tuple[int, ...]]]:
     """L = lcm of the 1 + q^e over positive exps, and L / (1 + q^e) for each e.
 
     L is the product of the distinct cyclotomic factors of the 1 + q^e.
     """
-    lcm = _times_cyclotomic([1], dict.fromkeys({d for e in exps for d in _one_plus_factors(e)}, 1))
-    return tuple(lcm), {e: tuple(_div_binomial(lcm, e, 1)) for e in exps}
+    lcm = tuple((d, 1) for d in sorted({d for e in exps for d in _one_plus_factors(e)}))
+    poly = _den_poly(lcm)
+    return lcm, {e: tuple(_div_binomial(poly, e, 1)) for e in exps}
 
 
 def _sum_over_one_plus(pairs) -> "RatFuncQ":
@@ -321,45 +332,34 @@ def _sum_over_one_plus(pairs) -> "RatFuncQ":
     The kernel of `padic.integrate`, its only caller.
 
     One shared denominator, reduced once: the lcm of the c denominators
-    (equal tuples need no gcd) times the lcm L of the 1 + q^|e|.  The
-    integer numerators are added into one list; e = 0 contributes c / 2
-    and e < 0 the shift of c q^-e / (1 + q^-e).  One `_int_gcd_poly`
-    removes every common factor, (1 - q) powers included.
+    (the maximum of their multiplicities) times the lcm L of the
+    1 + q^|e|.  The integer numerators are added into one list; e = 0
+    contributes c / 2 and e < 0 the shift of c q^-e / (1 + q^-e).
     """
     terms = [(c, e) for c, e in pairs if c._num]
     if not terms:
         return ZERO
     dens = list(dict.fromkeys(c._den for c, _ in terms))
-    den = list(dens[0])
+    den = dens[0]
     for d in dens[1:]:
-        _, _, d_rest = _int_gcd_poly(den, d)
-        den = _int_mul(den, d_rest)
-    den_cof = {d: _int_divexact(den, d) for d in dens}
+        den = _den_op(or_, den, d)
+    den_cof = {d: _den_poly(_den_op(sub, den, d)) for d in dens}
     lcm, cofs = _one_plus_lcm(tuple(sorted({abs(e) for _, e in terms if e})))
+    lcm_poly = _den_poly(lcm)
     contents = [c._content / 2 if e == 0 else c._content for c, e in terms]
     scale = math.lcm(*(r.denominator for r in contents))
     shifts = [c._shift - min(e, 0) for c, e in terms]
     lo = min(shifts)
     parts = []
     for (c, e), r, shift in zip(terms, contents, shifts):
-        part = _int_mul(_int_mul(c._num, den_cof[c._den]), cofs[abs(e)] if e else lcm)
+        part = _int_mul(_int_mul(c._num, den_cof[c._den]), cofs[abs(e)] if e else lcm_poly)
         parts.append((r.numerator * (scale // r.denominator), part, shift - lo))
     acc = [0] * max(off + len(part) for _, part, off in parts)
     for k, part, off in parts:
         for i, x in enumerate(part, off):
             acc[i] += k * x
-    _trim(acc)
-    if not acc:
-        return ZERO
-    start = 0
-    while not acc[start]:
-        start += 1
-    content = math.gcd(*acc)
-    if acc[-1] < 0:
-        content = -content
-    num = [x // content for x in acc[start:]]
-    _, num, den = _int_gcd_poly(num, _int_mul(den, lcm))
-    return _new(lo + start, Fraction(content, scale), num, den)
+    den = _den_op(add, den, lcm)
+    return _reduced(lo, acc, den, den, scale=scale)
 
 
 def _split(coeffs: Mapping[int, Rational]) -> tuple[int, Fraction, list[int]]:
@@ -385,28 +385,32 @@ _TERM_RE = re.compile(r"^(-?\d+(?:/\d+)?)\*q\^(-?\d+)$")
 
 
 class RatFuncQ:
-    """Canonically reduced quotient of Laurent polynomials in q.
+    """Canonically reduced quotient of a Laurent polynomial in q by a
+    product of cyclotomic polynomials.
 
     All arithmetic returns canonical values, so `==` decides mathematical
     equality.  The value is stored once as (shift, content, num, den), see
     the module docstring.  The `num` view absorbs the rational content and
-    the overall power of q; the `den` view is an ordinary polynomial with
-    content 1, positive leading coefficient and nonzero constant term.
+    the overall power of q; the `den` view is the expanded denominator, an
+    ordinary polynomial with content 1, positive leading coefficient and
+    nonzero constant term.
     """
 
     __slots__ = ("_shift", "_content", "_num", "_den")
 
     def __init__(self, num=0, den=1):
+        # den must be c q^e prod Phi_d; anything else raises ValueError
         num, den = _terms(num), _terms(den)
         if not den:
             raise ZeroDivisionError("zero denominator")
         if not num:
-            self._shift, self._content, self._num, self._den = 0, Fraction(0), (), (1,)
+            self._shift, self._content, self._num, self._den = 0, Fraction(0), (), ()
             return
         sn, cn, n = _split(num)
         sd, cd, d = _split(den)
-        _, n, d = _int_gcd_poly(n, d)
-        self._shift, self._content, self._num, self._den = sn - sd, cn / cd, tuple(n), tuple(d)
+        d = _cyclotomic_factors(d)
+        n, d = _divide_out(n, d, d)
+        self._shift, self._content, self._num, self._den = sn - sd, cn / cd, tuple(n), d
 
     # -- inspection ------------------------------------------------------
 
@@ -419,7 +423,7 @@ class RatFuncQ:
     @property
     def den(self) -> dict[int, Fraction]:
         """Denominator view {exponent: coefficient}, an ordinary polynomial."""
-        return {i: Fraction(x) for i, x in enumerate(self._den) if x}
+        return {i: Fraction(x) for i, x in enumerate(_den_poly(self._den)) if x}
 
     @property
     def is_zero(self) -> bool:
@@ -441,7 +445,7 @@ class RatFuncQ:
         # a constant hashes as its Fraction, as == with int and Fraction needs;
         # any other value hashes its content as two ints, not as a Fraction
         c = self._content
-        if self._shift == 0 and len(self._num) <= 1 and self._den == (1,):
+        if self._shift == 0 and len(self._num) <= 1 and not self._den:
             return hash(c)
         return hash((self._shift, c.numerator, c.denominator, self._num, self._den))
 
@@ -458,37 +462,21 @@ class RatFuncQ:
         s1, c1, d1 = self._shift, self._content, self._den
         s2, c2, d2 = other._shift, other._content, other._den
         if d1 == d2:
-            g, d1r, d2r = d1, [1], [1]
+            a, b, den, common = self._num, other._num, d1, d1
         else:
-            g, d1r, d2r = _int_gcd_poly(d1, d2)
+            den, f1, f2, common = _lcm_parts(d1, d2)
+            a, b = _int_mul(self._num, f1), _int_mul(other._num, f2)
         # c1 = k1 * top/scale and c2 = k2 * top/scale with integers k1, k2
         scale = math.lcm(c1.denominator, c2.denominator)
         top = math.gcd(c1.numerator, c2.numerator)
         k1 = c1.numerator // top * (scale // c1.denominator)
         k2 = c2.numerator // top * (scale // c2.denominator)
-        a = _int_mul(self._num, d2r)
-        b = _int_mul(other._num, d1r)
         lo = min(s1, s2)
         acc = [0] * max(s1 - lo + len(a), s2 - lo + len(b))
         for k, part, off in ((k1, a, s1 - lo), (k2, b, s2 - lo)):
             for i, x in enumerate(part, off):
                 acc[i] += k * x
-        _trim(acc)
-        if not acc:
-            return ZERO
-        start = 0
-        while not acc[start]:
-            start += 1
-        if start:
-            acc = acc[start:]
-        content = math.gcd(*acc)
-        if acc[-1] < 0:
-            content = -content
-        num = [x // content for x in acc]
-        if len(g) > 1:
-            _, num, g = _int_gcd_poly(num, g)
-        den = _int_mul(_int_mul(g, d1r), d2r)
-        return _new(lo + start, Fraction(top * content, scale), num, den)
+        return _reduced(lo, acc, den, common, top, scale)
 
     __radd__ = __add__
 
@@ -510,17 +498,18 @@ class RatFuncQ:
             return NotImplemented
         if not self._num or not other._num:
             return ZERO
-        _, n1, d2 = _int_gcd_poly(self._num, other._den)
-        _, n2, d1 = _int_gcd_poly(other._num, self._den)
+        n1, d2 = _divide_out(self._num, other._den, other._den)
+        n2, d1 = _divide_out(other._num, self._den, self._den)
         return _new(self._shift + other._shift, self._content * other._content,
-                    _int_mul(n1, n2), _int_mul(d1, d2))
+                    _int_mul(n1, n2), _den_op(add, d1, d2) if d1 and d2 else d1 or d2)
 
     __rmul__ = __mul__
 
     def _inverse(self) -> "RatFuncQ":
         if not self._num:
             raise ZeroDivisionError("inverse of zero rational function")
-        return _new(-self._shift, 1 / self._content, self._den, self._num)
+        return _new(-self._shift, 1 / self._content, _den_poly(self._den),
+                    _cyclotomic_factors(self._num))
 
     def __truediv__(self, other):
         other = _coerce(other)
@@ -543,21 +532,28 @@ class RatFuncQ:
             return self._inverse() ** (-k)
         if not self._num:
             return ZERO
-        return _new(self._shift * k, self._content**k,
-                    _int_pow(self._num, k), _int_pow(self._den, k))
+        return _new(self._shift * k, self._content**k, _int_pow(self._num, k),
+                    tuple((d, m * k) for d, m in self._den))
 
     # -- substitutions ------------------------------------------------------
 
     def subst_q_inverse(self) -> "RatFuncQ":
-        """Replace q by 1/q: reverse num and den and move the shift."""
+        """Replace q by 1/q: reverse num, keep den, move the shift.
+
+        den(1/q) = (-1)^m_1 q^-deg(den) den(q), as Phi_d(1/q) is
+        q^-phi(d) Phi_d(q) for d > 1 and -q^-1 Phi_1(q) for d = 1.
+        """
         if not self._num:
             return self
-        c, n, d = self._content, self._num[::-1], self._den[::-1]
+        c, n = self._content, self._num[::-1]
         if n[-1] < 0:
             c, n = -c, tuple(-x for x in n)
-        if d[-1] < 0:
-            c, d = -c, tuple(-x for x in d)
-        return _new(len(d) - len(n) - self._shift, c, n, d)
+        degree = 0
+        for d, m in self._den:
+            degree += _fold_plan(d)[0] * m
+            if d == 1 and m % 2:
+                c = -c
+        return _new(degree - len(n) + 1 - self._shift, c, n, self._den)
 
     def eval_at(self, q0: Rational) -> Fraction:
         """Exact value at q = q0; raises PoleError at a pole."""
@@ -565,7 +561,7 @@ class RatFuncQ:
         a, b = q0.numerator, q0.denominator
         # p(a/b) b^(len-1) and b^len for p = den, num, by homogeneous Horner
         values = []
-        for cs in (self._den, self._num):
+        for cs in (_den_poly(self._den), self._num):
             acc, bk = 0, 1
             for c in reversed(cs):
                 acc = acc * a + c * bk
@@ -604,27 +600,27 @@ class RatFuncQ:
 
     def __str__(self) -> str:
         num = _poly_str(self._shift, self._content, self._num)
-        if self._den == (1,):
+        if not self._den:
             return num
-        return f"({num})/({_poly_str(0, 1, self._den)})"
+        return f"({num})/({_poly_str(0, 1, _den_poly(self._den))})"
 
     def __repr__(self) -> str:
         return f"RatFuncQ({self.to_canonical_string()!r})"
 
 
-def _new(shift: int, content: Fraction, num, den) -> RatFuncQ:
+def _new(shift: int, content: Fraction, num, den: Den) -> RatFuncQ:
     # from parts already in canonical form; callers have handled zero
     f = RatFuncQ.__new__(RatFuncQ)
-    f._shift, f._content, f._num, f._den = shift, content, tuple(num), tuple(den)
+    f._shift, f._content, f._num, f._den = shift, content, tuple(num), den
     return f
 
 
 @lru_cache(maxsize=1024)
-def _den_string(den: tuple[int, ...]) -> str:
+def _den_string(den: Den) -> str:
     # the denominator half of the canonical string; values share few
     # denominators (76 among the 782 sides of the default sweep), so each
     # is rendered once while it is among the last 1,024 used
-    return " + ".join(f"{x}*q^{i}" for i, x in enumerate(den) if x)
+    return " + ".join(f"{x}*q^{i}" for i, x in enumerate(_den_poly(den)) if x)
 
 
 def _ratio_str(n: int, d: int) -> str:
@@ -684,7 +680,7 @@ def _coerce(value) -> "RatFuncQ":
     if isinstance(value, RatFuncQ):
         return value
     if isinstance(value, (int, Fraction)):
-        return _new(0, Fraction(value), (1,), (1,)) if value else ZERO
+        return _new(0, Fraction(value), (1,), ()) if value else ZERO
     return NotImplemented
 
 
@@ -694,7 +690,7 @@ ONE = RatFuncQ(1)
 
 def q_power(e: int) -> RatFuncQ:
     """The monomial q^e (e may be negative)."""
-    return _new(e, Fraction(1), (1,), (1,))
+    return _new(e, Fraction(1), (1,), ())
 
 
 Q = q_power(1)
@@ -727,7 +723,7 @@ def qbracket(x: int, a: int) -> RatFuncQ:
     # sign * sum of q^(a i) over min(0, x) <= i < max(0, x), already canonical
     lo, hi = min(0, x), max(0, x)
     ones = (1,) + ((0,) * (abs(a) - 1) + (1,)) * (hi - lo - 1)
-    return _new(min(a * lo, a * (hi - 1)), Fraction(-1 if x < 0 else 1), ones, (1,))
+    return _new(min(a * lo, a * (hi - 1)), Fraction(-1 if x < 0 else 1), ones, ())
 
 
 def subst_q_inverse(f: RatFuncQ) -> RatFuncQ:

@@ -22,10 +22,8 @@ from qgen.qcore import (
     subst_q_inverse,
 )
 from qgen.qcore import (
-    _int_divexact,
-    _int_gcd_poly,
+    _den_poly,
     _int_mul,
-    _int_primitive,
     _one_plus_lcm,
     _over_one_plus,
     _sum_over_one_plus,
@@ -56,12 +54,22 @@ def random_laurent(rng: random.Random, allow_zero: bool = True) -> dict[int, Fra
     return {e: c for e, c in terms.items() if c}
 
 
+def random_cyclotomic_den(rng: random.Random) -> dict[int, Fraction]:
+    """c q^e prod Phi_d over up to three d <= 12: a denominator of the ring."""
+    poly = [1]
+    for _ in range(rng.randint(0, 3)):
+        poly = _int_mul(poly, cyclotomic(rng.randint(1, 12)))
+    c, e = Fraction(rng.choice([-3, -1, 1, 2, 5]), rng.randint(1, 4)), rng.randint(-3, 3)
+    return {i + e: c * x for i, x in enumerate(poly) if x}
+
+
 def random_ratfunc(rng: random.Random) -> RatFuncQ:
-    num = random_laurent(rng)
-    den = random_laurent(rng, allow_zero=False)
-    while not den:
-        den = random_laurent(rng, allow_zero=False)
-    return RatFuncQ(num, den)
+    return RatFuncQ(random_laurent(rng), random_cyclotomic_den(rng))
+
+
+def random_unit(rng: random.Random) -> RatFuncQ:
+    """An invertible value: cyclotomic products and monomials over each other."""
+    return RatFuncQ(random_cyclotomic_den(rng), random_cyclotomic_den(rng))
 
 
 class TestQBracket:
@@ -101,7 +109,7 @@ class TestQBracket:
     @pytest.mark.parametrize("a", [-5, -4, -3, -2, -1, 1, 2, 3, 4, 5])
     def test_matches_generic_quotient(self, a):
         # qbracket builds its canonical form directly; the generic
-        # constructor reduces (1 - q^(a x)) / (1 - q^a) by a gcd
+        # constructor factors 1 - q^a and reduces (1 - q^(a x)) by its Phi_d
         for x in range(-12, 13):
             if x:
                 generic = RatFuncQ({0: 1, a * x: -1}, {0: 1, a: -1})
@@ -137,6 +145,7 @@ class TestArithmetic:
         rng = random.Random(20240811)
         for _ in range(60):
             f, g, h = (random_ratfunc(rng) for _ in range(3))
+            u = random_unit(rng)
             assert f + g == g + f
             assert (f + g) + h == f + (g + h)
             assert f * g == g * f
@@ -144,8 +153,8 @@ class TestArithmetic:
             assert f * (g + h) == f * g + f * h
             assert f + ZERO == f
             assert f * ONE == f
-            if not g.is_zero:
-                assert (f / g) * g == f
+            assert (f / u) * u == f
+            assert u * u**-1 == ONE
 
     def test_canonical_uniqueness_vs_eval(self):
         # equal canonical forms iff values agree at enough sample points
@@ -194,7 +203,10 @@ class TestSubstQInverse:
         # numeric cross-check at q = 5
         assert g.eval_at(5) == f.eval_at(Fraction(1, 5))
         # reversing 1 - 2q gives a negative leading coefficient to move out
-        assert subst_q_inverse(ONE / (ONE - 2 * Q)) == Q / (Q - 2)
+        assert subst_q_inverse((ONE - 2 * Q) / (ONE + Q)) == (Q - 2) / (ONE + Q)
+        # Phi_1(1/q) = -q^-1 Phi_1(q): an odd power of Phi_1 flips the sign
+        assert subst_q_inverse(ONE / (ONE - Q) ** 3) == -Q**3 / (ONE - Q) ** 3
+        assert subst_q_inverse(ONE / (ONE - Q) ** 2) == Q**2 / (ONE - Q) ** 2
 
     def test_zero_fixed_point(self):
         assert subst_q_inverse(ZERO) == ZERO
@@ -261,7 +273,7 @@ class TestBinomial:
 class TestCanonicalForm:
     def test_denominator_normalization(self):
         # content and sign move to the numerator; minimal exponent >= 0
-        f = RatFuncQ({0: 2}, {-1: -4, 1: -6})
+        f = RatFuncQ({0: 2}, {-1: -4, 1: 4})
         assert min(f.den) == 0
         assert f.den[max(f.den)] > 0
         ints = list(f.den.values())
@@ -281,11 +293,36 @@ class TestCanonicalForm:
         assert {RatFuncQ(-2): "x"}[-2] == "x"
 
     def test_views_rebuild_value(self):
-        f = RatFuncQ({-1: Fraction(3, 2), 2: -3}, {0: 2, 1: 4})
+        f = RatFuncQ({-1: Fraction(3, 2), 2: -3}, {0: 2, 1: 2})
         assert f.num == {-1: Fraction(3, 4), 2: Fraction(-3, 2)}
-        assert f.den == {0: 1, 1: 2}
+        assert f.den == {0: 1, 1: 1}
         assert list(f.num) == sorted(f.num)
         assert RatFuncQ(f.num, f.den) == f
+
+    def test_denominator_must_be_cyclotomic(self):
+        # values live in the subring of Q(q) with cyclotomic denominators
+        with pytest.raises(ValueError):
+            RatFuncQ({0: 1}, {0: 1, 1: 2})
+        with pytest.raises(ValueError):
+            ONE / RatFuncQ({0: 1, 1: 2})
+        with pytest.raises(ValueError):
+            Q / (ONE + Q + Q**2 + Q**3 + Q**4 + Q**5 + Q**6 + Q**7 + Q**8 + 3 * Q**9)
+        with pytest.raises(ValueError):
+            RatFuncQ({0: 1, 1: 3, 2: 1}) ** -2  # palindromic, not cyclotomic
+        with pytest.raises(ValueError):
+            RatFuncQ.from_canonical_string("1*q^0 / 1*q^0 + 2*q^1")
+        # a product of Phi_d times a monomial and a constant is fine
+        f = RatFuncQ({0: 3}, {2: 6, 8: -6})
+        assert f == Fraction(1, 2) * q_power(-2) / (ONE - q_power(6))
+
+    def test_factor_test_is_exact(self):
+        # a(2^64) = 2 (2^64 - 1) is a multiple of Phi_1(2^64), yet Phi_1 does
+        # not divide a = q + 2^64 - 2: an evaluation at a large integer alone
+        # would cancel it
+        a = {0: 2**64 - 2, 1: 1}
+        f = RatFuncQ(a, {0: -1, 1: 1})
+        assert f.num == {0: 2**64 - 2, 1: 1} and f.den == {0: -1, 1: 1}
+        assert f * (Q - ONE) == RatFuncQ(a)
 
     def test_mapping_is_not_a_number(self):
         # == accepts exactly what arithmetic accepts: a mapping is only a
@@ -346,6 +383,27 @@ class TestSerialization:
         assert str(qbracket(2, 1) / qbracket(2, 2)) == "(1 + q)/(1 + q^2)"
 
 
+def _int_divexact(a, b) -> list[int]:
+    """Exact division in Z[q]; ArithmeticError when b does not divide a."""
+    rem, lb = list(a), b[-1]
+    out = [0] * (len(a) - len(b) + 1)
+    for shift in range(len(a) - len(b), -1, -1):
+        c, r = divmod(rem[shift + len(b) - 1], lb)
+        if r:
+            raise ArithmeticError("inexact polynomial division")
+        out[shift] = c
+        for j, y in enumerate(b):
+            rem[shift + j] -= c * y
+    if any(rem):
+        raise ArithmeticError("nonzero remainder in exact polynomial division")
+    return _trim(out)
+
+
+def _int_primitive(cs: list[int]) -> list[int]:
+    c = math.gcd(*cs)
+    return [x // c for x in cs]
+
+
 def cyclotomic(d: int) -> list[int]:
     """Phi_d as ascending integer coefficients: q^d - 1 over Phi_e for e | d, e < d."""
     poly = [-1] + [0] * (d - 1) + [1]
@@ -356,7 +414,7 @@ def cyclotomic(d: int) -> list[int]:
 
 
 def random_primitive(rng: random.Random, degree: int, bits: int) -> list[int]:
-    """Primitive, positive lead, nonzero constant term: the gcd's input contract."""
+    """Primitive, positive lead, nonzero constant term."""
     cs = [rng.randint(-(2**bits), 2**bits) for _ in range(degree + 1)]
     cs[0] = cs[0] or 1
     cs[-1] = abs(cs[-1]) or 1
@@ -381,7 +439,7 @@ def _pseudo_rem(a: list[int], b: list[int]) -> list[int]:
 
 def _prs_gcd(a, b) -> list[int]:
     """Primitive-PRS gcd of primitive a, b in Z[q], with a positive lead:
-    the reference the GCDHEU of `_int_gcd_poly` is compared with."""
+    the reference the cyclotomic reduction is compared with."""
     a, b = (list(a), list(b)) if len(a) >= len(b) else (list(b), list(a))
     while b:
         a, b = b, _int_primitive(_pseudo_rem(a, b))
@@ -398,21 +456,13 @@ def recurrence_pair(n: int, alpha: int, h: int) -> tuple[list[int], list[int]]:
     return p, e
 
 
+def reduce_by_constructor(a: list[int], b: list[int]) -> RatFuncQ:
+    return RatFuncQ(dict(enumerate(a)), dict(enumerate(b)))
+
+
 class TestGcd:
-    """GCDHEU against the primitive-PRS gcd kept as its reference."""
-
-    def check(self, a, b):
-        g, ca, cb = _int_gcd_poly(a, b)
-        assert g == _prs_gcd(a, b)
-        assert _int_mul(g, ca) == a and _int_mul(g, cb) == b
-
-    def test_random_with_common_factor(self):
-        rng = random.Random(1989)
-        for _ in range(120):
-            common = random_primitive(rng, rng.randint(0, 6), rng.randint(1, 40))
-            a = _int_mul(common, random_primitive(rng, rng.randint(1, 8), rng.randint(1, 40)))
-            b = _int_mul(common, random_primitive(rng, rng.randint(1, 8), rng.randint(1, 40)))
-            self.check(_int_primitive(a), _int_primitive(b))
+    """Reduction by the cyclotomic factors of the denominator, against the
+    primitive-PRS gcd kept as the reference and the gcd degrees it gave."""
 
     def test_cyclotomic_products(self):
         rng = random.Random(6)
@@ -424,29 +474,30 @@ class TestGcd:
             while len(b) < 300:
                 b = _int_mul(b, phis[rng.randint(2, 60)])
             assert max(len(a), len(b)) > 300
-            self.check(a, b)
+            g = _prs_gcd(a, b)
+            value = reduce_by_constructor(a, b)
+            assert value._num == tuple(_int_divexact(a, g))
+            assert _den_poly(value._den) == tuple(_int_divexact(b, g))
 
     def test_recurrence_numerator_and_denominator(self):
-        # P_22 and E_22 = prod_{j<22} (1 + q^(3 + 3j)) at alpha = h = 3: the
-        # first xi follows E_22's unit coefficients, far below the gcd's, so
-        # xi must grow fast to get there in a few tries
+        # P_22 and E_22 = prod_{j<22} (1 + q^(3 + 3j)) at alpha = h = 3 share
+        # a factor of degree 145; the constructor factors E_22 and the
+        # recurrence knows its factors, and both strip the same
         p, e = recurrence_pair(22, 3, 3)
-        g, cp, ce = _int_gcd_poly(p, e)
-        assert len(g) - 1 == 145
-        assert _int_mul(g, cp) == p and _int_mul(g, ce) == e
-        # the recurrence's own reduction strips the same factors with no gcd
-        assert len(_recurrence_number(22, 3, 3)._den) == len(ce)
+        value = reduce_by_constructor(p, e)
+        assert len(_den_poly(value._den)) == len(e) - 145
+        assert value._den == _recurrence_number(22, 3, 3)._den
+        assert value._num == _recurrence_number(22, 3, 3)._num
 
-    def test_seventh_xi_within_ceiling(self):
-        # (P_25, E_25) at alpha = 8, h = 6 rejects six xi; the seventh gives
-        # the degree-240 gcd (a PRS gcd did not finish in 600 s)
+    def test_recurrence_pair_within_ceiling(self):
+        # (P_25, E_25) at alpha = 8, h = 6 share a factor of degree 240 (a
+        # PRS gcd did not finish in 600 s)
         p, e = recurrence_pair(25, 8, 6)
         start = time.perf_counter()
-        g, cp, ce = _int_gcd_poly(p, e)
+        value = reduce_by_constructor(p, e)
         assert time.perf_counter() - start < 30
-        assert len(g) - 1 == 240
-        assert _int_mul(g, cp) == p and _int_mul(g, ce) == e
-        assert len(_recurrence_number(25, 8, 6)._den) == len(ce)
+        assert len(_den_poly(value._den)) == len(e) - 240
+        assert value._den == _recurrence_number(25, 8, 6)._den
 
 
 class TestSumOverOnePlus:
@@ -466,7 +517,7 @@ class TestSumOverOnePlus:
         want = [1]
         for d in sorted({d for e in exps for d in range(1, 2 * e + 1) if 2 * e % d == 0 and e % d}):
             want = _int_mul(want, cyclotomic(d))
-        assert list(lcm) == want
+        assert list(_den_poly(lcm)) == want
         for e in exps:
             assert _int_mul(cofactors[e], [1] + [0] * (e - 1) + [1]) == want
 
@@ -491,10 +542,10 @@ class TestSumOverOnePlus:
         assert _sum_over_one_plus([(c, 1), (c * Q, 1)]) == c
 
     def test_common_factors_cancel(self):
-        # one gcd cancels (1 - q): 1/(1+q) - 1/(1+q^2) = q (q - 1) / ((1+q)(1+q^2))
+        # (1 - q) cancels: 1/(1+q) - 1/(1+q^2) = q (q - 1) / ((1+q)(1+q^2))
         c = ONE / (ONE - Q)
         assert _sum_over_one_plus([(c, 1), (-c, 2)]) == -Q / ((ONE + Q) * (ONE + q_power(2)))
-        # the final gcd: (1 - q^2)^k / (1 + q) = (1 - q)^k (1 + q)^(k-1)
+        # the final reduction: (1 - q^2)^k / (1 + q) = (1 - q)^k (1 + q)^(k-1)
         for k in range(1, 5):
             got = _sum_over_one_plus([((ONE - q_power(2)) ** k, 1)])
             assert got == (ONE - Q) ** k * (ONE + Q) ** (k - 1)
@@ -520,7 +571,7 @@ class TestOverOnePlus:
             got = _over_one_plus(shift, [0] * z + [k * x for x in num], exps)
             g = _prs_gcd(num, den)
             want = (shift + z, Fraction(k), tuple(_int_divexact(num, g)), tuple(_int_divexact(den, g)))
-            assert (got._shift, got._content, got._num, got._den) == want, (exps, num)
+            assert (got._shift, got._content, got._num, _den_poly(got._den)) == want, (exps, num)
             as_dict = RatFuncQ({shift + z + i: k * x for i, x in enumerate(num)}, dict(enumerate(den)))
             assert got == as_dict
 
@@ -531,8 +582,20 @@ class TestOverOnePlus:
         assert _over_one_plus(0, [1, 1], [1, 1]) == ONE / (ONE + Q)
 
 
+def random_unit_leaf(rng: random.Random, q):
+    """c q^e times a nonzero q-bracket or 1 + q^k: a unit of the ring, and
+    the same in sympy."""
+    c, e = Fraction(rng.choice([-5, -2, -1, 1, 3]), rng.randint(1, 4)), rng.randint(-5, 5)
+    if rng.random() < 0.6:
+        x, a = rng.choice([-4, -3, -2, -1, 1, 2, 3, 4, 5]), rng.choice([-3, -2, -1, 1, 2, 3])
+        return c * q_power(e) * qbracket(x, a), c * q**e * (1 - q ** (a * x)) / (1 - q**a)
+    k = rng.randint(1, 6)
+    return c * q_power(e) * (ONE + q_power(k)), c * q**e * (1 + q**k)
+
+
 def random_tree(rng: random.Random, depth: int, q):
-    """A random +, -, *, /, ** tree over q-brackets and powers of q.
+    """A random +, -, *, /, ** tree over q-brackets and powers of q; it
+    divides, and takes negative powers, only of units of the ring.
 
     Returns the RatFuncQ value and the same expression in sympy.
     """
@@ -546,19 +609,19 @@ def random_tree(rng: random.Random, depth: int, q):
     op = rng.choice("+-*/^")
     if op == "^":
         k = rng.randint(-2, 3)
-        if f.is_zero and k < 0:
-            k = -k
+        if k < 0:
+            u, us = random_unit_leaf(rng, q)
+            return f * u**k, fs * us**k
         return f**k, fs**k
+    if op == "/":
+        u, us = random_unit_leaf(rng, q)
+        return f / u, fs / us
     g, gs = random_tree(rng, depth - 1, q)
     if op == "+":
         return f + g, fs + gs
     if op == "-":
         return f - g, fs - gs
-    if op == "*":
-        return f * g, fs * gs
-    if g.is_zero:
-        return f, fs
-    return f / g, fs / gs
+    return f * g, fs * gs
 
 
 def test_sympy_cancel_oracle():

@@ -1,10 +1,14 @@
 """Property tests for RatFuncQ: field axioms, canonical uniqueness and the
 round trips through the num/den views and the canonical string.
 
-Examples are derandomized and bounded, so every run checks the same cases.
+Values are drawn from the ring RatFuncQ represents, Laurent polynomials
+over products of cyclotomic polynomials Phi_d; its units, the only
+divisors, are such products and monomials over each other.  Examples are
+derandomized and bounded, so every run checks the same cases.
 """
 
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 
@@ -15,12 +19,6 @@ from qgen.qcore import ONE, ZERO, RatFuncQ  # noqa: E402
 
 PROPERTY = settings(derandomize=True, max_examples=60, deadline=None, database=None)
 
-coefficients = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 5))
-laurent = st.dictionaries(st.integers(-4, 4), coefficients, max_size=4)
-nonzero_laurent = laurent.filter(lambda d: any(d.values()))
-ratfuncs = st.builds(RatFuncQ, laurent, nonzero_laurent)
-nonzero_ratfuncs = st.builds(RatFuncQ, nonzero_laurent, nonzero_laurent)
-
 
 def times(a: dict, b: dict) -> dict:
     """Product of two {exponent: coefficient} Laurent polynomials."""
@@ -28,7 +26,39 @@ def times(a: dict, b: dict) -> dict:
     for e1, c1 in a.items():
         for e2, c2 in b.items():
             out[e1 + e2] = out.get(e1 + e2, 0) + c1 * c2
+    return {e: c for e, c in out.items() if c}
+
+
+@lru_cache(maxsize=None)
+def phi(d: int) -> tuple[int, ...]:
+    """Phi_d by long division of q^d - 1 by the Phi_e, e | d, e < d (all monic)."""
+    rem = [-1] + [0] * (d - 1) + [1]
+    for e in range(1, d):
+        if d % e == 0:
+            div, quot = phi(e), [0] * (len(rem) - len(phi(e)) + 1)
+            for i in range(len(quot) - 1, -1, -1):
+                quot[i] = rem[i + len(div) - 1]
+                for j, y in enumerate(div):
+                    rem[i + j] -= quot[i] * y
+            rem = quot
+    return tuple(rem)
+
+
+def cyclotomic_product(ds: list[int]) -> dict:
+    out = {0: 1}
+    for d in ds:
+        out = times(out, dict(enumerate(phi(d))))
     return out
+
+
+coefficients = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 5))
+laurent = st.dictionaries(st.integers(-4, 4), coefficients, max_size=4)
+# c q^e prod Phi_d: the denominators of the ring, and the numerators of its units
+monomials = st.builds(lambda c, e: {e: c}, coefficients.filter(bool), st.integers(-3, 3))
+cyclotomic_dens = st.builds(lambda m, ds: times(m, cyclotomic_product(ds)),
+                            monomials, st.lists(st.integers(1, 12), max_size=3))
+ratfuncs = st.builds(RatFuncQ, laurent, cyclotomic_dens)
+units = st.builds(RatFuncQ, cyclotomic_dens, cyclotomic_dens)
 
 
 @PROPERTY
@@ -45,16 +75,16 @@ def test_ring_axioms(f, g, h):
 
 
 @PROPERTY
-@given(ratfuncs, nonzero_ratfuncs)
+@given(ratfuncs, units)
 def test_field_inverse(f, g):
     assert g * g**-1 == ONE
     assert (f / g) * g == f
 
 
 @PROPERTY
-@given(laurent, nonzero_laurent, nonzero_laurent)
+@given(laurent, cyclotomic_dens, cyclotomic_dens)
 def test_canonical_uniqueness(num, den, k):
-    # scaling num and den by the same nonzero k changes nothing stored
+    # scaling num and den by the same unit numerator k changes nothing stored
     f = RatFuncQ(num, den)
     g = RatFuncQ(times(num, k), times(den, k))
     assert g == f
@@ -77,15 +107,14 @@ def test_canonical_string_round_trip(f):
 
 
 @PROPERTY
-@given(ratfuncs, ratfuncs, coefficients)
-def test_equal_values_hash_equal(f, g, c):
+@given(ratfuncs, ratfuncs, coefficients, units)
+def test_equal_values_hash_equal(f, g, c, u):
     # a == b implies hash(a) == hash(b): for equal values built by different
     # routes, and for constants against the int and Fraction they equal
     pairs = [(f * g, g * f), ((f + g) - g, f), (f + g, g + f), (f * ONE, f),
              (RatFuncQ(c), c), (RatFuncQ(c) * ONE, c), (RatFuncQ({0: c}, {0: 1}), c),
              (RatFuncQ(c.numerator), c.numerator)]
-    if g:
-        pairs += [((f * g) / g, f), ((f / g) * g, f)]
+    pairs += [((f * u) / u, f), ((f / u) * u, f)]
     for a, b in pairs:
         assert a == b and b == a
         assert hash(a) == hash(b)
