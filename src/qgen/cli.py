@@ -41,8 +41,8 @@ from qgen.padic import (
     PadicContext,
     PrecisionError,
     integrate,
-    truncated_integral,
     truncated_reading,
+    truncated_sums,
 )
 from qgen.qcore import PoleError, eval_at
 
@@ -349,10 +349,10 @@ def _cmd_integral(args) -> int:
     limit = eval_at(limit_sym, args.q)
     rows = []
     for ctx in contexts:
-        value, valuation = truncated_reading(truncated_integral(spec, ctx), limit, ctx)
+        total, raw = truncated_sums(spec, ctx)
+        value, valuation = truncated_reading(total, limit, ctx)
         row = {"N": ctx.N, "value": value, "valuation": valuation}
         if args.unnormalized:
-            raw = truncated_integral(spec, ctx, normalized=False)
             row["raw-sum"] = truncated_reading(raw, limit, ctx)[0]
         rows.append(row)
     config = {"p": args.p, "q": str(args.q), "spec": spec.describe(),

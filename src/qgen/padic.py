@@ -66,6 +66,7 @@ __all__ = [
     "integrate",
     "truncated_integral",
     "truncated_reading",
+    "truncated_sums",
     "vp",
 ]
 
@@ -254,7 +255,7 @@ def _coeff_values(spec: IntegrandSpec, q: Fraction) -> tuple[tuple[int, Fraction
     return tuple((m, eval_at(c, q)) for m, c in spec.items())
 
 
-def _truncated_exact(spec: IntegrandSpec, ctx: PadicContext, normalized: bool) -> Fraction:
+def _truncated_exact(spec: IntegrandSpec, ctx: PadicContext) -> Fraction:
     # q^(m x) (-q)^x = (u/w)^x, and A_n = sum_{x<n} u^x w^(n-1-x) obeys
     # A_2n = A_n (u^n + w^n) and A_(n+1) = A_n w + u^n: walk the bits of K
     # from the top, then reduce A_K / w^(K-1) once
@@ -274,9 +275,6 @@ def _truncated_exact(spec: IntegrandSpec, ctx: PadicContext, normalized: bool) -
                 un *= u
                 wn *= w
         total += c * Fraction(acc, wn // w)
-    if normalized:
-        bracket = (1 - (-q) ** count) / (1 + q)
-        total /= bracket
     return total
 
 
@@ -301,7 +299,7 @@ def _to_mod(r: Fraction, p: int, mod: int) -> int:
     return r.numerator * pow(r.denominator, -1, mod) % mod
 
 
-def _truncated_modular(spec: IntegrandSpec, ctx: PadicContext, normalized: bool) -> Fraction:
+def _truncated_modular(spec: IntegrandSpec, ctx: PadicContext) -> Fraction:
     # the geometric closed form of the module docstring, term by term
     p, mod = ctx.p, ctx.p**ctx.M
     qm = _to_mod(ctx.q, p, mod)
@@ -310,11 +308,26 @@ def _truncated_modular(spec: IntegrandSpec, ctx: PadicContext, normalized: bool)
     for m, c in _coeff_values(spec, ctx.q):
         r = -pow(qm, m + 1, mod)
         total += _to_mod(c, p, mod) * (1 - pow(r, count, mod)) * pow(1 - r, -1, mod)
-    total %= mod
-    if normalized:
-        bracket = (1 - pow(-qm, count, mod)) * pow(1 + qm, -1, mod) % mod
-        total = total * pow(bracket, -1, mod) % mod
-    return Fraction(total)
+    return Fraction(total % mod)
+
+
+def _normalize(raw: Fraction, ctx: PadicContext, method: str) -> Fraction:
+    # raw / [p^N]_{-q}, with [p^N]_{-q} = (1 - (-q)^K) / (1 + q), K = p^N
+    q, count = ctx.q, ctx.p**ctx.N
+    if method == "exact":
+        return raw / ((1 - (-q) ** count) / (1 + q))
+    mod = ctx.p**ctx.M
+    qm = _to_mod(q, ctx.p, mod)
+    bracket = (1 - pow(-qm, count, mod)) * pow(1 + qm, -1, mod) % mod
+    return Fraction(raw.numerator * pow(bracket, -1, mod) % mod)
+
+
+def _method(ctx: PadicContext, method: str) -> str:
+    if method == "auto":
+        return "exact" if ctx.N <= _EXACT_MAX_N else "modular"
+    if method not in ("exact", "modular"):
+        raise ValueError(f"unknown method: {method!r}")
+    return method
 
 
 def truncated_integral(spec: IntegrandSpec, ctx: PadicContext, *,
@@ -328,13 +341,16 @@ def truncated_integral(spec: IntegrandSpec, ctx: PadicContext, *,
     term, and neither loops over x.  The raw sum without the
     1/[p^N]_{-q} normalizer is available via ``normalized=False``.
     """
-    if method == "auto":
-        method = "exact" if ctx.N <= _EXACT_MAX_N else "modular"
-    if method == "exact":
-        return _truncated_exact(spec, ctx, normalized)
-    if method == "modular":
-        return _truncated_modular(spec, ctx, normalized)
-    raise ValueError(f"unknown method: {method!r}")
+    method = _method(ctx, method)
+    raw = (_truncated_exact if method == "exact" else _truncated_modular)(spec, ctx)
+    return _normalize(raw, ctx, method) if normalized else raw
+
+
+def truncated_sums(spec: IntegrandSpec, ctx: PadicContext) -> tuple[Fraction, Fraction]:
+    """S_N(f) and the raw sum from one summation: the raw sum divided by
+    [p^N]_{-q} is S_N(f), read as `truncated_integral` reads it."""
+    raw = truncated_integral(spec, ctx, normalized=False)
+    return _normalize(raw, ctx, _method(ctx, "auto")), raw
 
 
 def truncated_reading(value: Fraction, limit: Fraction, ctx: PadicContext) -> tuple[str, str]:

@@ -24,8 +24,11 @@ Canonical form.  A `RatFuncQ` stores its value once:
 
 One reducer, no gcd.  The factors of every denominator are known, so
 `_divide_out` keeps num and den coprime by testing each Phi_d against
-num (folded modulo q^d - 1, `_cyclotomic_divides`, linear time) and
-dividing it out as often as it divides, at most m_d times.  `+` takes
+num and dividing it out as often as it divides, at most m_d times.  The
+test first rules Phi_d out when Phi_d(2^32) does not divide num(2^32),
+one evaluation of num per reduction, exact but one-sided; a Phi_d that
+survives is folded modulo q^d - 1 (`_cyclotomic_divides`, linear time),
+the one proof that it divides.  `+` takes
 the lcm as the maximum of the multiplicities and tests only the Phi_d of
 equal multiplicity on both sides (no other can divide the sum); `*`
 tests each numerator against the other side's factors; `**` scales the
@@ -248,22 +251,48 @@ def _cyclotomic_factors(a) -> Den:
     return tuple(mults.items())
 
 
+# the rule-out point of `_divide_out` is q = 2^_RULE_OUT_BITS
+_RULE_OUT_BITS = 32
+
+
+@lru_cache(maxsize=None)
+def _cyclotomic_at_point(d: int) -> int:
+    # Phi_d(2^B) = prod_{k | d} (2^(B k) - 1)^mu(d/k), exact for every d >= 1
+    top, bottom = 1, 1
+    for k, mu in _cyclotomic_exponents(d):
+        if mu > 0:
+            top *= (1 << _RULE_OUT_BITS * k) - 1
+        else:
+            bottom *= (1 << _RULE_OUT_BITS * k) - 1
+    return top // bottom
+
+
 def _divide_out(num, den: Den, cands: Den) -> tuple[list[int], Den]:
     """The one reducer: num / prod Phi_d^k_d and den without those factors.
 
     Each Phi_d of cands (a part of den) is divided out of num as often as
-    it divides, k_d at most its multiplicity in cands.  Every round tests
-    the remaining candidates on num and divides num by the product of
-    those that divide.
+    it divides, k_d at most its multiplicity in cands.  num is evaluated
+    once at q = 2^B (B = 32), by Horner on shifts.  Phi_d | num forces
+    Phi_d(2^B) | num(2^B), so a candidate whose value does not divide is
+    ruled out exactly, without a fold; the value says nothing the other
+    way (q - 2^B vanishes at 2^B).  Every round folds the surviving
+    candidates (`_cyclotomic_divides`, the one proof of division), divides
+    num by the product of those that divide and the value by the product
+    of their values, an exact integer division.
     """
     if len(num) == 1 or not cands:
         return num, den
     limit, removed = dict(cands), Counter()
     candidates = list(limit)
+    value = 0
+    for x in reversed(num):
+        value = (value << _RULE_OUT_BITS) + x
     while candidates:
-        found = [d for d in candidates if _cyclotomic_divides(num, d)]
+        found = [d for d in candidates if not value % _cyclotomic_at_point(d)
+                 and _cyclotomic_divides(num, d)]
         if found:
             num = _times_cyclotomic(num, tuple((d, -1) for d in found))
+            value //= math.prod(_cyclotomic_at_point(d) for d in found)
             removed.update(found)
         candidates = [d for d in found if removed[d] < limit[d]]
     if not removed:

@@ -253,6 +253,23 @@ class TestIntegral:
         # raw three-term sum: 1 - 4 + 16 = 13
         assert payload["rows"][0]["raw-sum"] == "13"
 
+    def test_unnormalized_sums_each_level_once(self, capsys, monkeypatch):
+        # the normalized sum is the raw one over [p^N]_{-q}: one summation
+        # per level serves both columns, on the exact and the modular path
+        from qgen import padic
+
+        calls = []
+        for name in ("_truncated_exact", "_truncated_modular"):
+            real = getattr(padic, name)
+            monkeypatch.setattr(padic, name, lambda spec, ctx, real=real: calls.append(ctx.N)
+                                or real(spec, ctx))
+        code, _, _ = run_cli(capsys, [
+            "integral", "--p", "3", "--q", "4", "--m", "1", "--N", "1,4,5",
+            "--unnormalized", "--format", "json",
+        ])
+        assert code == EXIT_OK
+        assert calls == [1, 4, 5]
+
     @staticmethod
     def _residue(spec, N, M, normalized):
         # the exact sum reduced mod 3^M, independent of the modular path

@@ -51,7 +51,8 @@ def clear_recurrence_caches():
 
     for cached in (genocchi._recurrence_number, genocchi._recurrence_numerator,
                    qcore._one_plus_factors, qcore._cyclotomic_exponents,
-                   qcore._fold_plan, qcore._binomial_plan, qcore._den_poly):
+                   qcore._fold_plan, qcore._cyclotomic_at_point, qcore._binomial_plan,
+                   qcore._den_poly):
         cached.cache_clear()
 
 

@@ -18,6 +18,7 @@ from qgen.padic import (
     functional_equation_residual,
     integrate,
     truncated_integral,
+    truncated_sums,
     vp,
 )
 from qgen.qcore import ONE, Q, RatFuncQ, ZERO, _one_plus_lcm, eval_at, q_power, qbracket
@@ -262,6 +263,15 @@ class TestTruncated:
             got = truncated_integral(spec, ctx, normalized=normalized, method="exact")
             want = naive_alternating_sum(terms, p, N, Fraction(q), normalized)
             assert got == want
+
+    @pytest.mark.parametrize("N", [1, 4, 5, 6])
+    def test_sums_pair_matches_both_readings(self, N):
+        # one summation gives S_N and the raw sum, on the exact path up to
+        # N = 4 and on the modular path above
+        ctx = PadicContext(p=3, N=N, q=Fraction(4))
+        spec = IntegrandSpec({1: 1, -2: Fraction(2, 5), 0: -3})
+        assert truncated_sums(spec, ctx) == (truncated_integral(spec, ctx),
+                                             truncated_integral(spec, ctx, normalized=False))
 
     @pytest.mark.parametrize("p,q", [(3, 4), (5, 6), (3, 10), (3, "-2"), (3, "5/2"),
                                      (5, "-4"), (5, "-2/3"), (7, "8"), (7, "19/5")])

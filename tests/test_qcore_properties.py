@@ -7,6 +7,7 @@ divisors, are such products and monomials over each other.  Examples are
 derandomized and bounded, so every run checks the same cases.
 """
 
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 
@@ -16,6 +17,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from qgen.qcore import ONE, ZERO, RatFuncQ  # noqa: E402
+from qgen.qcore import _cyclotomic_divides, _divide_out, _times_cyclotomic  # noqa: E402
 
 PROPERTY = settings(derandomize=True, max_examples=60, deadline=None, database=None)
 
@@ -119,3 +121,45 @@ def test_equal_values_hash_equal(f, g, c, u):
         assert a == b and b == a
         assert hash(a) == hash(b)
     assert len({f * g, g * f}) == 1
+
+
+def fold_only_divide_out(num, den, cands):
+    """`_divide_out` with no rule-out: every round folds every candidate."""
+    limit, removed = dict(cands), Counter()
+    candidates = list(limit)
+    while candidates:
+        found = [d for d in candidates if _cyclotomic_divides(num, d)]
+        if found:
+            num = _times_cyclotomic(num, tuple((d, -1) for d in found))
+            removed.update(found)
+        candidates = [d for d in found if removed[d] < limit[d]]
+    return num, tuple((d, m - removed[d]) for d, m in den if m > removed[d])
+
+
+def multiplicities(ds: list[int]) -> tuple[tuple[int, int], ...]:
+    return tuple(sorted(Counter(ds).items()))
+
+
+def reducer_numerator(cs: list[int], root: bool, ds: list[int]) -> list[int]:
+    """cs(q) prod Phi_d, times q - 2^32 (a root at the rule-out point) when root."""
+    poly = times(dict(enumerate(cs)), cyclotomic_product(ds))
+    if root:
+        poly = times(poly, {0: -2**32, 1: 1})
+    return [poly.get(i, 0) for i in range(max(poly) + 1)]
+
+
+reducer_nums = st.builds(
+    reducer_numerator, st.lists(st.integers(-6, 6), min_size=1, max_size=5).filter(lambda cs: cs[-1]),
+    st.booleans(), st.lists(st.integers(1, 12), max_size=4))
+
+
+@PROPERTY
+@given(reducer_nums, st.lists(st.integers(1, 12), min_size=1, max_size=5),
+       st.lists(st.integers(1, 12), max_size=3))
+def test_rule_out_keeps_the_fold_only_result(num, den_ds, extra_ds):
+    # the candidates are all of den, or the part of it that `+` tests
+    den = multiplicities(den_ds + extra_ds)
+    for cands in (den, multiplicities(den_ds)):
+        got = _divide_out(list(num), den, cands)
+        want = fold_only_divide_out(list(num), den, cands)
+        assert (list(got[0]), got[1]) == (list(want[0]), want[1])
