@@ -308,12 +308,9 @@ def _verify_config(args) -> SweepConfig:
     if args.h_max is not None:
         updates.update(h_max=args.h_max,
                        product_h_max=min(cfg.product_h_max, args.h_max))
-    if args.x_min is not None:
-        updates.update(x_min=args.x_min)
-    if args.x_max is not None:
-        updates.update(x_max=args.x_max)
-    if args.s_max is not None:
-        updates.update(s_max=args.s_max)
+    for name in ("x_min", "x_max", "s_max"):
+        if getattr(args, name) is not None:
+            updates[name] = getattr(args, name)
     return replace(cfg, **updates) if updates else cfg
 
 

@@ -5,19 +5,13 @@ index n >= 1 at an integer point x is n times the fermionic p-adic
 q-integral of q^((h-1) xi) [x + xi]_{q^alpha}^(n-1); index 0 is 0 by
 convention.  Three independent computations are provided:
 
-closed form    expand the bracket power binomially and integrate each
-               q-exponential moment exactly:
+closed form    the definition itself: n times `padic.integrate` of the
+               binomial expansion of the integrand,
                n [2]_q (1 - q^alpha)^-(n-1)
                  * sum_l C(n-1, l) (-1)^l q^(alpha l x) / (1 + q^(alpha l + h)),
-               run in integers over the lcm L of the 1 + q^(alpha l + h).
-               The denominator is known: with alpha' the odd part of
-               alpha, (1 - q^alpha')^(n-1) divides the numerator exactly
-               (sparse divisions that raise on a remainder), [2]_q
-               cancels the Phi_2 of L when it is there, and the rest,
-               D = L ((1 - q^alpha) / (1 - q^alpha'))^(n-1) without that
-               Phi_2, is cached per (n, alpha, h) as Phi_d multiplicities
-               and shared by every x; the one reducer of qcore divides
-               its Phi_d out of the numerator as often as they divide;
+               the weight carried as Phi_d multiplicities; the one
+               reducer of qcore removes the (1 - q^alpha) poles, which
+               always cancel, and [2]_q enters that reduction;
 
 recurrence     numbers only: (1 + q^h) g_1 = [2]_q and, for n > 1,
                (1 + q^(h + alpha (n-1))) g_n
@@ -32,8 +26,8 @@ umbral         polynomials from numbers:
                under the convention that the 0-th symbolic power maps to
                g_0 = 0 (not to 1);
 
-plus a fourth, numeric route through truncated p-adic sums that must
-converge to the closed form at any admissible rational q.
+plus a fourth, numeric route through truncated p-adic sums, whose limit
+at any admissible rational q is checked against the umbral value.
 
 All routes agree structurally; the q -> 1 limit of the (alpha=1, h=1)
 numbers reproduces the classical Genocchi integers generated by
@@ -42,7 +36,6 @@ numbers reproduces the classical Genocchi integers generated by
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -53,15 +46,12 @@ from qgen.padic import (
     PadicContext,
     bracket_power_integrand,
     convergence_probe,
+    integrate,
 )
 from qgen.qcore import (
     RatFuncQ,
     ZERO,
-    _div_binomial,
-    _divisors,
-    _one_plus_lcm,
     _over_one_plus,
-    _reduced,
     _trim,
     binomial,
     eval_at,
@@ -108,61 +98,15 @@ class WeightParams:
 
 
 @lru_cache(maxsize=None)
-def _closed_denominator(n: int, alpha: int, h: int) -> tuple[tuple[tuple[int, int], ...], bool]:
-    # (D, halved) as multiplicities: L = lcm of the 1 + q^(alpha l + h) over
-    # l < n holds Phi_2 = [2]_q once exactly when some alpha l + h is odd
-    # (halved); D = L / Phi_2^halved * ((1 - q^alpha) / (1 - q^alpha'))^(n-1),
-    # alpha' the odd part of alpha, is the same for every x
-    exps = tuple(alpha * l + h for l in range(n))
-    lcm, _ = _one_plus_lcm(exps)
-    halved = any(e % 2 for e in exps)
-    odd = alpha // (alpha & -alpha)
-    den = Counter(dict(lcm))
-    den[2] -= halved
-    den.update({d: n - 1 for d in _divisors(alpha) if odd % d})
-    return tuple(sorted((+den).items())), halved
-
-
-def _closed_numerator(n: int, alpha: int, h: int, x: int) -> tuple[int, list[int]]:
-    # (lo, N) with q^lo N = sum_l (-1)^l C(n-1, l) q^(alpha l x) L / (1 + q^(alpha l + h))
-    _, cofs = _one_plus_lcm(tuple(alpha * l + h for l in range(n)))
-    step = alpha * x
-    lo = min(0, step * (n - 1))
-    acc = [0] * (abs(step) * (n - 1) + len(cofs[h]))
-    for l in range(n):
-        c, cof, off = (-1) ** l * binomial(n - 1, l), cofs[alpha * l + h], step * l - lo
-        acc[off:off + len(cof)] = [a + c * y for a, y in zip(acc[off:off + len(cof)], cof)]
-    return lo, _trim(acc)
-
-
-def _strip_odd_part(num: list[int], alpha: int, n: int) -> list[int]:
-    # num / (1 - q^alpha')^(n-1): every cyclotomic factor of the reduced
-    # denominator, a divisor of E_n, is a Phi_d with d even, and those of
-    # 1 - q^alpha' have d odd, so the quotient is exact; a remainder raises
-    # ArithmeticError
-    odd = alpha // (alpha & -alpha)
-    for _ in range(n - 1):
-        num = _div_binomial(num, odd, -1)
-    return num
-
-
-@lru_cache(maxsize=None)
 def _closed(n: int, alpha: int, h: int, x: int) -> RatFuncQ:
-    # n [2]_q q^lo N / ((1 - q^alpha)^(n-1) L): the odd part of the
-    # (1 - q^alpha) power divides N, [2]_q cancels Phi_2 of L when it is
-    # there, and the reducer tests the rest, D, factor by factor
     if n == 0:
         return ZERO
-    den, halved = _closed_denominator(n, alpha, h)
-    lo, num = _closed_numerator(n, alpha, h, x)
-    num = _strip_odd_part(num, alpha, n)
-    if num and not halved:
-        num = [a + b for a, b in zip(num + [0], [0] + num)]
-    return _reduced(lo, num, den, den, top=n)
+    return n * integrate(bracket_power_integrand(x, alpha, n - 1, exp_shift=h - 1))
 
 
 def weighted_genocchi_poly_closed(n: int, w: WeightParams, x: int) -> RatFuncQ:
-    """Closed-form polynomial value via exact moments.
+    """Closed-form polynomial value: n times the fermionic integral of
+    q^((h-1) xi) [x + xi]_{q^alpha}^(n-1), by `padic.integrate`.
 
     The apparent (1 - q^alpha) pole always cancels structurally, so the
     result is regular at q = 1 and eval_at(., 1) is defined.
@@ -245,17 +189,18 @@ def weighted_genocchi_integral_route(n: int, w: WeightParams, x: int,
     """Numeric route: truncated alternating sums of the defining integrand.
 
     Probes convergence over N_list (default 0..ctx.N) and checks that the
-    p-adic limit equals the closed form at q = ctx.q divided by n.
+    p-adic limit equals the umbral value at q = ctx.q divided by n (the
+    closed form is n times that limit, so it cannot check it).
     """
     if n < 1:
         raise ValueError("index must be positive for the integral route")
     spec = bracket_power_integrand(x, w.alpha, n - 1, exp_shift=w.h - 1)
     Ns = list(N_list) if N_list is not None else list(range(ctx.N + 1))
     trace = convergence_probe(spec, ctx.p, ctx.q, Ns, M=ctx.M)
-    expected = eval_at(_closed(n, w.alpha, w.h, x), ctx.q) / n
+    expected = eval_at(_umbral(n, w.alpha, w.h, x), ctx.q) / n
     if trace.limit != expected:
         raise ArithmeticError(
-            f"integral-route limit {trace.limit} != closed form / n = {expected}"
+            f"integral-route limit {trace.limit} != umbral value / n = {expected}"
         )
     return trace
 

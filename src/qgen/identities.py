@@ -234,15 +234,12 @@ def _tasks(config: SweepConfig) -> list[_Task]:
         for w in weights:
             for x in range(config.x_min, config.x_max + 1):
                 tasks.append(("symmetry", (n, w, x)))
-    for n in range(config.scalar_n_min, config.scalar_n_max + 1):
-        for w in weights:
-            tasks.append(("shift2", (n, w)))
-    for n in range(config.n_min, config.n_max + 1):
-        for w in weights:
-            tasks.append(("integral-shift", (n, w)))
-    for n in range(config.scalar_n_min, config.scalar_n_max + 1):
-        for w in weights:
-            tasks.append(("integral-reflect", (n, w)))
+    for theorem, lo, hi in (("shift2", config.scalar_n_min, config.scalar_n_max),
+                            ("integral-shift", config.n_min, config.n_max),
+                            ("integral-reflect", config.scalar_n_min, config.scalar_n_max)):
+        for n in range(lo, hi + 1):
+            for w in weights:
+                tasks.append((theorem, (n, w)))
     for n in range(1, config.single_n_max + 1):
         for k in range(n):
             for w in product_weights:
@@ -266,21 +263,9 @@ def _run_task(task: _Task) -> VerificationRecord:
     # Each verifier is looked up by its module-level name at call time:
     # perfbench/spans.py traces the theorems by rebinding those names.
     theorem, args = task
-    if theorem == "symmetry":
-        return verify_symmetry(*args)
-    if theorem == "shift2":
-        return verify_shift2(*args)
-    if theorem == "integral-shift":
-        return verify_integral_shift(*args)
-    if theorem == "integral-reflect":
-        return verify_integral_reflect(*args)
-    if theorem == "bernstein-single":
-        return verify_bernstein_single(*args)
-    if theorem == "bernstein-double":
-        return verify_bernstein_double(*args)
-    if theorem == "bernstein-multi":
-        return verify_bernstein_multi(*args)
-    raise ValueError(f"unknown theorem: {theorem!r}")
+    if theorem not in THEOREMS:
+        raise ValueError(f"unknown theorem: {theorem!r}")
+    return globals()["verify_" + theorem.replace("-", "_")](*args)
 
 
 @dataclass(frozen=True)

@@ -16,8 +16,9 @@ truncated sums provide an independent numeric route whose convergence
 can be measured in the p-adic valuation.
 
 Costs.  `integrate` puts the moments c_m / (1 + q^(m+1)) of a spec over
-one shared denominator (`qcore._sum_over_one_plus`) and reduces the sum
-once, by the cyclotomic factors of that denominator.
+one shared denominator (`qcore._sum_over_one_plus`) and reduces the sum,
+times [2]_q, once, by the cyclotomic factors of that denominator; the
+(1 - q^a)^-n weight of a bracket power goes in one exact division.
 
 With K = p^N, the modular path sums each term as the geometric
 series c (1 - r^K) / (1 - r), r = -q^(m+1), mod p^M: O(log K) per term.
@@ -48,6 +49,8 @@ from qgen.qcore import (
     ONE,
     RatFuncQ,
     ZERO,
+    _divisors,
+    _new,
     _sum_over_one_plus,
     binomial,
     eval_at,
@@ -101,14 +104,10 @@ def vp(r: Union[Fraction, int], p: int) -> int:
     if r == 0:
         raise ValueError("valuation of zero is undefined (callers treat it as +infinity)")
     v = 0
-    n = r.numerator
-    while n % p == 0:
-        n //= p
-        v += 1
-    d = r.denominator
-    while d % p == 0:
-        d //= p
-        v -= 1
+    for n, sign in ((r.numerator, 1), (r.denominator, -1)):
+        while n % p == 0:
+            n //= p
+            v += sign
     return v
 
 
@@ -220,12 +219,14 @@ def bracket_power_integrand(x: int, scale: int, power: int, *, sign: int = 1,
         raise ValueError("power must be nonnegative")
     if power == 0:
         return IntegrandSpec({exp_shift: ONE})
-    prefactor = (ONE - q_power(scale)) ** (-power)
-    terms: dict[int, RatFuncQ] = {}
+    # (1 - q^a)^-n is (-1)^n / prod_{d | a} Phi_d^n for a > 0 and
+    # q^(|a| n) / prod_{d | |a|} Phi_d^n for a < 0
+    den = tuple((d, power) for d in _divisors(abs(scale)))
+    shift, sign_n = (0, (-1) ** power) if scale > 0 else (-scale * power, 1)
+    terms = {}
     for l in range(power + 1):
-        m = scale * l * sign + exp_shift
-        coeff = prefactor * ((-1) ** l * binomial(power, l)) * q_power(scale * l * x)
-        terms[m] = terms.get(m, ZERO) + coeff
+        coeff = Fraction(sign_n * (-1) ** l * binomial(power, l))
+        terms[scale * l * sign + exp_shift] = _new(shift + scale * l * x, coeff, (1,), den)
     return IntegrandSpec(terms)
 
 
@@ -238,10 +239,11 @@ def integrate(spec: IntegrandSpec, normalized: bool = True) -> RatFuncQ:
     """Integrate a finite q-exponential combination; exact and linear.
 
     The moments sum_m c_m / (1 + q^(m+1)) are added over one shared
-    denominator and reduced once, then scaled by [2]_q (or by 2).
+    denominator, times [2]_q, and reduced once (times 2 unnormalized).
     """
-    moments = _sum_over_one_plus((c, m + 1) for m, c in spec.items())
-    return (qbracket(2, 1) if normalized else RatFuncQ(2)) * moments
+    bracket = ((2, 1),) if normalized else ()  # [2]_q = Phi_2
+    moments = _sum_over_one_plus(((c, m + 1) for m, c in spec.items()), bracket)
+    return moments if normalized else 2 * moments
 
 
 # ---------------------------------------------------------------------------

@@ -25,11 +25,11 @@ Canonical form.  A `RatFuncQ` stores its value once:
 One reducer, no gcd.  The factors of every denominator are known, so
 `_divide_out` keeps num and den coprime by testing each Phi_d against
 num and dividing it out as often as it divides, at most m_d times.  The
-test first rules Phi_d out when Phi_d(2^32) does not divide num(2^32),
-one evaluation of num per reduction, exact but one-sided; a Phi_d that
-survives is folded modulo q^d - 1 (`_cyclotomic_divides`, linear time),
-the one proof that it divides.  `+` takes
-the lcm as the maximum of the multiplicities and tests only the Phi_d of
+count is how often Phi_d(2^32) divides num(2^32), read off one
+evaluation; one exact division by the counted product proves every
+count, and on a remainder each Phi_d is folded modulo q^d - 1
+(`_cyclotomic_divides`, linear time) one power at a time.  `+` takes the
+lcm as the maximum of the multiplicities and tests only the Phi_d of
 equal multiplicity on both sides (no other can divide the sum); `*`
 tests each numerator against the other side's factors; `**` scales the
 multiplicities; q -> 1/q keeps them.  Division and the constructor
@@ -91,16 +91,17 @@ def _trim(cs: list[int]) -> list[int]:
 
 
 def _int_mul(a, b) -> list[int]:
-    if not a or not b:
+    # schoolbook, one pass over the longer factor per term of the shorter
+    if len(a) > len(b):
+        a, b = b, a
+    if not a:
         return []
-    if len(a) == 1 or len(b) == 1:
-        (c,), p = (a, b) if len(a) == 1 else (b, a)
-        return list(p) if c == 1 else [c * x for x in p]
-    out = [0] * (len(a) + len(b) - 1)
+    if len(a) == 1:
+        return list(b) if a[0] == 1 else [a[0] * x for x in b]
+    out, n = [0] * (len(a) + len(b) - 1), len(b)
     for i, x in enumerate(a):
         if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
+            out[i:i + n] = [z + x * y for z, y in zip(out[i:i + n], b)]
     return out
 
 
@@ -255,49 +256,59 @@ def _cyclotomic_factors(a) -> Den:
 _RULE_OUT_BITS = 32
 
 
+def _at_point(cs) -> int:
+    # cs(2^B), by halves above 64 terms: Horner's shifts cost len(cs)^2
+    if len(cs) > 64:
+        half = len(cs) // 2
+        return _at_point(cs[:half]) + (_at_point(cs[half:]) << _RULE_OUT_BITS * half)
+    value = 0
+    for x in reversed(cs):
+        value = (value << _RULE_OUT_BITS) + x
+    return value
+
+
 @lru_cache(maxsize=None)
 def _cyclotomic_at_point(d: int) -> int:
-    # Phi_d(2^B) = prod_{k | d} (2^(B k) - 1)^mu(d/k), exact for every d >= 1
-    top, bottom = 1, 1
-    for k, mu in _cyclotomic_exponents(d):
-        if mu > 0:
-            top *= (1 << _RULE_OUT_BITS * k) - 1
-        else:
-            bottom *= (1 << _RULE_OUT_BITS * k) - 1
-    return top // bottom
+    return _at_point(_times_cyclotomic([1], ((d, 1),)))
 
 
 def _divide_out(num, den: Den, cands: Den) -> tuple[list[int], Den]:
     """The one reducer: num / prod Phi_d^k_d and den without those factors.
 
     Each Phi_d of cands (a part of den) is divided out of num as often as
-    it divides, k_d at most its multiplicity in cands.  num is evaluated
-    once at q = 2^B (B = 32), by Horner on shifts.  Phi_d | num forces
-    Phi_d(2^B) | num(2^B), so a candidate whose value does not divide is
-    ruled out exactly, without a fold; the value says nothing the other
-    way (q - 2^B vanishes at 2^B).  Every round folds the surviving
-    candidates (`_cyclotomic_divides`, the one proof of division), divides
-    num by the product of those that divide and the value by the product
-    of their values, an exact integer division.
+    it divides, k_d at most its multiplicity m_d in cands.  num is
+    evaluated once at q = 2^B (B = 32), by `_at_point`; in the order of
+    cands, k_d counts how often Phi_d(2^B) divides that value, up to m_d,
+    and the value is divided by each power counted.  Phi_d^j | num forces
+    Phi_d(2^B)^j | num(2^B), so while every earlier count is exact the
+    next is never short; it can run over (q - 2^B vanishes at 2^B), and
+    the values Phi_d(2^B) share primes, so a count after one that ran
+    over can fall short.  Hence one exact division by prod Phi_d^k_d,
+    which raises on a remainder, proves every count at once: it succeeds
+    only when no count ran over, and then none fell short.  When it
+    raises, every candidate is folded modulo q^d - 1 one power at a time,
+    up to m_d (`_cyclotomic_divides`, the proof of division in that case).
     """
     if len(num) == 1 or not cands:
         return num, den
-    limit, removed = dict(cands), Counter()
-    candidates = list(limit)
-    value = 0
-    for x in reversed(num):
-        value = (value << _RULE_OUT_BITS) + x
-    while candidates:
-        found = [d for d in candidates if not value % _cyclotomic_at_point(d)
-                 and _cyclotomic_divides(num, d)]
-        if found:
-            num = _times_cyclotomic(num, tuple((d, -1) for d in found))
-            value //= math.prod(_cyclotomic_at_point(d) for d in found)
-            removed.update(found)
-        candidates = [d for d in found if removed[d] < limit[d]]
-    if not removed:
+    value = _at_point(num)
+    counts = {}
+    for d, m in cands:
+        point, k = _cyclotomic_at_point(d), 0
+        while k < m and not value % point:
+            value, k = value // point, k + 1
+        if k:
+            counts[d] = k
+    if not counts:
         return num, den
-    return num, tuple((d, m - removed[d]) for d, m in den if m > removed[d])
+    try:
+        num = _times_cyclotomic(num, tuple((d, -k) for d, k in counts.items()))
+    except ArithmeticError:  # a count ran over, and a later one may be short
+        for d, m in cands:
+            counts[d] = 0
+            while counts[d] < m and _cyclotomic_divides(num, d):
+                num, counts[d] = _times_cyclotomic(num, ((d, -1),)), counts[d] + 1
+    return num, tuple((d, m - counts.get(d, 0)) for d, m in den if m > counts.get(d, 0))
 
 
 def _reduced(shift: int, num: list[int], den: Den, cands: Den,
@@ -321,6 +332,7 @@ def _reduced(shift: int, num: list[int], den: Den, cands: Den,
     return _new(shift + start, Fraction(top * content, scale), num, den)
 
 
+@lru_cache(maxsize=4096)
 def _den_op(op, d1: Den, d2: Den) -> Den:
     # lcm (or_), product (add) or quotient (sub) of two denominators
     return tuple(sorted(op(Counter(dict(d1)), Counter(dict(d2))).items()))
@@ -355,39 +367,47 @@ def _one_plus_lcm(exps: tuple[int, ...]) -> tuple[Den, dict[int, tuple[int, ...]
     return lcm, {e: tuple(_div_binomial(poly, e, 1)) for e in exps}
 
 
-def _sum_over_one_plus(pairs) -> "RatFuncQ":
-    """sum of c / (1 + q^e) over (c, e) pairs, with RatFuncQ c and int e.
+def _sum_over_one_plus(pairs, times: Den = ()) -> "RatFuncQ":
+    """times (prod Phi_d^t_d, as multiplicities) times the sum of c / (1 + q^e)
+    over (c, e) pairs, with RatFuncQ c and int e.
 
-    The kernel of `padic.integrate`, its only caller.
+    The kernel of `padic.integrate`, which passes [2]_q = Phi_2 as times;
+    the closed-form Genocchi values are such integrals.
 
     One shared denominator, reduced once: the lcm of the c denominators
-    (the maximum of their multiplicities) times the lcm L of the
-    1 + q^|e|.  The integer numerators are added into one list; e = 0
+    (the maximum of their multiplicities) times the lcm L of the 1 + q^|e|,
+    less the factors of times, which cancel first.  The integer numerators
+    are added into one list, times what is left of times; e = 0
     contributes c / 2 and e < 0 the shift of c q^-e / (1 + q^-e).
     """
     terms = [(c, e) for c, e in pairs if c._num]
     if not terms:
         return ZERO
-    dens = list(dict.fromkeys(c._den for c, _ in terms))
-    den = dens[0]
-    for d in dens[1:]:
+    den, *others = dict.fromkeys(c._den for c, _ in terms)
+    for d in others:
         den = _den_op(or_, den, d)
-    den_cof = {d: _den_poly(_den_op(sub, den, d)) for d in dens}
     lcm, cofs = _one_plus_lcm(tuple(sorted({abs(e) for _, e in terms if e})))
     lcm_poly = _den_poly(lcm)
     contents = [c._content / 2 if e == 0 else c._content for c, e in terms]
     scale = math.lcm(*(r.denominator for r in contents))
     shifts = [c._shift - min(e, 0) for c, e in terms]
     lo = min(shifts)
-    parts = []
+    acc: list[int] = []
     for (c, e), r, shift in zip(terms, contents, shifts):
-        part = _int_mul(_int_mul(c._num, den_cof[c._den]), cofs[abs(e)] if e else lcm_poly)
-        parts.append((r.numerator * (scale // r.denominator), part, shift - lo))
-    acc = [0] * max(off + len(part) for _, part, off in parts)
-    for k, part, off in parts:
-        for i, x in enumerate(part, off):
-            acc[i] += k * x
+        # acc += k q^(shift - lo) num cof, one pass over cof per term of num
+        num = c._num if c._den == den else _int_mul(c._num, _den_poly(_den_op(sub, den, c._den)))
+        cof = cofs[abs(e)] if e else lcm_poly
+        k, n, off = r.numerator * (scale // r.denominator), len(cof), shift - lo
+        acc.extend([0] * (off + len(num) + n - 1 - len(acc)))
+        for i, y in enumerate(num, off):
+            if y:
+                ky = k * y
+                acc[i:i + n] = [a + ky * x for a, x in zip(acc[i:i + n], cof)]
+    # times cancels against den first, and what is left of it multiplies acc
     den = _den_op(add, den, lcm)
+    if rest := _den_op(sub, times, den):
+        acc = _times_cyclotomic(acc, rest)
+    den = _den_op(sub, den, times)
     return _reduced(lo, acc, den, den, scale=scale)
 
 
@@ -527,6 +547,9 @@ class RatFuncQ:
             return NotImplemented
         if not self._num or not other._num:
             return ZERO
+        for f, g in ((self, other), (other, self)):
+            if g._num == (1,) and not g._den:  # f times c q^s: nothing to reduce
+                return _new(f._shift + g._shift, f._content * g._content, f._num, f._den)
         n1, d2 = _divide_out(self._num, other._den, other._den)
         n2, d1 = _divide_out(other._num, self._den, self._den)
         return _new(self._shift + other._shift, self._content * other._content,

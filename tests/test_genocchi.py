@@ -52,7 +52,7 @@ def clear_recurrence_caches():
     for cached in (genocchi._recurrence_number, genocchi._recurrence_numerator,
                    qcore._one_plus_factors, qcore._cyclotomic_exponents,
                    qcore._fold_plan, qcore._cyclotomic_at_point, qcore._binomial_plan,
-                   qcore._den_poly):
+                   qcore._den_poly, qcore._den_op):
         cached.cache_clear()
 
 
@@ -142,31 +142,15 @@ class TestClosedForm:
             for x in range(-3, 4):
                 assert weighted_genocchi_poly_closed(n, w, x) == closed_termwise(n, alpha, h, x)
 
-    @pytest.mark.parametrize("alpha", [1, 2, 3, 6])
-    def test_odd_part_division_is_checked(self, alpha):
-        # (1 - q^alpha')^(n-1) divides the moment numerator exactly; one
-        # coefficient off and the division raises instead of truncating
-        from qgen.genocchi import _closed_numerator, _strip_odd_part
-
-        n = 7
-        for x in (-2, 0, 3):
-            _, num = _closed_numerator(n, alpha, 2, x)
-            _strip_odd_part(num, alpha, n)
-            for i in (0, len(num) // 2, len(num) - 1):
-                bad = list(num)
-                bad[i] += 1
-                with pytest.raises(ArithmeticError):
-                    _strip_odd_part(bad, alpha, n)
-
     def test_deep_closed_form_within_ceiling(self):
         # n = 40 and n = 60 at alpha = h = 3: moment denominators of degree in
         # the thousands, numerators of degree about 4,400 at n = 60
-        from qgen.genocchi import _closed, _closed_denominator
+        from qgen.genocchi import _closed
         from qgen.identities import verify_symmetry
 
         _closed.cache_clear()
-        _closed_denominator.cache_clear()
         _one_plus_lcm.cache_clear()
+        clear_recurrence_caches()
         start = time.perf_counter()
         for n in (39, 59):
             for x in (-1, 2):
@@ -298,6 +282,17 @@ class TestIntegralRoute:
         trace = weighted_genocchi_integral_route(3, w, 1, ctx, N_list=[1, 2])
         expected = eval_at(weighted_genocchi_poly_closed(3, w, 1), Fraction(6)) / 3
         assert trace.limit == expected
+
+    def test_limit_checked_against_umbral_route(self, monkeypatch):
+        # the limit is the integral the closed form is built from, so the
+        # route checks it against the umbral value; one off and it raises
+        from qgen import genocchi
+
+        real = genocchi._umbral
+        monkeypatch.setattr(genocchi, "_umbral", lambda n, a, h, x: real(n, a, h, x) + 1)
+        ctx = PadicContext(p=5, N=2, q=Fraction(6))
+        with pytest.raises(ArithmeticError, match="umbral"):
+            weighted_genocchi_integral_route(3, W(2, 2), 1, ctx, N_list=[1, 2])
 
     def test_rejects_index_zero(self):
         ctx = PadicContext(p=3, N=1, q=Fraction(4))

@@ -459,6 +459,10 @@ class TestBracketPowerIntegrand:
 
     @pytest.mark.parametrize("x,scale,power,sign,shift", [
         (0, 1, 2, 1, 0), (1, 2, 3, 1, 1), (1, -1, 2, -1, 0), (2, -2, 3, -1, 2),
+        # the prefactor from Phi_d multiplicities, with its q^(|a| n) shift
+        # at a < 0, at every scale and power up to 6 and both signs
+        *((power % 3 - 1, scale, power, sign, power % 3)
+          for scale in (1, -1, 2, -2, 3, -3, 6, -6) for power in range(1, 7) for sign in (1, -1)),
     ])
     def test_pointwise_oracle(self, x, scale, power, sign, shift):
         # evaluate the expansion at sample (q, xi) pairs against the

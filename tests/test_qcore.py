@@ -12,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+from qgen import qcore
 from qgen.genocchi import _recurrence_number, _recurrence_numerator
 from qgen.qcore import (
     ONE,
@@ -26,11 +27,14 @@ from qgen.qcore import (
     subst_q_inverse,
 )
 from qgen.qcore import (
+    _at_point,
     _den_poly,
+    _divide_out,
     _int_mul,
     _one_plus_lcm,
     _over_one_plus,
     _sum_over_one_plus,
+    _times_cyclotomic,
     _trim,
 )
 
@@ -328,6 +332,29 @@ class TestCanonicalForm:
         assert f.num == {0: 2**64 - 2, 1: 1} and f.den == {0: -1, 1: 1}
         assert f * (Q - ONE) == RatFuncQ(a)
 
+    def test_point_value_by_halves(self):
+        # the evaluation at 2^32 splits lists above 64 terms in halves; it
+        # must give Horner's integer at every length around the splits
+        rng = random.Random(1702)
+        for n in (*range(1, 140), 257, 1000):
+            cs = [rng.choice((0, 1, -1, rng.randint(-2**70, 2**70))) for _ in range(n)]
+            horner = 0
+            for x in reversed(cs):
+                horner = horner * 2**32 + x
+            assert _at_point(cs) == horner, n
+
+    def test_counted_powers_in_one_division(self, monkeypatch):
+        # (1 - q^3)^-12 over a long numerator: Phi_1^12 Phi_3^11 leave in one
+        # exact division, with no fold, and the twelfth Phi_3 stays
+        def no_fold(a, d):
+            raise AssertionError(f"folded Phi_{d}")
+
+        base = [((-1) ** i) * (i % 7 + 1) for i in range(150)]
+        num = _times_cyclotomic(base, ((1, 12), (3, 11)))
+        den = ((1, 12), (3, 12))
+        monkeypatch.setattr(qcore, "_cyclotomic_divides", no_fold)
+        assert _divide_out(num, den, den) == (base, ((3, 1),))
+
     @pytest.mark.parametrize("ds", [(1,), (2,), (6,), (1, 2, 6)])
     def test_rule_out_point_root_survives_unreduced(self, ds):
         # a = q - 2^32 vanishes at the rule-out point q = 2^32, so every
@@ -345,6 +372,20 @@ class TestCanonicalForm:
             assert f.num == a and f.den == den
             assert f._den == tuple((d, 1) for d in ds)
         assert built == added == multiplied
+
+    def test_count_that_runs_over_hides_no_later_factor(self):
+        # Phi_3 (q + c) over q^3 - 1 with q + c = Phi_1(2^32) / 3 at 2^32: the
+        # value Phi_3(2^32) / 3 * Phi_1(2^32) counts Phi_1 once, which runs
+        # over, and leaves Phi_3(2^32) / 3, which counts Phi_3 none times,
+        # one short; the fold that follows the failed division must still
+        # find Phi_3
+        c = (2**32 - 1) // 3 - 2**32
+        num = _int_mul(cyclotomic(3), [c, 1])
+        f = RatFuncQ(dict(enumerate(num)), {0: -1, 3: 1})
+        assert f == RatFuncQ({0: c, 1: 1}, {0: -1, 1: 1})
+        assert f._num == (c, 1) and f._den == ((1, 1),)
+        den = ((1, 1), (3, 1))
+        assert _divide_out(num, den, den) == ([c, 1], ((1, 1),))
 
     def test_mapping_is_not_a_number(self):
         # == accepts exactly what arithmetic accepts: a mapping is only a
@@ -542,14 +583,15 @@ print(*counts)
 
 
 def test_default_sweep_fold_counts():
-    # 7,352 folds, 1,195 of which divide, before the evaluation at 2^32
-    # ruled factors out; every fold `_divide_out` makes now divides, and the
-    # 90 that do not come from `_cyclotomic_factors`
+    # no fold at all: the counted multiplicities are proved by one exact
+    # division, which never fails on this grid, and no denominator of the
+    # sweep is factored from its expansion (the (1 - q^alpha) weight is
+    # built as multiplicities); a fold here means one of those broke
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     out = subprocess.run([sys.executable, "-c", FOLD_COUNT_SCRIPT], env=env,
                          capture_output=True, text=True, check=True)
-    assert out.stdout.split() == ["1285", "1195"]
+    assert out.stdout.split() == ["0", "0"]
 
 
 class TestSumOverOnePlus:
