@@ -15,10 +15,12 @@ so symbolic integration reduces to finite moment combinations, and the
 truncated sums provide an independent numeric route whose convergence
 can be measured in the p-adic valuation.
 
-Costs.  `integrate` puts the moments c_m / (1 + q^(m+1)) of a spec over
-one shared denominator (`qcore._sum_over_one_plus`) and reduces the sum,
-times [2]_q, once, by the cyclotomic factors of that denominator; the
-(1 - q^a)^-n weight of a bracket power goes in one exact division.
+Costs.  A spec holds integer numerators over one shared prefactor, so a
+bracket power's terms are +-C(n, l) over its (1 - q^a)^n, with no RatFuncQ
+per term.  `integrate` adds its moments c_m / (1 + q^(m+1)) as integer
+slices over one shared denominator (`qcore._sum_over_one_plus`) and
+reduces the sum, times [2]_q, once, by the cyclotomic factors of that
+denominator; the (1 - q^a)^-n weight goes in one exact division.
 
 With K = p^N, the modular path sums each term as the geometric
 series c (1 - r^K) / (1 - r), r = -q^(m+1), mod p^M: O(log K) per term.
@@ -46,11 +48,11 @@ from functools import lru_cache
 from typing import Iterable, Mapping, Union
 
 from qgen.qcore import (
-    ONE,
     RatFuncQ,
     ZERO,
     _divisors,
-    _new,
+    _reduced,
+    _shared_prefactor,
     _sum_over_one_plus,
     binomial,
     eval_at,
@@ -144,58 +146,69 @@ class IntegrandSpec:
     Exponents m are integers (anything else is a TypeError); coefficients
     live in Q(q) (rational constants embed as constant rational
     functions).  Zero coefficients are dropped.
+
+    Stored over one prefactor, a content and Phi_d multiplicities, as
+    c_m = content q^(s_m) num_m(q) / prod_d Phi_d^(k_d) with integer
+    lists num_m (`qcore._shared_prefactor`); `items()`, which `==`, `hash`
+    and the printed forms read, reduces each c_m once, on first use.
     """
 
-    __slots__ = ("_terms",)
+    __slots__ = ("_content", "_den", "_nums", "_items")
 
     def __init__(self, terms: Mapping[int, CoeffLike]):
-        out: dict[int, RatFuncQ] = {}
-        for m, c in terms.items():
+        for m in terms:
             if not isinstance(m, int):
                 raise TypeError(f"expected an int exponent, got {m!r}")
-            c = c if isinstance(c, RatFuncQ) else RatFuncQ(c)
-            if not c.is_zero:
-                out[m] = c
-        self._terms = out
+        coeffs = {m: c if isinstance(c, RatFuncQ) else RatFuncQ(c) for m, c in terms.items()}
+        coeffs = {m: c for m, c in coeffs.items() if c}
+        content, den, nums = _shared_prefactor(coeffs.values())
+        self._set(content, den, dict(zip(coeffs, nums)))
+
+    def _set(self, content: Fraction, den, nums: dict) -> "IntegrandSpec":
+        # nums: {m: (s_m, num_m)}, every num_m a nonzero integer tuple
+        self._content, self._den, self._nums, self._items = content, den, nums, None
+        return self
 
     def items(self) -> list[tuple[int, RatFuncQ]]:
-        return sorted(self._terms.items())
+        if self._items is None:
+            c, den = self._content, self._den
+            self._items = [(m, _reduced(s, list(num), den, den, c.numerator, c.denominator))
+                           for m, (s, num) in sorted(self._nums.items())]
+        return list(self._items)
 
     def __len__(self) -> int:
-        return len(self._terms)
+        return len(self._nums)
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, IntegrandSpec):
-            return self._terms == other._terms
+            return self.items() == other.items()
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash(frozenset(self._terms.items()))
+        return hash(frozenset(self.items()))
 
     def at_zero(self) -> RatFuncQ:
         """f(0), the sum of all coefficients."""
-        total = ZERO
-        for _, c in self.items():
-            total = total + c
-        return total
+        return sum((c for _, c in self.items()), ZERO)
 
     def shifted(self, k: int = 1) -> "IntegrandSpec":
         """The integrand x -> f(x + k); each c_m picks up a factor q^(m k)."""
-        return IntegrandSpec({m: c * q_power(m * k) for m, c in self._terms.items()})
+        nums = {m: (s + m * k, num) for m, (s, num) in self._nums.items()}
+        return IntegrandSpec.__new__(IntegrandSpec)._set(self._content, self._den, nums)
 
     def __add__(self, other: "IntegrandSpec") -> "IntegrandSpec":
-        merged = dict(self._terms)
-        for m, c in other._terms.items():
+        merged = dict(self.items())
+        for m, c in other.items():
             merged[m] = merged.get(m, ZERO) + c
         return IntegrandSpec(merged)
 
     def __rmul__(self, scalar: CoeffLike) -> "IntegrandSpec":
-        return IntegrandSpec({m: scalar * c for m, c in self._terms.items()})
+        return IntegrandSpec({m: scalar * c for m, c in self.items()})
 
     __mul__ = __rmul__
 
     def describe(self) -> str:
-        if not self._terms:
+        if not self._nums:
             return "0"
         return "; ".join(f"{m}: {c}" for m, c in self.items())
 
@@ -217,17 +230,14 @@ def bracket_power_integrand(x: int, scale: int, power: int, *, sign: int = 1,
         raise ValueError("sign must be +1 or -1")
     if power < 0:
         raise ValueError("power must be nonnegative")
-    if power == 0:
-        return IntegrandSpec({exp_shift: ONE})
-    # (1 - q^a)^-n is (-1)^n / prod_{d | a} Phi_d^n for a > 0 and
-    # q^(|a| n) / prod_{d | |a|} Phi_d^n for a < 0
-    den = tuple((d, power) for d in _divisors(abs(scale)))
+    # the shared prefactor (1 - q^a)^-n is (-1)^n / prod_{d | a} Phi_d^n for
+    # a > 0 and q^(|a| n) / prod_{d | |a|} Phi_d^n for a < 0, its q^(|a| n)
+    # carried in every shift
+    den = tuple((d, power) for d in _divisors(abs(scale))) if power else ()
     shift, sign_n = (0, (-1) ** power) if scale > 0 else (-scale * power, 1)
-    terms = {}
-    for l in range(power + 1):
-        coeff = Fraction(sign_n * (-1) ** l * binomial(power, l))
-        terms[scale * l * sign + exp_shift] = _new(shift + scale * l * x, coeff, (1,), den)
-    return IntegrandSpec(terms)
+    nums = {scale * l * sign + exp_shift:
+            (shift + scale * l * x, ((-1) ** l * binomial(power, l),)) for l in range(power + 1)}
+    return IntegrandSpec.__new__(IntegrandSpec)._set(Fraction(sign_n), den, nums)
 
 
 # ---------------------------------------------------------------------------
@@ -242,7 +252,8 @@ def integrate(spec: IntegrandSpec, normalized: bool = True) -> RatFuncQ:
     denominator, times [2]_q, and reduced once (times 2 unnormalized).
     """
     bracket = ((2, 1),) if normalized else ()  # [2]_q = Phi_2
-    moments = _sum_over_one_plus(((c, m + 1) for m, c in spec.items()), bracket)
+    terms = [(s, num, m + 1) for m, (s, num) in spec._nums.items()]
+    moments = _sum_over_one_plus(spec._content, spec._den, terms, bracket)
     return moments if normalized else 2 * moments
 
 

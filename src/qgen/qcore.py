@@ -295,8 +295,8 @@ def _divide_out(num, den: Den, cands: Den) -> tuple[list[int], Den]:
     counts = {}
     for d, m in cands:
         point, k = _cyclotomic_at_point(d), 0
-        while k < m and not value % point:
-            value, k = value // point, k + 1
+        while k < m and not (split := divmod(value, point))[1]:
+            value, k = split[0], k + 1
         if k:
             counts[d] = k
     if not counts:
@@ -367,37 +367,45 @@ def _one_plus_lcm(exps: tuple[int, ...]) -> tuple[Den, dict[int, tuple[int, ...]
     return lcm, {e: tuple(_div_binomial(poly, e, 1)) for e in exps}
 
 
-def _sum_over_one_plus(pairs, times: Den = ()) -> "RatFuncQ":
-    """times (prod Phi_d^t_d, as multiplicities) times the sum of c / (1 + q^e)
-    over (c, e) pairs, with RatFuncQ c and int e.
+def _shared_prefactor(coeffs) -> tuple[Fraction, Den, list[tuple[int, tuple[int, ...]]]]:
+    """Nonzero RatFuncQs c as content q^s num / prod Phi_d^m_d, with one
+    content and one den (the lcm of theirs) for all: (content, den, [(s, num)])."""
+    den = ()
+    for c in coeffs:
+        den = _den_op(or_, den, c._den)
+    scale = math.lcm(*(c._content.denominator for c in coeffs))
+    top = math.gcd(*(c._content.numerator for c in coeffs))
+    out = []
+    for c in coeffs:
+        k = c._content.numerator // top * (scale // c._content.denominator)
+        num = c._num if c._den == den else _int_mul(c._num, _den_poly(_den_op(sub, den, c._den)))
+        out.append((c._shift, tuple(k * x for x in num)))
+    return Fraction(top, scale), den, out
 
-    The kernel of `padic.integrate`, which passes [2]_q = Phi_2 as times;
-    the closed-form Genocchi values are such integrals.
 
-    One shared denominator, reduced once: the lcm of the c denominators
-    (the maximum of their multiplicities) times the lcm L of the 1 + q^|e|,
-    less the factors of times, which cancel first.  The integer numerators
-    are added into one list, times what is left of times; e = 0
-    contributes c / 2 and e < 0 the shift of c q^-e / (1 + q^-e).
+def _sum_over_one_plus(content: Fraction, den: Den, terms, times: Den = ()) -> "RatFuncQ":
+    """content (prod Phi_d^t_d over times) times the sum over (s, num, e)
+    terms (a list) of q^s num / ((prod Phi_d^m_d over den) (1 + q^e)), with
+    integer lists num and a nonzero Fraction content.
+
+    The kernel of `padic.integrate`, which passes a spec's shared prefactor
+    and [2]_q = Phi_2 as times; the closed-form Genocchi values are such
+    integrals.  One shared denominator, reduced once: den times the lcm L
+    of the 1 + q^|e|, less the factors of times, which cancel first.  Each
+    term adds k y L / (1 + q^|e|) at q^s for each y of num into one list,
+    with k = 2 over a halved content, so that e = 0 (k = 1, cofactor L)
+    is num / 2; e < 0 adds q^-e num / (1 + q^-e).
     """
-    terms = [(c, e) for c, e in pairs if c._num]
     if not terms:
         return ZERO
-    den, *others = dict.fromkeys(c._den for c, _ in terms)
-    for d in others:
-        den = _den_op(or_, den, d)
-    lcm, cofs = _one_plus_lcm(tuple(sorted({abs(e) for _, e in terms if e})))
+    lcm, cofs = _one_plus_lcm(tuple(sorted({abs(e) for _, _, e in terms if e})))
     lcm_poly = _den_poly(lcm)
-    contents = [c._content / 2 if e == 0 else c._content for c, e in terms]
-    scale = math.lcm(*(r.denominator for r in contents))
-    shifts = [c._shift - min(e, 0) for c, e in terms]
+    shifts = [s - e if e < 0 else s for s, _, e in terms]
     lo = min(shifts)
     acc: list[int] = []
-    for (c, e), r, shift in zip(terms, contents, shifts):
-        # acc += k q^(shift - lo) num cof, one pass over cof per term of num
-        num = c._num if c._den == den else _int_mul(c._num, _den_poly(_den_op(sub, den, c._den)))
-        cof = cofs[abs(e)] if e else lcm_poly
-        k, n, off = r.numerator * (scale // r.denominator), len(cof), shift - lo
+    for (_, num, e), shift in zip(terms, shifts):
+        cof, k = (cofs[abs(e)], 2) if e else (lcm_poly, 1)
+        n, off = len(cof), shift - lo
         acc.extend([0] * (off + len(num) + n - 1 - len(acc)))
         for i, y in enumerate(num, off):
             if y:
@@ -408,7 +416,7 @@ def _sum_over_one_plus(pairs, times: Den = ()) -> "RatFuncQ":
     if rest := _den_op(sub, times, den):
         acc = _times_cyclotomic(acc, rest)
     den = _den_op(sub, den, times)
-    return _reduced(lo, acc, den, den, scale=scale)
+    return _reduced(lo, acc, den, den, content.numerator, 2 * content.denominator)
 
 
 def _split(coeffs: Mapping[int, Rational]) -> tuple[int, Fraction, list[int]]:

@@ -1,8 +1,12 @@
 """Weighted Genocchi routes: closed form, recurrence, umbral, integral,
 classical limit, and the unweighted specializations."""
 
+import os
+import subprocess
+import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -89,6 +93,27 @@ def closed_termwise(n: int, alpha: int, h: int, x: int) -> RatFuncQ:
     return acc
 
 
+# Counts the qcore._reduced calls and the RatFuncQ values built (through
+# qcore._new or the constructor) by one closed value, in a fresh interpreter
+# so that no lru_cache is warm.  To re-measure after a change to the integral
+# path, run this script with src on PYTHONPATH and pin what it prints.
+CLOSED_COUNT_SCRIPT = """
+from qgen import qcore
+from qgen.genocchi import _closed
+reduced, counts = qcore._reduced, [0, 0]
+def counted_reduced(*args, **kwargs):
+    counts[0] += 1
+    return reduced(*args, **kwargs)
+def counted_new(cls, *args, **kwargs):
+    counts[1] += 1
+    return object.__new__(cls)
+qcore._reduced = counted_reduced
+qcore.RatFuncQ.__new__ = staticmethod(counted_new)
+_closed(9, 3, 3, 2)
+print(*counts)
+"""
+
+
 class TestClosedForm:
     @pytest.mark.parametrize("alpha", [1, 2, 3])
     @pytest.mark.parametrize("h", [1, 2, 3])
@@ -158,6 +183,17 @@ class TestClosedForm:
         assert eval_at(weighted_genocchi_number(40, W(1, 1)), 1) == classical_genocchi(40)
         elapsed = time.perf_counter() - start
         assert elapsed < 10.0, f"closed form at n=40 and n=60 took {elapsed:.1f}s"
+
+    def test_closed_value_counts(self):
+        # one reduction and no RatFuncQ per term of the spec: the nine
+        # coefficients of [2 + xi]_{q^3}^8 stay integers over the shared
+        # prefactor, and the three RatFuncQs are the reduced integral, the
+        # factor n and the product
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        out = subprocess.run([sys.executable, "-c", CLOSED_COUNT_SCRIPT], env=env,
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.split() == ["1", "3"]
 
 
 class TestRecurrenceRoute:

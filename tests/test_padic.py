@@ -21,7 +21,8 @@ from qgen.padic import (
     truncated_sums,
     vp,
 )
-from qgen.qcore import ONE, Q, RatFuncQ, ZERO, _one_plus_lcm, eval_at, q_power, qbracket
+from qgen.qcore import (ONE, Q, RatFuncQ, ZERO, _one_plus_lcm, binomial, eval_at, q_power,
+                        qbracket)
 
 
 def naive_alternating_sum(terms: dict[int, Fraction], p: int, N: int,
@@ -456,6 +457,54 @@ class TestBracketPowerIntegrand:
             -1, alpha, n, sign=1, exp_shift=h - 1
         )
         assert direct == reflected
+
+    @pytest.mark.parametrize("scale", [1, -1, 2, -2, 3, -3])
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_shared_prefactor_matches_termwise_form(self, scale, sign):
+        # the spec over one prefactor against its coefficients built one
+        # RatFuncQ each: the same items, printed form, hash and integrals,
+        # and the same under a shift, a sum and a RatFuncQ scalar
+        other = IntegrandSpec({-1: Fraction(1, 2), 2: ONE / (ONE + Q)})
+        for x in range(-2, 4):
+            for power in range(7):
+                weight, cleared = (ONE - q_power(scale)) ** -power, (ONE - q_power(scale)) ** power
+                for shift in range(3):
+                    case = (x, power, shift)
+                    coeffs = {scale * l * sign + shift:
+                              (-1) ** l * binomial(power, l) * q_power(scale * l * x) * weight
+                              for l in range(power + 1)}
+                    spec = bracket_power_integrand(x, scale, power, sign=sign, exp_shift=shift)
+                    termwise = IntegrandSpec(coeffs)
+                    assert spec.items() == termwise.items() == sorted(coeffs.items()), case
+                    assert spec.describe() == termwise.describe() == "; ".join(
+                        f"{m}: {c}" for m, c in sorted(coeffs.items())), case
+                    assert hash(spec) == hash(termwise) == hash(frozenset(coeffs.items())), case
+                    assert spec == termwise and len(spec) == power + 1, case
+                    for normalized in (True, False):
+                        assert integrate(spec, normalized) == integrate(termwise, normalized) == (
+                            integrate_termwise(termwise, normalized)), case
+                    assert spec.at_zero() == sum(coeffs.values(), ZERO), case
+                    for k in (-1, 2):
+                        assert spec.shifted(k).items() == sorted(
+                            (m, c * q_power(m * k)) for m, c in coeffs.items()), case
+                    merged = dict(coeffs)
+                    for m, c in other.items():
+                        merged[m] = merged.get(m, ZERO) + c
+                    assert (spec + other).items() == IntegrandSpec(merged).items(), case
+                    assert (cleared * spec).items() == sorted(
+                        (m, cleared * c) for m, c in coeffs.items()), case
+
+    def test_repr_pinned(self):
+        # the printed form of the term-by-term spec, byte for byte
+        assert repr(bracket_power_integrand(0, 1, 2)) == (
+            "IntegrandSpec({0: (1)/(1 - 2*q + q^2); 1: (-2)/(1 - 2*q + q^2); "
+            "2: (1)/(1 - 2*q + q^2)})")
+        assert repr(bracket_power_integrand(2, 3, 2, exp_shift=2)) == (
+            "IntegrandSpec({2: (1)/(1 - 2*q^3 + q^6); 5: (-2*q^6)/(1 - 2*q^3 + q^6); "
+            "8: (q^12)/(1 - 2*q^3 + q^6)})")
+        assert repr(bracket_power_integrand(1, -2, 2, sign=-1, exp_shift=1)) == (
+            "IntegrandSpec({1: (q^4)/(1 - 2*q^2 + q^4); 3: (-2*q^2)/(1 - 2*q^2 + q^4); "
+            "5: (1)/(1 - 2*q^2 + q^4)})")
 
     @pytest.mark.parametrize("x,scale,power,sign,shift", [
         (0, 1, 2, 1, 0), (1, 2, 3, 1, 1), (1, -1, 2, -1, 0), (2, -2, 3, -1, 2),

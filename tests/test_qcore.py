@@ -33,6 +33,7 @@ from qgen.qcore import (
     _int_mul,
     _one_plus_lcm,
     _over_one_plus,
+    _shared_prefactor,
     _sum_over_one_plus,
     _times_cyclotomic,
     _trim,
@@ -604,6 +605,15 @@ class TestSumOverOnePlus:
             total = total + c / (ONE + q_power(e))
         return total
 
+    @staticmethod
+    def kernel(pairs, times=()):
+        # the sum of c / (1 + q^e) over (c, e) pairs, by the kernel over the
+        # shared prefactor of the nonzero c
+        pairs = [(c, e) for c, e in pairs if c]
+        content, den, nums = _shared_prefactor([c for c, _ in pairs])
+        terms = [(s, num, e) for (s, num), (_, e) in zip(nums, pairs)]
+        return _sum_over_one_plus(content, den, terms, times)
+
     @pytest.mark.parametrize("exps", [(1,), (2,), (1, 2, 3), (3, 6, 9, 12), (2, 5, 7, 10, 12)])
     def test_lcm_is_product_of_cyclotomic_factors(self, exps):
         # 1 + q^e is the product of Phi_d over d | 2e with d not dividing e
@@ -620,28 +630,47 @@ class TestSumOverOnePlus:
         rng = random.Random(1101)
         for _ in range(150):
             pairs = [(random_ratfunc(rng), rng.randint(-6, 6)) for _ in range(rng.randint(1, 5))]
-            assert _sum_over_one_plus(pairs) == self.termwise(pairs), pairs
+            assert self.kernel(pairs) == self.termwise(pairs), pairs
+            # [2]_q as times, cancelling against a Phi_2 or multiplying
+            assert self.kernel(pairs, ((2, 1),)) == (ONE + Q) * self.termwise(pairs), pairs
+
+    def test_shared_prefactor(self):
+        # content q^s num / den gives back each coefficient
+        rng = random.Random(1102)
+        for _ in range(100):
+            coeffs = [c for c in (random_ratfunc(rng) for _ in range(rng.randint(1, 4))) if c]
+            content, den, nums = _shared_prefactor(coeffs)
+            for c, (s, num) in zip(coeffs, nums):
+                value = RatFuncQ(dict(enumerate(num)), dict(enumerate(_den_poly(den))))
+                assert content * q_power(s) * value == c, (coeffs, c)
 
     def test_special_exponents(self):
         c = qbracket(3, 2) / (ONE - Q)
-        assert _sum_over_one_plus([(c, 0)]) == c / 2
-        assert _sum_over_one_plus([(c, -3)]) == c * q_power(3) / (ONE + q_power(3))
+        assert self.kernel([(c, 0)]) == c / 2
+        assert self.kernel([(c, -3)]) == c * q_power(3) / (ONE + q_power(3))
+        # the same from raw slices: (1/3) q^2 (3 - 3q) / Phi_1 = -q^2, halved
+        # at e = 0, and q^2 / (1 + q^-1) = q^3 / (1 + q)
+        assert _sum_over_one_plus(Fraction(1, 3), ((1, 1),), [(2, (3, -3), 0)]) == -q_power(2) / 2
+        assert _sum_over_one_plus(Fraction(1), (), [(2, (1,), -1)]) == q_power(3) / (ONE + Q)
 
     def test_zero_sums(self):
         c = ONE / (ONE - q_power(2))
-        assert _sum_over_one_plus([]) is ZERO
-        assert _sum_over_one_plus([(ZERO, 4)]) is ZERO
-        assert _sum_over_one_plus([(c, 2), (-c, 2), (ZERO, 0)]) == ZERO
+        assert self.kernel([]) is ZERO
+        assert self.kernel([(ZERO, 4)]) is ZERO
+        assert self.kernel([(c, 2), (-c, 2), (ZERO, 0)]) == ZERO
         # c / (1 + q) + c q / (1 + q) = c, with no (1 + q) left over
-        assert _sum_over_one_plus([(c, 1), (c * Q, 1)]) == c
+        assert self.kernel([(c, 1), (c * Q, 1)]) == c
+        # no terms, an empty numerator and an all-zero one
+        assert _sum_over_one_plus(Fraction(1), (), []) is ZERO
+        assert _sum_over_one_plus(Fraction(2), ((1, 1),), [(3, (), 2), (-1, (0, 0), 0)]) is ZERO
 
     def test_common_factors_cancel(self):
         # (1 - q) cancels: 1/(1+q) - 1/(1+q^2) = q (q - 1) / ((1+q)(1+q^2))
         c = ONE / (ONE - Q)
-        assert _sum_over_one_plus([(c, 1), (-c, 2)]) == -Q / ((ONE + Q) * (ONE + q_power(2)))
+        assert self.kernel([(c, 1), (-c, 2)]) == -Q / ((ONE + Q) * (ONE + q_power(2)))
         # the final reduction: (1 - q^2)^k / (1 + q) = (1 - q)^k (1 + q)^(k-1)
         for k in range(1, 5):
-            got = _sum_over_one_plus([((ONE - q_power(2)) ** k, 1)])
+            got = self.kernel([((ONE - q_power(2)) ** k, 1)])
             assert got == (ONE - Q) ** k * (ONE + Q) ** (k - 1)
             assert got.den == {0: 1}
 
