@@ -44,7 +44,7 @@ from qgen.padic import (
     truncated_reading,
     truncated_sums,
 )
-from qgen.qcore import PoleError, eval_at
+from qgen.qcore import PoleError, eval_at, fraction_text
 
 __all__ = ["build_parser", "console_main", "run", "serialize_report"]
 
@@ -283,8 +283,9 @@ def _cmd_table(args) -> int:
     # sorted by n; the entries at x = 0 are skipped unless --x is 0
     for (n, _, _, x), value, _ in table.entries():
         if x == args.x:
-            text = value.to_canonical_string() if args.at_q is None else eval_at(value, args.at_q)
-            rows.append({"n": n, "alpha": w.alpha, "h": w.h, "x": x, "value": str(text)})
+            text = (value.to_canonical_string() if args.at_q is None
+                    else fraction_text(eval_at(value, args.at_q)))
+            rows.append({"n": n, "alpha": w.alpha, "h": w.h, "x": x, "value": text})
     config = {"n-max": args.n_max, "alpha": w.alpha, "h": w.h, "x": args.x,
               "at-q": str(args.at_q) if args.at_q is not None else None}
     return _write_rows(args, [f"weighted Genocchi table alpha={w.alpha} h={w.h} x={args.x}"],
@@ -355,14 +356,15 @@ def _cmd_integral(args) -> int:
     config = {"p": args.p, "q": str(args.q), "spec": spec.describe(),
               "N": args.N, "M": args.M, "unnormalized": args.unnormalized}
     title = [f"fermionic integral: p={args.p} q={args.q} spec {{{spec.describe()}}}",
-             f"  exact limit = {limit}  (symbolic: {limit_sym})"]
+             f"  exact limit = {fraction_text(limit)}  (symbolic: {limit_sym})"]
 
     def line(r: dict) -> str:
         extra = f"  raw-sum={r['raw-sum']}" if args.unnormalized else ""
         return f"  N={r['N']:<3} value={r['value']}  vp(diff)={r['valuation']}{extra}"
 
     return _write_rows(args, title, config, rows, line,
-                       {"limit": str(limit), "limit-symbolic": limit_sym.to_canonical_string()})
+                       {"limit": fraction_text(limit),
+                        "limit-symbolic": limit_sym.to_canonical_string()})
 
 
 def _cmd_bernstein(args) -> int:

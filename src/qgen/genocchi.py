@@ -165,7 +165,7 @@ def _umbral(n: int, alpha: int, h: int, x: int) -> RatFuncQ:
     bracket = qbracket(x, alpha)
     for k in range(n + 1):
         g_k = _recurrence_number(k, alpha, h)
-        if g_k.is_zero:
+        if not g_k:
             continue
         acc = acc + binomial(n, k) * q_power(alpha * k * x) * g_k * bracket ** (n - k)
     return q_power(-alpha * x) * acc

@@ -295,7 +295,7 @@ def _boundaries(records: tuple[VerificationRecord, ...]) -> tuple[dict, ...]:
     for rec in records:
         if rec.theorem not in _BOUNDARY_AXES:
             continue
-        params = rec.params_dict()
+        params = dict(rec.params)
         n = params.pop("n")
         key = (rec.theorem, tuple(sorted(params.items())))
         verdict = "PASS" if rec.passed else "FAIL"

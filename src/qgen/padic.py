@@ -22,15 +22,17 @@ slices over one shared denominator (`qcore._sum_over_one_plus`) and
 reduces the sum, times [2]_q, once, by the cyclotomic factors of that
 denominator; the (1 - q^a)^-n weight goes in one exact division.
 
-With K = p^N, the modular path sums each term as the geometric
-series c (1 - r^K) / (1 - r), r = -q^(m+1), mod p^M: O(log K) per term.
-Since q = 1 mod p, 1 - r = 2 mod p is a unit, so this is an identity in
-Z/p^M, not an approximation.  The exact path never divides by 1 - r: it
-writes r = u/w and regroups the K terms of the finite sum by halving,
-A_2n = A_n (u^n + w^n) and A_(n+1) = A_n w + u^n for
-A_n = sum_{x<n} u^x w^(n-1-x), so each term costs about 2 log2 K
-big-integer products and one reduction.  The literal-definition oracle,
-a K-step loop over x, is `naive_alternating_sum` in the tests.
+With K = p^N, every truncated sum is one geometric series
+sum_{x<K} r^x per term, r = -q^(m+1), and the normalizer [p^N]_{-q} is
+the same series at r = -q.  Both paths sum it in closed form, with no
+loop over x: the exact path over Q, writing r = u/w, as
+((w^K - u^K) // (w - u)) / w^(K-1), where the division is exact in Z
+(r = 1 would need q = -1, which v_p(q - 1) >= 1 rules out for odd p);
+the modular path as (1 - r^K) (1 - r)^-1 mod p^M, where q = 1 mod p
+makes 1 - r = 2 mod p a unit, so this is an identity in Z/p^M, not an
+approximation.  Each costs O(log K) products per term.  The
+literal-definition oracle, a K-step loop over x, is
+`naive_alternating_sum` in the tests.
 
 Note on normalization: without the 1/[p^N]_{-q} factor the limiting
 functional satisfies q I(f1) + I(f) = 2 f(0) instead of the q-shift
@@ -56,6 +58,7 @@ from qgen.qcore import (
     _sum_over_one_plus,
     binomial,
     eval_at,
+    fraction_text,
     q_power,
     qbracket,
 )
@@ -196,17 +199,6 @@ class IntegrandSpec:
         nums = {m: (s + m * k, num) for m, (s, num) in self._nums.items()}
         return IntegrandSpec.__new__(IntegrandSpec)._set(self._content, self._den, nums)
 
-    def __add__(self, other: "IntegrandSpec") -> "IntegrandSpec":
-        merged = dict(self.items())
-        for m, c in other.items():
-            merged[m] = merged.get(m, ZERO) + c
-        return IntegrandSpec(merged)
-
-    def __rmul__(self, scalar: CoeffLike) -> "IntegrandSpec":
-        return IntegrandSpec({m: scalar * c for m, c in self.items()})
-
-    __mul__ = __rmul__
-
     def describe(self) -> str:
         if not self._nums:
             return "0"
@@ -268,27 +260,17 @@ def _coeff_values(spec: IntegrandSpec, q: Fraction) -> tuple[tuple[int, Fraction
     return tuple((m, eval_at(c, q)) for m, c in spec.items())
 
 
+def _geometric(r: Fraction, count: int) -> Fraction:
+    # sum_{x<K} r^x for r = u/w != 1: w^K - u^K = (w - u) sum_{x<K} u^x w^(K-1-x)
+    u, w = r.numerator, r.denominator
+    return Fraction((w**count - u**count) // (w - u), w ** (count - 1))
+
+
 def _truncated_exact(spec: IntegrandSpec, ctx: PadicContext) -> Fraction:
-    # q^(m x) (-q)^x = (u/w)^x, and A_n = sum_{x<n} u^x w^(n-1-x) obeys
-    # A_2n = A_n (u^n + w^n) and A_(n+1) = A_n w + u^n: walk the bits of K
-    # from the top, then reduce A_K / w^(K-1) once
-    q = ctx.q
+    # q^(m x) (-q)^x = r^x with r = -q^(m+1)
     count = ctx.p**ctx.N
-    total = Fraction(0)
-    for m, c in _coeff_values(spec, q):
-        r = -q ** (m + 1)
-        u, w = r.numerator, r.denominator
-        acc, un, wn = 1, u, w  # A_n, u^n, w^n at n = 1
-        for bit in bin(count)[3:]:
-            acc *= un + wn
-            un *= un
-            wn *= wn
-            if bit == "1":
-                acc = acc * w + un
-                un *= u
-                wn *= w
-        total += c * Fraction(acc, wn // w)
-    return total
+    return sum((c * _geometric(-ctx.q ** (m + 1), count)
+                for m, c in _coeff_values(spec, ctx.q)), Fraction(0))
 
 
 def _diff_valuation(diff: Fraction, ctx: PadicContext) -> float:
@@ -312,26 +294,26 @@ def _to_mod(r: Fraction, p: int, mod: int) -> int:
     return r.numerator * pow(r.denominator, -1, mod) % mod
 
 
+def _geometric_mod(r: int, count: int, mod: int) -> int:
+    # the same sum mod p^M, for r = -1 mod p
+    return (1 - pow(r, count, mod)) * pow(1 - r, -1, mod) % mod
+
+
 def _truncated_modular(spec: IntegrandSpec, ctx: PadicContext) -> Fraction:
-    # the geometric closed form of the module docstring, term by term
-    p, mod = ctx.p, ctx.p**ctx.M
+    p, mod, count = ctx.p, ctx.p**ctx.M, ctx.p**ctx.N
     qm = _to_mod(ctx.q, p, mod)
-    count = p**ctx.N
-    total = 0
-    for m, c in _coeff_values(spec, ctx.q):
-        r = -pow(qm, m + 1, mod)
-        total += _to_mod(c, p, mod) * (1 - pow(r, count, mod)) * pow(1 - r, -1, mod)
+    total = sum(_to_mod(c, p, mod) * _geometric_mod(-pow(qm, m + 1, mod), count, mod)
+                for m, c in _coeff_values(spec, ctx.q))
     return Fraction(total % mod)
 
 
 def _normalize(raw: Fraction, ctx: PadicContext, method: str) -> Fraction:
-    # raw / [p^N]_{-q}, with [p^N]_{-q} = (1 - (-q)^K) / (1 + q), K = p^N
-    q, count = ctx.q, ctx.p**ctx.N
+    # raw / [p^N]_{-q}: [p^N]_{-q} is the same geometric sum at r = -q
+    count = ctx.p**ctx.N
     if method == "exact":
-        return raw / ((1 - (-q) ** count) / (1 + q))
+        return raw / _geometric(-ctx.q, count)
     mod = ctx.p**ctx.M
-    qm = _to_mod(q, ctx.p, mod)
-    bracket = (1 - pow(-qm, count, mod)) * pow(1 + qm, -1, mod) % mod
+    bracket = _geometric_mod(-_to_mod(ctx.q, ctx.p, mod), count, mod)
     return Fraction(raw.numerator * pow(bracket, -1, mod) % mod)
 
 
@@ -347,12 +329,12 @@ def truncated_integral(spec: IntegrandSpec, ctx: PadicContext, *,
                        normalized: bool = True, method: str = "auto") -> Fraction:
     """Truncated sum S_N(f) at q = ctx.q.
 
-    Exact rational for N <= 4 (or ``method="exact"``), from the finite
-    sum regrouped by halving along the bits of p^N; for larger N the
-    value is a reduced representative mod p^M (``method="modular"``),
-    from the geometric closed form.  Both take O(log p^N) products per
-    term, and neither loops over x.  The raw sum without the
-    1/[p^N]_{-q} normalizer is available via ``normalized=False``.
+    Exact rational for N <= 4 (or ``method="exact"``); for larger N the
+    value is a reduced representative mod p^M (``method="modular"``).
+    Both sum each term, and the normalizer [p^N]_{-q}, as one geometric
+    series in closed form, over Q or mod p^M, and neither loops over x.
+    The raw sum without the 1/[p^N]_{-q} normalizer is available via
+    ``normalized=False``.
     """
     method = _method(ctx, method)
     raw = (_truncated_exact if method == "exact" else _truncated_modular)(spec, ctx)
@@ -374,27 +356,9 @@ def truncated_reading(value: Fraction, limit: Fraction, ctx: PadicContext) -> tu
     limit in M digits."""
     valuation = _diff_valuation(value - limit, ctx)
     if ctx.N <= _EXACT_MAX_N:
-        return _fraction_text(value), str(valuation)
+        return fraction_text(value), str(valuation)
     text = f">={ctx.M}" if valuation >= ctx.M else str(valuation)
-    return f"{_fraction_text(value)} mod {ctx.p}^{ctx.M}", text
-
-
-def _fraction_text(value: Fraction) -> str:
-    """str(value) at any size (an exact sum at N = 4 can pass 4,300 digits)."""
-    num = _decimal(value.numerator)
-    return num if value.denominator == 1 else f"{num}/{_decimal(value.denominator)}"
-
-
-def _decimal(n: int) -> str:
-    # str() refuses an int longer than sys.get_int_max_str_digits() (4,300
-    # by default, never below 640 when set), so split at a power of ten
-    if n.bit_length() <= 2000:  # 603 digits
-        return str(n)
-    if n < 0:
-        return "-" + _decimal(-n)
-    k = n.bit_length() * 3 // 20  # half the digits, log10(2) ~ 0.3
-    high, low = divmod(n, 10**k)
-    return _decimal(high) + _decimal(low).zfill(k)
+    return f"{fraction_text(value)} mod {ctx.p}^{ctx.M}", text
 
 
 # ---------------------------------------------------------------------------

@@ -65,6 +65,7 @@ __all__ = [
     "Q",
     "binomial",
     "eval_at",
+    "fraction_text",
     "q_power",
     "qbracket",
     "subst_q_inverse",
@@ -482,10 +483,6 @@ class RatFuncQ:
         """Denominator view {exponent: coefficient}, an ordinary polynomial."""
         return {i: Fraction(x) for i, x in enumerate(_den_poly(self._den)) if x}
 
-    @property
-    def is_zero(self) -> bool:
-        return not self._num
-
     def __bool__(self) -> bool:
         return bool(self._num)
 
@@ -798,3 +795,22 @@ def eval_at(f: RatFuncQ, q0: Rational) -> Fraction:
     cancelled; in particular q0 = 1 realizes the q -> 1 limit.
     """
     return f.eval_at(q0)
+
+
+def fraction_text(value: Fraction) -> str:
+    """str(value) at any size: an exact p-adic sum at N = 4, a limit or a
+    value at a large q can pass 4,300 digits."""
+    num = _decimal(value.numerator)
+    return num if value.denominator == 1 else f"{num}/{_decimal(value.denominator)}"
+
+
+def _decimal(n: int) -> str:
+    # str() refuses an int longer than sys.get_int_max_str_digits() (4,300
+    # by default, never below 640 when set), so split at a power of ten
+    if n.bit_length() <= 2000:  # 603 digits
+        return str(n)
+    if n < 0:
+        return "-" + _decimal(-n)
+    k = n.bit_length() * 3 // 20  # half the digits, log10(2) ~ 0.3
+    high, low = divmod(n, 10**k)
+    return _decimal(high) + _decimal(low).zfill(k)

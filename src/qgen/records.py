@@ -35,9 +35,6 @@ class VerificationRecord:
     def passed(self) -> bool:
         return self.status in (PASS, BOUNDARY_PASS)
 
-    def params_dict(self) -> dict[str, object]:
-        return dict(self.params)
-
     def params_text(self) -> str:
         return " ".join(f"{k}={v}" for k, v in self.params)
 

@@ -65,7 +65,7 @@ def test_01_functional_equation_random_specs():
                 rng.randint(-6, 6): Fraction(rng.randint(-9, 9), rng.randint(1, 5))
                 for _ in range(rng.randint(1, 5))
             }
-            assert functional_equation_residual(IntegrandSpec(terms)).is_zero, terms
+            assert not functional_equation_residual(IntegrandSpec(terms)), terms
 
 
 def test_02_normalization_adjudication():
@@ -75,11 +75,11 @@ def test_02_normalization_adjudication():
         raw = functional_equation_residual(constant, normalized=False)
         assert raw == (RatFuncQ(2) - qbracket(2, 1)) * constant.at_zero()
         assert raw == ONE - Q
-        assert not raw.is_zero
+        assert raw
         assert eval_at(raw, Fraction(3)) != 0  # fails for q != 1
         assert eval_at(raw, 1) == 0
         # normalized reading: residual is identically zero
-        assert functional_equation_residual(constant, normalized=True).is_zero
+        assert not functional_equation_residual(constant, normalized=True)
 
 
 def test_03_three_way_genocchi_agreement():

@@ -14,9 +14,10 @@ import pytest
 
 from qgen import __version__
 from qgen.cli import EXIT_FAIL, EXIT_OK, EXIT_PRECISION, EXIT_USAGE, run, serialize_report
+from qgen.genocchi import WeightParams, weighted_genocchi_number
 from qgen.identities import SweepConfig, SweepReport, sweep
-from qgen.padic import IntegrandSpec, PadicContext, truncated_integral
-from qgen.qcore import ONE, Q, RatFuncQ
+from qgen.padic import IntegrandSpec, PadicContext, integrate, truncated_integral
+from qgen.qcore import ONE, Q, RatFuncQ, eval_at
 from qgen.records import compare
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -84,6 +85,22 @@ class TestTable:
         assert err.startswith("qgen: route disagreement at (0, 1, 1, 0): umbral produced 1 + q")
         assert err.count("\n") == 1
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_values_past_the_int_digit_limit(self, capsys, fmt):
+        # at q = 10^1500 the values pass 4,300 digits and print in full
+        at_q = "1" + "0" * 1500
+        code, out, err = run_cli(capsys, ["table", "--n-max", "4", "--alpha", "1", "--h", "1",
+                                          "--at-q", at_q, "--format", fmt])
+        assert (code, err) == (EXIT_OK, "")
+        if fmt == "json":
+            printed = [row["value"] for row in json.loads(out)["rows"]]
+        else:
+            printed = [line.split()[1] for line in out.splitlines()[1:]]
+        w = WeightParams(1, 1)
+        want = [eval_at(weighted_genocchi_number(n, w), Fraction(at_q)) for n in range(5)]
+        assert max(abs(v.numerator) for v in want).bit_length() > 14_300
+        assert [big_fraction(text) for text in printed] == want
 
 
 class TestVerify:
@@ -315,23 +332,30 @@ class TestIntegral:
         (["--p", "7", "--q", "9/2", "--m", "2", "--coeff=-3:2/5", "--N", "4"],
          {2: 1, -3: Fraction(2, 5)}, 4, None),
         (["--p", "7", "--q", "8", "--m", "1", "--N", "5", "--M", "5200"], {1: 1}, 5, 5200),
+        (["--p", "3", "--q", "4", "--m", "8000", "--N", "1"], {8000: 1}, 1, None),
     ])
     @pytest.mark.parametrize("fmt", ["text", "json"])
     def test_values_past_the_int_digit_limit(self, capsys, argv, terms, N, M, fmt):
         # str() of an int refuses more than 4,300 digits by default; the
-        # exact sums at N = 4 and a residue mod 7^5200 print in full
+        # exact sums at N = 4, a residue mod 7^5200 and the limit
+        # [2]_q / (1 + q^8001) at q = 4 print in full
         code, out, err = run_cli(capsys, ["integral", *argv, "--format", fmt])
         assert (code, err) == (EXIT_OK, "")
         if fmt == "json":
-            printed = json.loads(out)["rows"][0]["value"]
+            payload = json.loads(out)
+            printed, limit = payload["rows"][0]["value"], payload["limit"]
         else:
-            printed = out.splitlines()[-1].partition("value=")[2].partition("  vp(diff)=")[0]
-        ctx = PadicContext(p=7, N=N, q=Fraction(argv[3]), M=M)
-        value = truncated_integral(IntegrandSpec(terms), ctx)
+            lines = out.splitlines()
+            printed = lines[-1].partition("value=")[2].partition("  vp(diff)=")[0]
+            limit = lines[1].partition("exact limit = ")[2].partition("  (symbolic: ")[0]
+        p, q = int(argv[1]), Fraction(argv[3])
+        spec = IntegrandSpec(terms)
+        value = truncated_integral(spec, PadicContext(p=p, N=N, q=q, M=M))
         assert max(value.numerator, value.denominator).bit_length() > 14_300
         if M is not None:
-            printed = printed.removesuffix(f" mod 7^{M}")
+            printed = printed.removesuffix(f" mod {p}^{M}")
         assert big_fraction(printed) == value
+        assert big_fraction(limit) == eval_at(integrate(spec), q)
 
 
 class TestBernstein:
@@ -379,8 +403,9 @@ class TestUsage:
 
 # sha256 of stdout per invocation and format; the invocations reach
 # --at-q, --unnormalized, a residue row at N >= 5, a censored ">=M"
-# valuation and a verify grid other than the default one (whose json
-# report tests/test_acceptance.py pins)
+# valuation, the geometric sum at r = -1 (m = -1) on an exact and a
+# modular level side by side, and a verify grid other than the default
+# one (whose json report tests/test_acceptance.py pins)
 FRONT_DOOR_DIGESTS = {
     ("verify", "all", "--n-max", "3", "--alpha-max", "2", "--h-max", "2"): {
         "text": "c1b3c3f005ef73affc8f4405d07c326faaed398d702bcac1e5e649547feba0e1",
@@ -408,6 +433,12 @@ FRONT_DOOR_DIGESTS = {
         "text": "425eb75a99b4644ca99df1e12a4534aa67763f6250c83b0780142435faa1d92f",
         "json": "14c9f4a1f008b9f3e47a90022889f61f4c836fa0b0607138dc1bc681afd28548",
         "csv": "ee5eb3841c19bd4e33c695339dc2e7113f35e2a59fd35db76792c08c6ff9d32c",
+    },
+    ("integral", "--p", "5", "--q", "6", "--m", "0", "--coeff=-1:1", "--N", "4,5",
+     "--unnormalized"): {
+        "text": "2f7f2c59b4c8d26796b177383ccdc3d5701dfb34fb862abe5218b5adcee70ac8",
+        "json": "2965f100a1311e7472a6c6770885d883f802ecdf4d29875d7c0b8f8b29c12e20",
+        "csv": "3d3b37ce6b62d9128e587e54d509bce4d181ce248c0fc55cca73a3c4f52132a1",
     },
     ("integral", "--p", "7", "--q", "9/2", "--m", "2", "--coeff=-3:2/5", "--N", "0,1,2,3",
      "--unnormalized"): {
