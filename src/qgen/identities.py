@@ -182,9 +182,8 @@ def verify_bernstein_double(n1: int, n2: int, k: int, w: WeightParams) -> Verifi
 class SweepConfig:
     """Finite parameter grids for every verifier.
 
-    Defaults cover the standard regression grid; shrink the maxima (or
-    use `empty`) for quicker runs.  A range with max < min contributes
-    no records.
+    Defaults cover the standard regression grid; shrink the maxima for
+    quicker runs.  A range with max < min contributes no records.
     """
 
     n_min: int = 0
@@ -206,12 +205,6 @@ class SweepConfig:
     s_max: int = 3
     product_alpha_max: int = 2
     product_h_max: int = 2
-
-    @classmethod
-    def empty(cls) -> "SweepConfig":
-        return cls(n_max=-1, scalar_n_max=-1, alpha_max=0, h_max=0,
-                   x_max=-3, single_n_max=0, pair_n_max=0, multi_n_max=0,
-                   s_max=1, product_alpha_max=0, product_h_max=0)
 
     def _weights(self, product_grid: bool = False) -> list[WeightParams]:
         a_hi = self.product_alpha_max if product_grid else self.alpha_max

@@ -38,17 +38,14 @@ is no such product.  Multiplying and dividing by Phi_d are sparse steps
 by (1 - q^k).
 
 A value is built from an int, a Fraction or an ``{exponent: coefficient}``
-mapping for numerator and denominator, and read back through the
-``num`` (content and shift included) and ``den`` views, plain
-``{exponent: Fraction}`` dicts built on demand.  q is a formal
-indeterminate here: substituting a rational number is an explicit step
-(`eval_at`), and the p-adic reading of q lives in the `padic` module.
+mapping for numerator and denominator.  q is a formal indeterminate
+here: substituting a rational number is an explicit step (`eval_at`),
+and the p-adic reading of q lives in the `padic` module.
 """
 
 from __future__ import annotations
 
 import math
-import re
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
@@ -62,7 +59,6 @@ __all__ = [
     "RatFuncQ",
     "ZERO",
     "ONE",
-    "Q",
     "binomial",
     "eval_at",
     "fraction_text",
@@ -439,19 +435,13 @@ def _split(coeffs: Mapping[int, Rational]) -> tuple[int, Fraction, list[int]]:
 # ---------------------------------------------------------------------------
 
 
-_TERM_RE = re.compile(r"^(-?\d+(?:/\d+)?)\*q\^(-?\d+)$")
-
-
 class RatFuncQ:
     """Canonically reduced quotient of a Laurent polynomial in q by a
     product of cyclotomic polynomials.
 
     All arithmetic returns canonical values, so `==` decides mathematical
     equality.  The value is stored once as (shift, content, num, den), see
-    the module docstring.  The `num` view absorbs the rational content and
-    the overall power of q; the `den` view is the expanded denominator, an
-    ordinary polynomial with content 1, positive leading coefficient and
-    nonzero constant term.
+    the module docstring.
     """
 
     __slots__ = ("_shift", "_content", "_num", "_den")
@@ -471,17 +461,6 @@ class RatFuncQ:
         self._shift, self._content, self._num, self._den = sn - sd, cn / cd, tuple(n), d
 
     # -- inspection ------------------------------------------------------
-
-    @property
-    def num(self) -> dict[int, Fraction]:
-        """Numerator view {exponent: coefficient} of content * q^shift * num(q)."""
-        c, s = self._content, self._shift
-        return {s + i: c * x for i, x in enumerate(self._num) if x}
-
-    @property
-    def den(self) -> dict[int, Fraction]:
-        """Denominator view {exponent: coefficient}, an ordinary polynomial."""
-        return {i: Fraction(x) for i, x in enumerate(_den_poly(self._den)) if x}
 
     def __bool__(self) -> bool:
         return bool(self._num)
@@ -637,23 +616,11 @@ class RatFuncQ:
         """Machine form: explicit terms, ascending exponents, 'num / den'."""
         p, r, s = self._content.numerator, self._content.denominator, self._shift
         if r == 1:  # integer content: every coefficient is p x, no gcd to take
-            num = " + ".join([f"{p * x}*q^{e}" for e, x in enumerate(self._num, s) if x])
+            num = " + ".join([f"{_decimal(p * x)}*q^{e}" for e, x in enumerate(self._num, s) if x])
         else:
             num = " + ".join([f"{_ratio_str(p * x, r)}*q^{e}"
                               for e, x in enumerate(self._num, s) if x])
         return f"{num or '0'} / {_den_string(self._den)}"
-
-    @classmethod
-    def from_canonical_string(cls, text: str) -> "RatFuncQ":
-        """Parse the canonical string; text that is not canonical is rejected."""
-        try:
-            num_text, den_text = text.split(" / ")
-            value = cls(_poly_parse(num_text), _poly_parse(den_text))
-        except (ValueError, ZeroDivisionError):
-            raise ValueError(f"malformed rational function string: {text!r}") from None
-        if value.to_canonical_string() != text:
-            raise ValueError(f"not in canonical form: {text!r}")
-        return value
 
     def __str__(self) -> str:
         num = _poly_str(self._shift, self._content, self._num)
@@ -677,13 +644,13 @@ def _den_string(den: Den) -> str:
     # the denominator half of the canonical string; values share few
     # denominators (76 among the 782 sides of the default sweep), so each
     # is rendered once while it is among the last 1,024 used
-    return " + ".join(f"{x}*q^{i}" for i, x in enumerate(_den_poly(den)) if x)
+    return " + ".join(f"{_decimal(x)}*q^{i}" for i, x in enumerate(_den_poly(den)) if x)
 
 
 def _ratio_str(n: int, d: int) -> str:
-    # str(Fraction(n, d)) without building the Fraction
+    # fraction_text(Fraction(n, d)) without building the Fraction
     g = math.gcd(n, d)
-    return str(n // g) if g == d else f"{n // g}/{d // g}"
+    return _decimal(n // g) if g == d else f"{_decimal(n // g)}/{_decimal(d // g)}"
 
 
 def _poly_str(shift: int, content: Rational, cs) -> str:
@@ -695,27 +662,15 @@ def _poly_str(shift: int, content: Rational, cs) -> str:
         v, e = content * x, shift + i
         mag = abs(v)
         if e == 0:
-            body = str(mag)
+            body = fraction_text(mag)
         else:
             qpart = "q" if e == 1 else f"q^{e}"
-            body = qpart if mag == 1 else f"{mag}*{qpart}"
+            body = qpart if mag == 1 else f"{fraction_text(mag)}*{qpart}"
         if not parts:
             parts.append(body if v > 0 else f"-{body}")
         else:
             parts.append(f"+ {body}" if v > 0 else f"- {body}")
     return " ".join(parts) or "0"
-
-
-def _poly_parse(text: str) -> dict[int, Fraction]:
-    if text == "0":
-        return {}
-    coeffs: dict[int, Fraction] = {}
-    for term in text.split(" + "):
-        m = _TERM_RE.match(term)
-        if not m:
-            raise ValueError(f"malformed term: {term!r}")
-        coeffs[int(m.group(2))] = Fraction(m.group(1))
-    return coeffs
 
 
 def _terms(value) -> dict[int, Rational]:
@@ -748,9 +703,6 @@ ONE = RatFuncQ(1)
 def q_power(e: int) -> RatFuncQ:
     """The monomial q^e (e may be negative)."""
     return _new(e, Fraction(1), (1,), ())
-
-
-Q = q_power(1)
 
 
 # ---------------------------------------------------------------------------
@@ -797,9 +749,9 @@ def eval_at(f: RatFuncQ, q0: Rational) -> Fraction:
     return f.eval_at(q0)
 
 
-def fraction_text(value: Fraction) -> str:
-    """str(value) at any size: an exact p-adic sum at N = 4, a limit or a
-    value at a large q can pass 4,300 digits."""
+def fraction_text(value: Rational) -> str:
+    """str(value) at any size: an exact p-adic sum at N = 4, a limit, a
+    value at a large q or a coefficient of a value can pass 4,300 digits."""
     num = _decimal(value.numerator)
     return num if value.denominator == 1 else f"{num}/{_decimal(value.denominator)}"
 

@@ -39,7 +39,8 @@ from qgen.identities import (
     verify_symmetry,
 )
 from qgen.padic import IntegrandSpec, PadicContext, functional_equation_residual
-from qgen.qcore import ONE, Q, RatFuncQ, ZERO, eval_at, qbracket
+from qgen.qcore import ONE, RatFuncQ, ZERO, eval_at, qbracket
+from readback import Q
 
 W = WeightParams
 

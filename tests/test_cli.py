@@ -17,8 +17,9 @@ from qgen.cli import EXIT_FAIL, EXIT_OK, EXIT_PRECISION, EXIT_USAGE, run, serial
 from qgen.genocchi import WeightParams, weighted_genocchi_number
 from qgen.identities import SweepConfig, SweepReport, sweep
 from qgen.padic import IntegrandSpec, PadicContext, integrate, truncated_integral
-from qgen.qcore import ONE, Q, RatFuncQ, eval_at
+from qgen.qcore import ONE, RatFuncQ, eval_at
 from qgen.records import compare
+from readback import Q, read_canonical, read_fraction
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -27,21 +28,6 @@ def run_cli(capsys, argv):
     code = run(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
-
-
-def big_fraction(text: str) -> Fraction:
-    """Fraction(text) at any length: int() refuses a decimal longer than
-    sys.get_int_max_str_digits(), so each part is read 500 digits at a time."""
-    def big_int(digits: str) -> int:
-        sign, digits = (-1, digits[1:]) if digits.startswith("-") else (1, digits)
-        n = 0
-        for i in range(0, len(digits), 500):
-            chunk = digits[i:i + 500]
-            n = n * 10 ** len(chunk) + int(chunk)
-        return sign * n
-
-    num, _, den = text.partition("/")
-    return Fraction(big_int(num), big_int(den or "1"))
 
 
 SMALL_VERIFY = ["--n-max", "2", "--alpha-max", "1", "--h-max", "1",
@@ -67,7 +53,7 @@ class TestTable:
         payload = json.loads(out)
         assert payload["tool-version"]
         for row in payload["rows"]:
-            RatFuncQ.from_canonical_string(row["value"])  # must parse
+            read_canonical(row["value"])  # must parse
 
     def test_rejects_bad_weight(self, capsys):
         code, _, err = run_cli(capsys, ["table", "--n-max", "2", "--alpha", "0"])
@@ -100,7 +86,7 @@ class TestTable:
         w = WeightParams(1, 1)
         want = [eval_at(weighted_genocchi_number(n, w), Fraction(at_q)) for n in range(5)]
         assert max(abs(v.numerator) for v in want).bit_length() > 14_300
-        assert [big_fraction(text) for text in printed] == want
+        assert [read_fraction(text) for text in printed] == want
 
 
 class TestVerify:
@@ -147,8 +133,8 @@ class TestVerify:
         assert rows[0] == ["theorem", "params", "status", "lhs", "rhs"]
         assert len(rows) == 1 + 3  # header + n in {0, 1, 2}
         for row in rows[1:]:
-            RatFuncQ.from_canonical_string(row[3])
-            RatFuncQ.from_canonical_string(row[4])
+            read_canonical(row[3])
+            read_canonical(row[4])
 
     def test_output_file(self, capsys, tmp_path):
         target = tmp_path / "report.json"
@@ -354,8 +340,28 @@ class TestIntegral:
         assert max(value.numerator, value.denominator).bit_length() > 14_300
         if M is not None:
             printed = printed.removesuffix(f" mod {p}^{M}")
-        assert big_fraction(printed) == value
-        assert big_fraction(limit) == eval_at(integrate(spec), q)
+        assert read_fraction(printed) == value
+        assert read_fraction(limit) == eval_at(integrate(spec), q)
+
+    @pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+    def test_coefficients_past_the_int_digit_limit(self, capsys, fmt):
+        # coefficients 1/(10^4000 + 1) and 1/(10^4000 + 3): the spec, the
+        # symbolic limit and its canonical string print them in full
+        d1, d2 = 10**4000 + 1, 10**4000 + 3
+        code, out, err = run_cli(capsys, ["integral", "--p", "3", "--q", "4",
+                                          "--coeff", f"0:1/{d1}", "--coeff", f"1:1/{d2}",
+                                          "--N", "1", "--format", fmt])
+        assert (code, err) == (EXIT_OK, "")
+        spec = IntegrandSpec({0: Fraction(1, d1), 1: Fraction(1, d2)})
+        if fmt == "json":
+            payload = json.loads(out)
+            assert payload["config-echo"]["spec"] == f"0: 1/{d1}; 1: 1/{d2}"
+            assert read_canonical(payload["limit-symbolic"]) == integrate(spec)
+        elif fmt == "text":
+            assert out.startswith(f"fermionic integral: p=3 q=4 spec {{0: 1/{d1}; 1: 1/{d2}}}\n")
+        else:
+            value = truncated_integral(spec, PadicContext(p=3, N=1, q=Fraction(4)))
+            assert read_fraction(list(csv.reader(io.StringIO(out)))[1][1]) == value
 
 
 class TestBernstein:
@@ -374,7 +380,7 @@ class TestBernstein:
         ])
         rows = list(csv.reader(io.StringIO(out)))
         assert len(rows) == 2
-        assert RatFuncQ.from_canonical_string(rows[1][4]) == RatFuncQ({1: -2, 2: -2})
+        assert read_canonical(rows[1][4]) == RatFuncQ({1: -2, 2: -2})
 
     def test_bad_index(self, capsys):
         code, _, _ = run_cli(capsys, ["bernstein", "--n", "2", "--k", "5"])
@@ -534,7 +540,7 @@ class TestSerializeReport:
         payload = json.loads(text)
         entry = payload["records"][0]
         assert entry["status"] == "PASS"
-        lhs = RatFuncQ.from_canonical_string(entry["lhs"])
+        lhs = read_canonical(entry["lhs"])
         assert lhs == ONE + Q
         # parse -> serialize -> parse is stable
         assert lhs.to_canonical_string() == entry["lhs"]

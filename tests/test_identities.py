@@ -278,7 +278,10 @@ class TestSweep:
         assert ("shift2", "FAIL->PASS") in flips
 
     def test_empty_config(self):
-        report = sweep(SweepConfig.empty())
+        # every range has max < min
+        report = sweep(SweepConfig(n_max=-1, scalar_n_max=-1, alpha_max=0, h_max=0,
+                                   x_max=-3, single_n_max=0, pair_n_max=0, multi_n_max=0,
+                                   s_max=1, product_alpha_max=0, product_h_max=0))
         assert report.records == ()
         assert report.summary == {}
 

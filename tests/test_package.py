@@ -1,5 +1,8 @@
 """The package namespace: each module's __all__, re-exported once."""
 
+import ast
+from pathlib import Path
+
 import qgen
 from qgen import bernstein, genocchi, identities, padic, qcore, records
 
@@ -21,3 +24,19 @@ def test_every_public_name_resolves():
 
 def test_test_only_helpers_stay_out():
     assert "unweighted_recurrence_residual" not in qgen.__all__
+
+
+def test_every_public_name_is_used_outside_the_tests():
+    # a name of qgen.__all__ must be read (a Name load or an attribute) in
+    # the package, a demo or the benchmark; `_run_task` reaches each
+    # verify_<theorem> by name through THEOREMS
+    root = Path(__file__).resolve().parents[1]
+    used = {"verify_" + t.replace("-", "_") for t in identities.THEOREMS}
+    for folder in ("src/qgen", "demos", "perfbench"):
+        for path in sorted((root / folder).rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    used.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    used.add(node.attr)
+    assert [name for name in qgen.__all__ if name not in used] == []

@@ -21,8 +21,9 @@ from qgen.padic import (
     truncated_sums,
     vp,
 )
-from qgen.qcore import (ONE, Q, RatFuncQ, ZERO, _one_plus_lcm, binomial, eval_at, q_power,
+from qgen.qcore import (ONE, RatFuncQ, ZERO, _one_plus_lcm, binomial, eval_at, q_power,
                         qbracket)
+from readback import Q
 
 
 def naive_alternating_sum(terms: dict[int, Fraction], p: int, N: int,

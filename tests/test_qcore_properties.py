@@ -1,5 +1,6 @@
 """Property tests for RatFuncQ: field axioms, canonical uniqueness and the
-round trips through the num/den views and the canonical string.
+round trips through the num/den views and the canonical string reader of
+`readback`.
 
 Values are drawn from the ring RatFuncQ represents, Laurent polynomials
 over products of cyclotomic polynomials Phi_d; its units, the only
@@ -18,6 +19,7 @@ from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 from qgen.qcore import ONE, ZERO, RatFuncQ  # noqa: E402
 from qgen.qcore import _cyclotomic_divides, _divide_out, _times_cyclotomic  # noqa: E402
+from readback import den_view, num_view, read_canonical  # noqa: E402
 
 PROPERTY = settings(derandomize=True, max_examples=60, deadline=None, database=None)
 
@@ -97,15 +99,15 @@ def test_canonical_uniqueness(num, den, k):
 @PROPERTY
 @given(ratfuncs)
 def test_views_round_trip(f):
-    assert RatFuncQ(f.num, f.den) == f
+    assert RatFuncQ(num_view(f), den_view(f)) == f
 
 
 @PROPERTY
 @given(ratfuncs)
 def test_canonical_string_round_trip(f):
     text = f.to_canonical_string()
-    assert RatFuncQ.from_canonical_string(text) == f
-    assert RatFuncQ.from_canonical_string(text).to_canonical_string() == text
+    assert read_canonical(text) == f
+    assert read_canonical(text).to_canonical_string() == text
 
 
 @PROPERTY
