@@ -127,6 +127,10 @@ class PadicContext:
     M: int | None = None  # None means N + 4 guard digits
 
     def __post_init__(self):
+        if not all(isinstance(v, int) for v in (self.p, self.N, self.M) if v is not None):
+            raise TypeError(f"p, N and M must be ints, got {self.p!r}, {self.N!r}, {self.M!r}")
+        if not isinstance(self.q, (int, Fraction)):
+            raise TypeError(f"q must be an int or a Fraction, got {self.q!r}")
         if self.p < 3 or not _is_prime(self.p):
             raise ValueError("p must be an odd prime")
         if self.N < 0:
@@ -397,12 +401,12 @@ def convergence_probe(spec: IntegrandSpec, p: int, q: Union[Fraction, int],
     non-unit factor q^(m K) - 1 has valuation vp(q - 1) + vp(m) + N by
     lifting the exponent (p odd, q = 1 mod p), so the bound is exact for
     one term; the m = 0 term contributes nothing."""
+    limit = eval_at(integrate(spec), q)  # TypeError unless q is an int or a Fraction
     q = Fraction(q)
-    limit = eval_at(integrate(spec), q)
     offset = min((vp(c, p) + vp(m, p) for m, c in _coeff_values(spec, q) if m and c),
                  default=math.inf)
     entries: list[tuple[int, float]] = []
-    for N in sorted(set(int(n) for n in N_list)):
+    for N in sorted(set(N_list)):
         ctx = PadicContext(p=p, N=N, q=q, M=M)
         v = _diff_valuation(truncated_integral(spec, ctx) - limit, ctx)
         bound = N + vp(q - 1, p) + offset

@@ -32,15 +32,16 @@ count, and on a remainder each Phi_d is folded modulo q^d - 1
 lcm as the maximum of the multiplicities and tests only the Phi_d of
 equal multiplicity on both sides (no other can divide the sum); `*`
 tests each numerator against the other side's factors; `**` scales the
-multiplicities; q -> 1/q keeps them.  Division and the constructor
-factor their new denominator over the Phi_d and raise ValueError when it
-is no such product.  Multiplying and dividing by Phi_d are sparse steps
-by (1 - q^k).
+multiplicities; q -> 1/q keeps them.  Multiplying and dividing by Phi_d
+are sparse steps by (1 - q^k).
 
-A value is built from an int, a Fraction or an ``{exponent: coefficient}``
-mapping for numerator and denominator.  q is a formal indeterminate
-here: substituting a rational number is an explicit step (`eval_at`),
-and the p-adic reading of q lives in the `padic` module.
+Values are born canonical.  The constructor takes a Laurent polynomial
+(an int, a Fraction or an ``{exponent: coefficient}`` mapping), and `/`
+and negative `**` divide only by c q^s, raising ValueError on any other
+divisor; the library builds its denominators directly as Phi_d
+multiplicities, so no dense polynomial is ever factored.  q is a formal
+indeterminate here: substituting a rational number is an explicit step
+(`eval_at`), and the p-adic reading of q lives in the `padic` module.
 """
 
 from __future__ import annotations
@@ -223,32 +224,6 @@ def _one_plus_factors(e: int) -> tuple[int, ...]:
     return tuple(d for d in _divisors(2 * e) if e % d)
 
 
-def _cyclotomic_factors(a) -> Den:
-    """The multiplicities of a = prod Phi_d^m_d; ValueError when a is no such product.
-
-    a is primitive with a positive leading and a nonzero constant
-    coefficient.  Such a product is monic with constant term +-1 and
-    palindromic up to sign, which settles most other inputs at once.  Then
-    each d with phi(d) <= deg a is divided out, in increasing order, as
-    often as it divides; d < 6 phi(d) bounds the search (d / phi(d) >= 6
-    needs nine distinct primes, so phi(d) >= 36,495,360).
-    """
-    a = list(a)
-    if a[-1] != 1 or abs(a[0]) != 1 or (a[::-1] != a and a[::-1] != [-x for x in a]):
-        raise ValueError("denominator is not a product of cyclotomic polynomials")
-    mults: dict[int, int] = {}
-    d = 1
-    while len(a) > 1 and d < 6 * len(a):
-        if _cyclotomic_divides(a, d):
-            a = _times_cyclotomic(a, ((d, -1),))
-            mults[d] = mults.get(d, 0) + 1
-        else:
-            d += 1
-    if len(a) > 1:
-        raise ValueError("denominator is not a product of cyclotomic polynomials")
-    return tuple(mults.items())
-
-
 # the rule-out point of `_divide_out` is q = 2^_RULE_OUT_BITS
 _RULE_OUT_BITS = 32
 
@@ -416,20 +391,6 @@ def _sum_over_one_plus(content: Fraction, den: Den, terms, times: Den = ()) -> "
     return _reduced(lo, acc, den, den, content.numerator, 2 * content.denominator)
 
 
-def _split(coeffs: Mapping[int, Rational]) -> tuple[int, Fraction, list[int]]:
-    # nonzero {exp: coeff} -> (shift, signed content, primitive part) with
-    # a positive leading and nonzero constant coefficient
-    lo = min(coeffs)
-    scale = math.lcm(*(v.denominator for v in coeffs.values()))
-    ints = [0] * (max(coeffs) - lo + 1)
-    for e, v in coeffs.items():
-        ints[e - lo] = v.numerator * (scale // v.denominator)
-    c = math.gcd(*ints)
-    if ints[-1] < 0:
-        c = -c
-    return lo, Fraction(c, scale), [x // c for x in ints]
-
-
 # ---------------------------------------------------------------------------
 # canonical rational functions
 # ---------------------------------------------------------------------------
@@ -446,19 +407,18 @@ class RatFuncQ:
 
     __slots__ = ("_shift", "_content", "_num", "_den")
 
-    def __init__(self, num=0, den=1):
-        # den must be c q^e prod Phi_d; anything else raises ValueError
-        num, den = _terms(num), _terms(den)
-        if not den:
-            raise ZeroDivisionError("zero denominator")
-        if not num:
+    def __init__(self, num=0):
+        # a Laurent polynomial; every other value is built by arithmetic
+        terms = _terms(num)
+        if not terms:
             self._shift, self._content, self._num, self._den = 0, Fraction(0), (), ()
             return
-        sn, cn, n = _split(num)
-        sd, cd, d = _split(den)
-        d = _cyclotomic_factors(d)
-        n, d = _divide_out(n, d, d)
-        self._shift, self._content, self._num, self._den = sn - sd, cn / cd, tuple(n), d
+        lo, scale = min(terms), math.lcm(*(v.denominator for v in terms.values()))
+        ints = [0] * (max(terms) - lo + 1)
+        for e, v in terms.items():
+            ints[e - lo] = v.numerator * (scale // v.denominator)
+        f = _reduced(lo, ints, (), (), 1, scale)
+        self._shift, self._content, self._num, self._den = f._shift, f._content, f._num, f._den
 
     # -- inspection ------------------------------------------------------
 
@@ -544,8 +504,9 @@ class RatFuncQ:
     def _inverse(self) -> "RatFuncQ":
         if not self._num:
             raise ZeroDivisionError("inverse of zero rational function")
-        return _new(-self._shift, 1 / self._content, _den_poly(self._den),
-                    _cyclotomic_factors(self._num))
+        if self._num != (1,) or self._den:
+            raise ValueError(f"can only divide by c*q^s, not by {self}")
+        return _new(-self._shift, 1 / self._content, (1,), ())
 
     def __truediv__(self, other):
         other = _coerce(other)
@@ -592,7 +553,9 @@ class RatFuncQ:
         return _new(degree - len(n) + 1 - self._shift, c, n, self._den)
 
     def eval_at(self, q0: Rational) -> Fraction:
-        """Exact value at q = q0; raises PoleError at a pole."""
+        """Exact value at q = q0, an int or a Fraction; raises PoleError at a pole."""
+        if not isinstance(q0, (int, Fraction)):
+            raise TypeError(f"eval_at expects an int or a Fraction, got {q0!r}")
         q0 = Fraction(q0)
         a, b = q0.numerator, q0.denominator
         # p(a/b) b^(len-1) and b^len for p = den, num, by homogeneous Horner

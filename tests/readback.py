@@ -1,9 +1,18 @@
-"""Reading values back from what qgen prints or stores, for the tests.
+"""Reading values back from what qgen prints or stores, and building the
+values the tests compare with, for the tests.
 
-- `read_fraction` and `read_canonical` parse a printed rational number and
-  a canonical string (`RatFuncQ.to_canonical_string`) at any size;
+- `read_fraction` parses a printed rational number at any size;
+  `read_canonical` reads a canonical string (`RatFuncQ.to_canonical_string`)
+  as its two Laurent polynomials, and `denotes` checks a value against one;
 - `num_view` and `den_view` are a value's numerator (content and shift
   included) and expanded denominator as {exponent: Fraction} dicts;
+- `over_cyclotomic` builds a value from its denominator's Phi_d
+  multiplicities, as the library builds every value: no dense denominator
+  is ever factored, and `/` divides only by c q^s;
+- `one_minus_power` is (1 - q^m)^k at any integer k, a negative one built
+  from the Phi_d of q^|m| - 1;
+- `cross_sum` adds num / den over Laurent polynomials, cross-multiplied,
+  for oracles that check ``value * D == N`` without dividing;
 - `Q` is the monomial q.
 """
 
@@ -11,7 +20,7 @@ import re
 from fractions import Fraction
 
 from qgen import qcore
-from qgen.qcore import RatFuncQ, q_power
+from qgen.qcore import ONE, ZERO, RatFuncQ, q_power
 
 Q = q_power(1)
 
@@ -46,14 +55,17 @@ def _read_terms(text: str) -> dict[int, Fraction]:
     return coeffs
 
 
-def read_canonical(text: str) -> RatFuncQ:
-    """The value of a canonical string; ValueError unless printing that
-    value gives the same text back."""
+def read_canonical(text: str) -> tuple[RatFuncQ, RatFuncQ]:
+    """The numerator and the denominator of a canonical string, as two
+    Laurent polynomials N and D."""
     num_text, den_text = text.split(" / ")
-    value = RatFuncQ(_read_terms(num_text), _read_terms(den_text))
-    if value.to_canonical_string() != text:
-        raise ValueError(f"not in canonical form: {text!r}")
-    return value
+    return RatFuncQ(_read_terms(num_text)), RatFuncQ(_read_terms(den_text))
+
+
+def denotes(text: str, f: RatFuncQ) -> bool:
+    """Whether the canonical string text has the value f: f D == N, D != 0."""
+    num, den = read_canonical(text)
+    return bool(den) and f * den == num
 
 
 def num_view(f: RatFuncQ) -> dict[int, Fraction]:
@@ -65,3 +77,30 @@ def num_view(f: RatFuncQ) -> dict[int, Fraction]:
 def den_view(f: RatFuncQ) -> dict[int, Fraction]:
     """{exponent: coefficient} of the expanded denominator prod Phi_d^m_d."""
     return {i: Fraction(x) for i, x in enumerate(qcore._den_poly(f._den)) if x}
+
+
+def over_cyclotomic(num, mults) -> RatFuncQ:
+    """num / prod Phi_d^m over the {d: m} (or ((d, m), ...)) mults, m >= 0;
+    num is a RatFuncQ or what its constructor takes."""
+    den = tuple(sorted((d, m) for d, m in dict(mults).items() if m))
+    num = num if isinstance(num, RatFuncQ) else RatFuncQ(num)
+    return num * qcore._new(0, Fraction(1), (1,), den)
+
+
+def one_minus_power(m: int, k: int) -> RatFuncQ:
+    """(1 - q^m)^k for m != 0 and any integer k.  A negative power inverts
+    q^|m| - 1 = prod_{d | |m|} Phi_d, which 1 - q^m is times -1 (m > 0) or
+    q^m (m < 0)."""
+    if k >= 0:
+        return (ONE - q_power(m)) ** k
+    inverse = over_cyclotomic(1, {d: 1 for d in range(1, abs(m) + 1) if m % d == 0})
+    return (-inverse if m > 0 else q_power(-m) * inverse) ** -k
+
+
+def cross_sum(terms) -> tuple[RatFuncQ, RatFuncQ]:
+    """(N, D) with N / D the sum of n / d over the (n, d) terms, d nonzero:
+    N = sum_i n_i prod_{j != i} d_j and D = prod_i d_i."""
+    num, den = ZERO, ONE
+    for n, d in terms:
+        num, den = num * d + n * den, den * d
+    return num, den

@@ -23,7 +23,7 @@ from qgen.padic import (
 )
 from qgen.qcore import (ONE, RatFuncQ, ZERO, _one_plus_lcm, binomial, eval_at, q_power,
                         qbracket)
-from readback import Q
+from readback import Q, cross_sum, one_minus_power, over_cyclotomic
 
 
 def naive_alternating_sum(terms: dict[int, Fraction], p: int, N: int,
@@ -39,22 +39,30 @@ def naive_alternating_sum(terms: dict[int, Fraction], p: int, N: int,
     return total
 
 
-def moment_integral(m: int, normalized: bool = True) -> RatFuncQ:
-    """Exact value of the integral of q^(m x): [2]_q / (1 + q^(m+1)).
+def moment_integral(m: int, normalized: bool = True) -> tuple[RatFuncQ, RatFuncQ]:
+    """Exact value of the integral of q^(m x), [2]_q / (1 + q^(m+1)), as its
+    numerator and denominator.
 
     With ``normalized=False`` this is instead 2 / (1 + q^(m+1)), the
     p-adic limit of the raw (un-normalized) alternating sums.
     """
-    num = qbracket(2, 1) if normalized else RatFuncQ(2)
-    return num / (ONE + q_power(m + 1))
+    return qbracket(2, 1) if normalized else RatFuncQ(2), ONE + q_power(m + 1)
 
 
-def integrate_termwise(spec: IntegrandSpec, normalized: bool = True) -> RatFuncQ:
-    """Reference for `integrate`: one RatFuncQ add per moment."""
-    total = ZERO
+def at_q(pair: tuple[RatFuncQ, RatFuncQ], q: Fraction) -> Fraction:
+    num, den = pair
+    return eval_at(num, q) / eval_at(den, q)
+
+
+def integrate_termwise(spec: IntegrandSpec, normalized: bool = True) -> tuple[RatFuncQ, RatFuncQ]:
+    """Reference for `integrate`, as (N, D) with the integral N / D: the
+    moments c_m times moment_integral(m) added over the product of their
+    denominators."""
+    terms = []
     for m, c in spec.items():
-        total = total + c * moment_integral(m, normalized)
-    return total
+        num, den = moment_integral(m, normalized)
+        terms.append((c * num, den))
+    return cross_sum(terms)
 
 
 def combination(*pairs: tuple) -> IntegrandSpec:
@@ -143,21 +151,24 @@ class TestContext:
         ctx = PadicContext(p=3, N=2, q=Fraction(4))
         assert ctx.M == 6  # N + 4 guard digits
 
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            PadicContext(p=2, N=1, q=Fraction(3))  # even prime
-        with pytest.raises(ValueError):
-            PadicContext(p=9, N=1, q=Fraction(10))  # not prime
-        with pytest.raises(ValueError):
-            PadicContext(p=3, N=1, q=Fraction(2))  # v_3(q-1) = 0
-        with pytest.raises(ValueError):
-            PadicContext(p=3, N=1, q=Fraction(1))  # q = 1
-        with pytest.raises(ValueError):
-            PadicContext(p=3, N=1, q=Fraction(4, 3))  # p in denominator
-        with pytest.raises(ValueError):
-            PadicContext(p=3, N=3, q=Fraction(4), M=1)  # M < N
-        with pytest.raises(ValueError):
-            PadicContext(p=3, N=1, q=Fraction(4), M=-1)  # no sentinel: M < N
+    @pytest.mark.parametrize("kwargs, error", [
+        pytest.param(dict(p=2, N=1, q=Fraction(3)), ValueError, id="even-prime"),
+        pytest.param(dict(p=9, N=1, q=Fraction(10)), ValueError, id="not-prime"),
+        pytest.param(dict(p=3, N=1, q=Fraction(2)), ValueError, id="q-not-1-mod-p"),
+        pytest.param(dict(p=3, N=1, q=Fraction(1)), ValueError, id="q-is-1"),
+        pytest.param(dict(p=3, N=1, q=Fraction(4, 3)), ValueError, id="p-in-denominator"),
+        pytest.param(dict(p=3, N=3, q=Fraction(4), M=1), ValueError, id="M-below-N"),
+        pytest.param(dict(p=3, N=1, q=Fraction(4), M=-1), ValueError, id="M-negative"),
+        # inexact input is refused at construction, not read as a nearby value
+        pytest.param(dict(p=3, N=2.5, q=4), TypeError, id="float-N"),
+        pytest.param(dict(p=3, N=2, q=4, M=6.5), TypeError, id="float-M"),
+        pytest.param(dict(p=3.0, N=2, q=4), TypeError, id="float-p"),
+        pytest.param(dict(p=3, N=2, q="4"), TypeError, id="string-q"),
+        pytest.param(dict(p=3, N=2, q=4.0), TypeError, id="float-q"),
+    ])
+    def test_validation(self, kwargs, error):
+        with pytest.raises(error):
+            PadicContext(**kwargs)
 
 
 class TestIntegrandSpec:
@@ -175,7 +186,7 @@ class TestIntegrandSpec:
         assert spec.items() == [(2, q_power(2))]
 
     def test_rational_function_coefficients(self):
-        inv = ONE / (ONE - Q)
+        inv = over_cyclotomic(-1, {1: 1})  # 1 / (1 - q)
         spec = IntegrandSpec({0: inv, 1: -inv})
         assert spec.at_zero() == ZERO
 
@@ -188,24 +199,27 @@ class TestIntegrandSpec:
 
 class TestMoments:
     def test_constant(self):
-        assert moment_integral(0) == ONE
+        num, den = moment_integral(0)  # [2]_q / (1 + q)
+        assert num == den
 
     def test_negative_exponent(self):
-        assert moment_integral(-1) == qbracket(2, 1) / RatFuncQ(2)
+        assert integrate(IntegrandSpec({-1: 1})) == qbracket(2, 1) / 2
 
     def test_positive_exponent(self):
-        assert moment_integral(1) == qbracket(2, 1) / RatFuncQ({0: 1, 2: 1})
+        assert integrate(IntegrandSpec({1: 1})) * RatFuncQ({0: 1, 2: 1}) == qbracket(2, 1)
 
     def test_forced_by_shift_equation(self):
         # the moment is the unique I with q q^m I + I = [2]_q
         for m in range(-5, 6):
-            i_m = moment_integral(m)
+            i_m = integrate(IntegrandSpec({m: 1}))
             assert q_power(m + 1) * i_m + i_m == qbracket(2, 1)
+            num, den = moment_integral(m)
+            assert i_m * den == num
 
     @pytest.mark.parametrize("m,p,q", [(-1, 3, 4), (1, 3, 4), (2, 5, 6)])
     def test_against_truncated_oracle(self, m, p, q):
         # truncated alternating sums converge p-adically to the moment
-        limit = eval_at(moment_integral(m), Fraction(q))
+        limit = at_q(moment_integral(m), Fraction(q))
         for N in (1, 2, 3):
             s_n = naive_alternating_sum({m: Fraction(1)}, p, N, Fraction(q), True)
             assert vp(s_n - limit, p) >= N
@@ -223,7 +237,7 @@ class TestIntegrate:
         # the integral of [x]_q equals half the weight-1 second number
         from qgen.genocchi import WeightParams, weighted_genocchi_number
 
-        inv = ONE / (ONE - Q)
+        inv = over_cyclotomic(-1, {1: 1})  # 1 / (1 - q)
         spec = IntegrandSpec({0: inv, 1: -inv})
         expected = weighted_genocchi_number(2, WeightParams(1, 1)) / 2
         assert integrate(spec) == expected
@@ -237,8 +251,8 @@ class TestIntegrate:
             spec = seeded_integrand(rng, i % 4)
             exponents.update(m for m, _ in spec.items())
             for normalized in (True, False):
-                assert integrate(spec, normalized) == integrate_termwise(spec, normalized), (
-                    spec, normalized)
+                num, den = integrate_termwise(spec, normalized)
+                assert integrate(spec, normalized) * den == num, (spec, normalized)
         assert -1 in exponents and min(exponents) < -1
 
     def test_linearity(self):
@@ -416,6 +430,13 @@ class TestConvergence:
         assert trace.entries == ((0, 2), (1, 1), (2, 2), (3, 3), (4, 4))
         assert trace.constant == 0
 
+    @pytest.mark.parametrize("q, levels", [("4", [1, 2]), (4.0, [1, 2]), (4, [1.7]), (4, [1, 2.0])],
+                             ids=["string-q", "float-q", "level-1.7", "level-2.0"])
+    def test_inexact_input_rejected(self, q, levels):
+        # a level 1.7 is not read as level 1, nor q = "4" as 4
+        with pytest.raises(TypeError):
+            convergence_probe(IntegrandSpec({1: 1}), 3, q, levels)
+
     def test_bound_can_fail(self, monkeypatch):
         # a sum off by 1 has valuation 0, below the bound N + vp(q - 1) = 3
         real = padic.truncated_integral
@@ -458,7 +479,7 @@ class TestBracketPowerIntegrand:
     def test_matches_direct_expansion(self):
         # [0 + x]_q = (1/(1-q)) (q^(0 x) - q^(1 x))
         spec = bracket_power_integrand(0, 1, 1)
-        inv = ONE / (ONE - Q)
+        inv = over_cyclotomic(-1, {1: 1})
         assert spec == IntegrandSpec({0: inv, 1: -inv})
 
     @pytest.mark.parametrize("alpha", [1, 2, 3])
@@ -481,7 +502,7 @@ class TestBracketPowerIntegrand:
         # and the same under a shift
         for x in range(-2, 4):
             for power in range(7):
-                weight = (ONE - q_power(scale)) ** -power
+                weight = one_minus_power(scale, -power)
                 for shift in range(3):
                     case = (x, power, shift)
                     coeffs = {scale * l * sign + shift:
@@ -495,8 +516,9 @@ class TestBracketPowerIntegrand:
                     assert hash(spec) == hash(termwise) == hash(frozenset(coeffs.items())), case
                     assert spec == termwise and len(spec) == power + 1, case
                     for normalized in (True, False):
-                        assert integrate(spec, normalized) == integrate(termwise, normalized) == (
-                            integrate_termwise(termwise, normalized)), case
+                        num, den = integrate_termwise(termwise, normalized)
+                        assert integrate(spec, normalized) == integrate(termwise, normalized), case
+                        assert integrate(spec, normalized) * den == num, case
                     assert spec.at_zero() == sum(coeffs.values(), ZERO), case
                     for k in (-1, 2):
                         assert spec.shifted(k).items() == sorted(
@@ -581,7 +603,7 @@ class TestNormalizationAdjudication:
     def test_unnormalized_moment_limit(self):
         # raw truncated sums converge to 2/(1+q^(m+1)), not [2]_q/(1+q^(m+1))
         m, p, q = 1, 3, Fraction(4)
-        raw_limit = eval_at(moment_integral(m, normalized=False), q)
+        raw_limit = at_q(moment_integral(m, normalized=False), q)
         for N in (2, 3):
             ctx = PadicContext(p=p, N=N, q=q)
             raw = truncated_integral(IntegrandSpec({m: 1}), ctx, normalized=False)

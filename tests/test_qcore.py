@@ -7,6 +7,7 @@ import random
 import subprocess
 import sys
 import time
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -37,7 +38,8 @@ from qgen.qcore import (
     _times_cyclotomic,
     _trim,
 )
-from readback import Q, den_view, num_view, read_canonical
+from readback import (Q, cross_sum, den_view, denotes, num_view, one_minus_power,
+                      over_cyclotomic, read_canonical)
 
 
 def qbracket_reflect(x: int, alpha: int, n: int) -> tuple[RatFuncQ, RatFuncQ]:
@@ -63,22 +65,25 @@ def random_laurent(rng: random.Random, allow_zero: bool = True) -> dict[int, Fra
     return {e: c for e, c in terms.items() if c}
 
 
-def random_cyclotomic_den(rng: random.Random) -> dict[int, Fraction]:
-    """c q^e prod Phi_d over up to three d <= 12: a denominator of the ring."""
-    poly = [1]
-    for _ in range(rng.randint(0, 3)):
-        poly = _int_mul(poly, cyclotomic(rng.randint(1, 12)))
-    c, e = Fraction(rng.choice([-3, -1, 1, 2, 5]), rng.randint(1, 4)), rng.randint(-3, 3)
-    return {i + e: c * x for i, x in enumerate(poly) if x}
+def random_monomial(rng: random.Random) -> RatFuncQ:
+    return Fraction(rng.choice([-3, -1, 1, 2, 5]), rng.randint(1, 4)) * q_power(rng.randint(-3, 3))
 
 
 def random_ratfunc(rng: random.Random) -> RatFuncQ:
-    return RatFuncQ(random_laurent(rng), random_cyclotomic_den(rng))
+    """A Laurent polynomial over c q^e prod Phi_d, up to three d <= 12."""
+    mults = Counter(rng.randint(1, 12) for _ in range(rng.randint(0, 3)))
+    return over_cyclotomic(random_laurent(rng), mults) / random_monomial(rng)
 
 
-def random_unit(rng: random.Random) -> RatFuncQ:
-    """An invertible value: cyclotomic products and monomials over each other."""
-    return RatFuncQ(random_cyclotomic_den(rng), random_cyclotomic_den(rng))
+def random_unit(rng: random.Random) -> tuple[RatFuncQ, RatFuncQ]:
+    """A unit of the ring and its inverse: c q^e times up to three
+    (1 - q^m)^(+-1) and (1 - q^m)^(+-2), |m| <= 8."""
+    u = random_monomial(rng)
+    inverse = u**-1
+    for _ in range(rng.randint(0, 3)):
+        m, k = rng.choice([-8, -5, -3, -2, -1, 1, 2, 3, 4, 6]), rng.choice([-2, -1, 1, 2])
+        u, inverse = u * one_minus_power(m, k), inverse * one_minus_power(m, -k)
+    return u, inverse
 
 
 class TestQBracket:
@@ -117,23 +122,28 @@ class TestQBracket:
 
     @pytest.mark.parametrize("a", [-5, -4, -3, -2, -1, 1, 2, 3, 4, 5])
     def test_matches_generic_quotient(self, a):
-        # qbracket builds its canonical form directly; the generic
-        # constructor factors 1 - q^a and reduces (1 - q^(a x)) by its Phi_d
+        # qbracket builds its canonical form directly: times 1 - q^a it is
+        # 1 - q^(a x), and it equals the geometric sum the constructor
+        # builds, hash included
         for x in range(-12, 13):
             if x:
-                generic = RatFuncQ({0: 1, a * x: -1}, {0: 1, a: -1})
+                assert qbracket(x, a) * RatFuncQ({0: 1, a: -1}) == RatFuncQ({0: 1, a * x: -1})
+                generic = RatFuncQ({a * i: 1 if x > 0 else -1 for i in range(min(0, x), max(0, x))})
                 assert qbracket(x, a) == generic
                 assert hash(qbracket(x, a)) == hash(generic)
 
 
 class TestArithmetic:
     def test_cancellation(self):
-        f = RatFuncQ({0: 1, 2: -1}, {0: 1, 1: -1})
-        assert f == RatFuncQ({0: 1, 1: 1})
-        # sums whose numerator shares a factor with the common denominator
-        assert ONE / (ONE + Q) + Q / (ONE + Q) == ONE
-        s = ONE / ((ONE + Q) * (ONE + Q**2)) - ONE / ((ONE + Q) * (ONE + Q**4))
-        assert s == q_power(2) * (Q - ONE) / ((ONE + Q**2) * (ONE + Q**4))
+        # (1 - q^2) / Phi_1 = -(1 + q)
+        f = over_cyclotomic({0: 1, 2: -1}, {1: 1})
+        assert f == RatFuncQ({0: -1, 1: -1})
+        # sums whose numerator shares a factor with the common denominator:
+        # 1 + q = Phi_2, 1 + q^2 = Phi_4 and 1 + q^4 = Phi_8
+        assert over_cyclotomic(1, {2: 1}) + over_cyclotomic(Q, {2: 1}) == ONE
+        s = over_cyclotomic(1, {2: 1, 4: 1}) - over_cyclotomic(1, {2: 1, 8: 1})
+        assert s * (ONE + Q**2) * (ONE + Q**4) == q_power(2) * (Q - ONE)
+        assert s._den == ((4, 1), (8, 1))
 
     def test_expansion(self):
         assert RatFuncQ({0: 1, 1: 1}) * RatFuncQ({0: 1, 2: 1}) == RatFuncQ(
@@ -141,8 +151,11 @@ class TestArithmetic:
         )
 
     def test_inverse_power(self):
-        f = RatFuncQ({0: 1, 1: 1}) / RatFuncQ({0: 1, 2: 1})
-        assert f**-1 == RatFuncQ({0: 1, 2: 1}, {0: 1, 1: 1})
+        # negative powers of c q^s, the only values with an inverse here
+        f = Fraction(-2, 3) * q_power(4)
+        assert f**-1 == Fraction(-3, 2) * q_power(-4)
+        assert f**-3 == Fraction(-27, 8) * q_power(-12)
+        assert f**-2 * f**2 == ONE
 
     def test_division_by_zero(self):
         with pytest.raises(ZeroDivisionError):
@@ -154,7 +167,7 @@ class TestArithmetic:
         rng = random.Random(20240811)
         for _ in range(60):
             f, g, h = (random_ratfunc(rng) for _ in range(3))
-            u = random_unit(rng)
+            u, inverse = random_unit(rng)
             assert f + g == g + f
             assert (f + g) + h == f + (g + h)
             assert f * g == g * f
@@ -162,8 +175,8 @@ class TestArithmetic:
             assert f * (g + h) == f * g + f * h
             assert f + ZERO == f
             assert f * ONE == f
-            assert (f / u) * u == f
-            assert u * u**-1 == ONE
+            assert (f * inverse) * u == f
+            assert u * inverse == ONE
 
     def test_canonical_uniqueness_vs_eval(self):
         # equal canonical forms iff values agree at enough sample points
@@ -198,7 +211,7 @@ class TestArithmetic:
         assert f - 1 == Q
         assert 1 - f == -Q
         assert Fraction(1, 2) * f == f / 2
-        assert 6 / qbracket(2, 1) == RatFuncQ(6) / qbracket(2, 1)
+        assert 6 / q_power(2) == RatFuncQ(6) / q_power(2) == RatFuncQ({-2: 6})
 
 
 class TestSubstQInverse:
@@ -206,16 +219,19 @@ class TestSubstQInverse:
         assert subst_q_inverse(q_power(3)) == q_power(-3)
 
     def test_ratio(self):
-        f = RatFuncQ({0: 1, 1: 1}) / RatFuncQ({0: 1, 2: 1})
+        # (1 + q) / (1 + q^2), and 1 + q^2 = Phi_4
+        f = over_cyclotomic({0: 1, 1: 1}, {4: 1})
         g = subst_q_inverse(f)
-        assert g == RatFuncQ({1: 1, 2: 1}, {0: 1, 2: 1})
+        assert g * RatFuncQ({0: 1, 2: 1}) == RatFuncQ({1: 1, 2: 1})
         # numeric cross-check at q = 5
         assert g.eval_at(5) == f.eval_at(Fraction(1, 5))
         # reversing 1 - 2q gives a negative leading coefficient to move out
-        assert subst_q_inverse((ONE - 2 * Q) / (ONE + Q)) == (Q - 2) / (ONE + Q)
+        over_phi2 = over_cyclotomic(1, {2: 1})
+        assert subst_q_inverse((ONE - 2 * Q) * over_phi2) == (Q - 2) * over_phi2
         # Phi_1(1/q) = -q^-1 Phi_1(q): an odd power of Phi_1 flips the sign
-        assert subst_q_inverse(ONE / (ONE - Q) ** 3) == -Q**3 / (ONE - Q) ** 3
-        assert subst_q_inverse(ONE / (ONE - Q) ** 2) == Q**2 / (ONE - Q) ** 2
+        over_phi1 = over_cyclotomic(1, {1: 1})
+        assert subst_q_inverse(over_phi1**3) == -Q**3 * over_phi1**3
+        assert subst_q_inverse(over_phi1**2) == Q**2 * over_phi1**2
 
     def test_zero_fixed_point(self):
         assert subst_q_inverse(ZERO) == ZERO
@@ -235,7 +251,7 @@ class TestEvalAt:
         assert eval_at(q_power(-1), Fraction(1, 2)) == 2
 
     def test_pole(self):
-        f = ONE / (ONE - Q)
+        f = over_cyclotomic(1, {1: 1})
         with pytest.raises(PoleError):
             eval_at(f, 1)
 
@@ -244,9 +260,17 @@ class TestEvalAt:
             eval_at(q_power(-2), 0)
 
     def test_removable_singularity_already_cancelled(self):
-        # (1-q^2)/(1-q) is stored as 1+q, so q=1 evaluates fine
-        f = RatFuncQ({0: 1, 2: -1}, {0: 1, 1: -1})
-        assert eval_at(f, 1) == 2
+        # (1 - q^2) / Phi_1 is stored as -(1 + q), so q = 1 evaluates fine
+        f = over_cyclotomic({0: 1, 2: -1}, {1: 1})
+        assert eval_at(f, 1) == -2
+
+    @pytest.mark.parametrize("bad", [0.1, "1/3", 1j, None, 2.0])
+    def test_inexact_point_rejected(self, bad):
+        # a float or a string would be read as some nearby rational
+        with pytest.raises(TypeError):
+            eval_at(qbracket(2, 1), bad)
+        with pytest.raises(TypeError):
+            qbracket(2, 1).eval_at(bad)
 
 
 class TestReflection:
@@ -282,7 +306,7 @@ class TestBinomial:
 class TestCanonicalForm:
     def test_denominator_normalization(self):
         # content and sign move to the numerator; minimal exponent >= 0
-        f = RatFuncQ({0: 2}, {-1: -4, 1: 4})
+        f = over_cyclotomic({0: 2}, {1: 1, 2: 1}) / (-4 * q_power(-1))
         den = den_view(f)
         assert min(den) == 0
         assert den[max(den)] > 0
@@ -290,9 +314,9 @@ class TestCanonicalForm:
         assert all(c.denominator == 1 for c in ints)
 
     def test_zero_is_zero_over_one(self):
-        f = RatFuncQ(0, {2: 5})
-        assert num_view(f) == {}
-        assert den_view(f) == {0: 1}
+        for f in (over_cyclotomic(0, {2: 5}), ZERO / (5 * q_power(2))):
+            assert num_view(f) == {}
+            assert den_view(f) == {0: 1}
 
     def test_hashable(self):
         assert len({qbracket(2, 1), ONE + Q, qbracket(3, 1)}) == 2
@@ -303,32 +327,49 @@ class TestCanonicalForm:
         assert {RatFuncQ(-2): "x"}[-2] == "x"
 
     def test_views_rebuild_value(self):
-        f = RatFuncQ({-1: Fraction(3, 2), 2: -3}, {0: 2, 1: 2})
+        f = over_cyclotomic({-1: Fraction(3, 2), 2: -3}, {2: 1}) / 2
         assert num_view(f) == {-1: Fraction(3, 4), 2: Fraction(-3, 2)}
         assert den_view(f) == {0: 1, 1: 1}
         assert list(num_view(f)) == sorted(num_view(f))
-        assert RatFuncQ(num_view(f), den_view(f)) == f
+        assert f * RatFuncQ(den_view(f)) == RatFuncQ(num_view(f))
 
-    def test_denominator_must_be_cyclotomic(self):
-        # values live in the subring of Q(q) with cyclotomic denominators
+    def test_divisor_must_be_a_monomial(self, monkeypatch):
+        # values are born canonical: the constructor takes a Laurent
+        # polynomial, and / and negative ** divide only by c q^s, so no
+        # dense denominator is factored over the Phi_d
+        def no_fold(a, d):
+            raise AssertionError(f"folded Phi_{d}")
+
+        for divisor in (ONE + Q, RatFuncQ({0: 1, 1: 2}), over_cyclotomic(1, {2: 1}),
+                        ONE + Q + Q**2 + Q**3 + Q**4 + Q**5 + Q**6 + Q**7 + Q**8 + 3 * Q**9):
+            with pytest.raises(ValueError, match="c\\*q\\^s"):
+                ONE / divisor
+            with pytest.raises(ValueError):
+                2 / divisor
+            with pytest.raises(ValueError):
+                divisor**-2
+        with pytest.raises(TypeError):
+            RatFuncQ(1, {0: 1})
+        # palindromic and no product of Phi_d: refused before any fold
+        monkeypatch.setattr(qcore, "_cyclotomic_divides", no_fold)
+        start = time.perf_counter()
         with pytest.raises(ValueError):
-            RatFuncQ({0: 1}, {0: 1, 1: 2})
-        with pytest.raises(ValueError):
-            ONE / RatFuncQ({0: 1, 1: 2})
-        with pytest.raises(ValueError):
-            Q / (ONE + Q + Q**2 + Q**3 + Q**4 + Q**5 + Q**6 + Q**7 + Q**8 + 3 * Q**9)
-        with pytest.raises(ValueError):
-            RatFuncQ({0: 1, 1: 3, 2: 1}) ** -2  # palindromic, not cyclotomic
-        # a product of Phi_d times a monomial and a constant is fine
-        f = RatFuncQ({0: 3}, {2: 6, 8: -6})
-        assert f == Fraction(1, 2) * q_power(-2) / (ONE - q_power(6))
+            ONE / RatFuncQ({0: 1, 200: 3, 400: 1})
+        assert time.perf_counter() - start < 0.1
+        monkeypatch.undo()
+        # c q^s divides, and its negative powers are monomials
+        third = Fraction(1, 3)
+        assert qbracket(3, 1) / (3 * q_power(-2)) == RatFuncQ({2: third, 3: third, 4: third})
+        assert q_power(5) ** -3 == q_power(-15)
+        with pytest.raises(ZeroDivisionError):
+            ZERO**-1
 
     def test_factor_test_is_exact(self):
         # a(2^64) = 2 (2^64 - 1) is a multiple of Phi_1(2^64), yet Phi_1 does
         # not divide a = q + 2^64 - 2: an evaluation at a large integer alone
         # would cancel it
         a = {0: 2**64 - 2, 1: 1}
-        f = RatFuncQ(a, {0: -1, 1: 1})
+        f = over_cyclotomic(a, {1: 1})
         assert num_view(f) == {0: 2**64 - 2, 1: 1} and den_view(f) == {0: -1, 1: 1}
         assert f * (Q - ONE) == RatFuncQ(a)
 
@@ -365,13 +406,13 @@ class TestCanonicalForm:
         for d in ds:
             den = _int_mul(den, cyclotomic(d))
         den = {i: x for i, x in enumerate(den) if x}
-        built = RatFuncQ(a, den)
-        added = RatFuncQ({0: -2**32}, den) + RatFuncQ({1: 1}, den)
-        multiplied = RatFuncQ(a) * RatFuncQ(1, den)
-        for f in (built, added, multiplied):
+        mults = {d: 1 for d in ds}
+        multiplied = over_cyclotomic(a, mults)
+        added = over_cyclotomic({0: -2**32}, mults) + over_cyclotomic({1: 1}, mults)
+        for f in (added, multiplied):
             assert num_view(f) == a and den_view(f) == den
             assert f._den == tuple((d, 1) for d in ds)
-        assert built == added == multiplied
+        assert added == multiplied
 
     def test_count_that_runs_over_hides_no_later_factor(self):
         # Phi_3 (q + c) over q^3 - 1 with q + c = Phi_1(2^32) / 3 at 2^32: the
@@ -381,8 +422,8 @@ class TestCanonicalForm:
         # find Phi_3
         c = (2**32 - 1) // 3 - 2**32
         num = _int_mul(cyclotomic(3), [c, 1])
-        f = RatFuncQ(dict(enumerate(num)), {0: -1, 3: 1})
-        assert f == RatFuncQ({0: c, 1: 1}, {0: -1, 1: 1})
+        f = over_cyclotomic(dict(enumerate(num)), {1: 1, 3: 1})
+        assert f == over_cyclotomic({0: c, 1: 1}, {1: 1})
         assert f._num == (c, 1) and f._den == ((1, 1),)
         den = ((1, 1), (3, 1))
         assert _divide_out(num, den, den) == ([c, 1], ((1, 1),))
@@ -403,7 +444,7 @@ class TestCanonicalForm:
         with pytest.raises(TypeError):
             RatFuncQ({0: bad})
         with pytest.raises(TypeError):
-            RatFuncQ(1, {0: 1, 1: bad})
+            RatFuncQ({0: 1, 1: bad})
         with pytest.raises(TypeError):
             RatFuncQ(bad)
 
@@ -418,9 +459,12 @@ class TestSerialization:
         for _ in range(50):
             f = random_ratfunc(rng)
             text = f.to_canonical_string()
-            assert read_canonical(text) == f
-            # serialize -> parse -> serialize is a fixed point
-            assert read_canonical(text).to_canonical_string() == text
+            assert denotes(text, f) and not denotes(text, f + Q)
+            # each half reads back as the Laurent polynomial it prints
+            num_text, den_text = text.split(" / ")
+            num, den = read_canonical(text)
+            assert num.to_canonical_string() == f"{num_text} / 1*q^0"
+            assert den.to_canonical_string() == f"{den_text} / 1*q^0"
 
     def test_explicit_exponents(self):
         assert qbracket(2, 1).to_canonical_string() == "1*q^0 + 1*q^1 / 1*q^0"
@@ -429,7 +473,7 @@ class TestSerialization:
     def test_pretty_str(self):
         assert str(qbracket(2, 1)) == "1 + q"
         assert str(ZERO) == "0"
-        assert str(qbracket(2, 1) / qbracket(2, 2)) == "(1 + q)/(1 + q^2)"
+        assert str(over_cyclotomic(qbracket(2, 1), {4: 1})) == "(1 + q)/(1 + q^2)"
 
 
 def _int_divexact(a, b) -> list[int]:
@@ -495,18 +539,22 @@ def _prs_gcd(a, b) -> list[int]:
     return a if a[-1] > 0 else [-x for x in a]
 
 
-def recurrence_pair(n: int, alpha: int, h: int) -> tuple[list[int], list[int]]:
-    """Primitive, positively led P_n and E_n = prod_{j<n} (1 + q^(h + alpha j))."""
+def one_plus_mults(exps) -> Counter:
+    """The Phi_d multiplicities of prod (1 + q^e) over exps, every e >= 1:
+    1 + q^e = (q^2e - 1) / (q^e - 1) is the product of the Phi_d with d | 2e
+    and d not dividing e."""
+    return Counter(d for e in exps for d in range(1, 2 * e + 1) if 2 * e % d == 0 and e % d)
+
+
+def recurrence_pair(n: int, alpha: int, h: int) -> tuple[list[int], list[int], Counter]:
+    """Primitive, positively led P_n, E_n = prod_{j<n} (1 + q^(h + alpha j))
+    and the Phi_d multiplicities of E_n."""
     p = _int_primitive(list(_recurrence_numerator(n, alpha, h)))
     p = p if p[-1] > 0 else [-x for x in p]
     e = [1]
     for j in range(n):
         e = _int_mul(e, [1] + [0] * (h + alpha * j - 1) + [1])
-    return p, e
-
-
-def reduce_by_constructor(a: list[int], b: list[int]) -> RatFuncQ:
-    return RatFuncQ(dict(enumerate(a)), dict(enumerate(b)))
+    return p, e, one_plus_mults(h + alpha * j for j in range(n))
 
 
 class TestGcd:
@@ -517,23 +565,24 @@ class TestGcd:
         rng = random.Random(6)
         phis = {d: cyclotomic(d) for d in range(1, 61)}
         for _ in range(12):
-            a, b = [1], [1]
+            a, b, b_mults = [1], [1], Counter()
             while len(a) < 300:
                 a = _int_mul(a, phis[rng.randint(2, 60)])
             while len(b) < 300:
-                b = _int_mul(b, phis[rng.randint(2, 60)])
+                b_mults[d := rng.randint(2, 60)] += 1
+                b = _int_mul(b, phis[d])
             assert max(len(a), len(b)) > 300
             g = _prs_gcd(a, b)
-            value = reduce_by_constructor(a, b)
+            value = over_cyclotomic(dict(enumerate(a)), b_mults)
             assert value._num == tuple(_int_divexact(a, g))
             assert _den_poly(value._den) == tuple(_int_divexact(b, g))
 
     def test_recurrence_numerator_and_denominator(self):
         # P_22 and E_22 = prod_{j<22} (1 + q^(3 + 3j)) at alpha = h = 3 share
-        # a factor of degree 145; the constructor factors E_22 and the
-        # recurrence knows its factors, and both strip the same
-        p, e = recurrence_pair(22, 3, 3)
-        value = reduce_by_constructor(p, e)
+        # a factor of degree 145; P_22 over the Phi_d of E_22 and the
+        # recurrence route strip the same
+        p, e, mults = recurrence_pair(22, 3, 3)
+        value = over_cyclotomic(dict(enumerate(p)), mults)
         assert len(_den_poly(value._den)) == len(e) - 145
         assert value._den == _recurrence_number(22, 3, 3)._den
         assert value._num == _recurrence_number(22, 3, 3)._num
@@ -541,9 +590,9 @@ class TestGcd:
     def test_recurrence_pair_within_ceiling(self):
         # (P_25, E_25) at alpha = 8, h = 6 share a factor of degree 240 (a
         # PRS gcd did not finish in 600 s)
-        p, e = recurrence_pair(25, 8, 6)
+        p, e, mults = recurrence_pair(25, 8, 6)
         start = time.perf_counter()
-        value = reduce_by_constructor(p, e)
+        value = over_cyclotomic(dict(enumerate(p)), mults)
         assert time.perf_counter() - start < 30
         assert len(_den_poly(value._den)) == len(e) - 240
         assert value._den == _recurrence_number(25, 8, 6)._den
@@ -570,9 +619,7 @@ print(*counts)
 
 def test_default_sweep_fold_counts():
     # no fold at all: the counted multiplicities are proved by one exact
-    # division, which never fails on this grid, and no denominator of the
-    # sweep is factored from its expansion (the (1 - q^alpha) weight is
-    # built as multiplicities); a fold here means one of those broke
+    # division, which never fails on this grid; a fold here means it broke
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     out = subprocess.run([sys.executable, "-c", FOLD_COUNT_SCRIPT], env=env,
@@ -581,14 +628,14 @@ def test_default_sweep_fold_counts():
 
 
 class TestSumOverOnePlus:
-    """The shared-denominator kernel against term-by-term RatFuncQ sums."""
+    """The shared-denominator kernel against term-by-term RatFuncQ sums,
+    cross-multiplied by prod (1 + q^e)."""
 
     @staticmethod
-    def termwise(pairs):
-        total = ZERO
-        for c, e in pairs:
-            total = total + c / (ONE + q_power(e))
-        return total
+    def is_termwise_sum(got, pairs):
+        # got == sum of c / (1 + q^e) over the (c, e) pairs
+        num, den = cross_sum((c, ONE + q_power(e)) for c, e in pairs)
+        return got * den == num
 
     @staticmethod
     def kernel(pairs, times=()):
@@ -615,9 +662,10 @@ class TestSumOverOnePlus:
         rng = random.Random(1101)
         for _ in range(150):
             pairs = [(random_ratfunc(rng), rng.randint(-6, 6)) for _ in range(rng.randint(1, 5))]
-            assert self.kernel(pairs) == self.termwise(pairs), pairs
+            assert self.is_termwise_sum(self.kernel(pairs), pairs), pairs
             # [2]_q as times, cancelling against a Phi_2 or multiplying
-            assert self.kernel(pairs, ((2, 1),)) == (ONE + Q) * self.termwise(pairs), pairs
+            times_two = [((ONE + Q) * c, e) for c, e in pairs]
+            assert self.is_termwise_sum(self.kernel(pairs, ((2, 1),)), times_two), pairs
 
     def test_shared_prefactor(self):
         # content q^s num / den gives back each coefficient
@@ -626,20 +674,21 @@ class TestSumOverOnePlus:
             coeffs = [c for c in (random_ratfunc(rng) for _ in range(rng.randint(1, 4))) if c]
             content, den, nums = _shared_prefactor(coeffs)
             for c, (s, num) in zip(coeffs, nums):
-                value = RatFuncQ(dict(enumerate(num)), dict(enumerate(_den_poly(den))))
+                value = over_cyclotomic(dict(enumerate(num)), den)
                 assert content * q_power(s) * value == c, (coeffs, c)
 
     def test_special_exponents(self):
-        c = qbracket(3, 2) / (ONE - Q)
+        c = over_cyclotomic(-qbracket(3, 2), {1: 1})  # [3]_{q^2} / (1 - q)
         assert self.kernel([(c, 0)]) == c / 2
-        assert self.kernel([(c, -3)]) == c * q_power(3) / (ONE + q_power(3))
+        assert self.is_termwise_sum(self.kernel([(c, -3)]), [(c, -3)])
+        assert self.kernel([(c, -3)]) * (ONE + q_power(3)) == c * q_power(3)
         # the same from raw slices: (1/3) q^2 (3 - 3q) / Phi_1 = -q^2, halved
         # at e = 0, and q^2 / (1 + q^-1) = q^3 / (1 + q)
         assert _sum_over_one_plus(Fraction(1, 3), ((1, 1),), [(2, (3, -3), 0)]) == -q_power(2) / 2
-        assert _sum_over_one_plus(Fraction(1), (), [(2, (1,), -1)]) == q_power(3) / (ONE + Q)
+        assert _sum_over_one_plus(Fraction(1), (), [(2, (1,), -1)]) * (ONE + Q) == q_power(3)
 
     def test_zero_sums(self):
-        c = ONE / (ONE - q_power(2))
+        c = over_cyclotomic(-1, {1: 1, 2: 1})  # 1 / (1 - q^2)
         assert self.kernel([]) is ZERO
         assert self.kernel([(ZERO, 4)]) is ZERO
         assert self.kernel([(c, 2), (-c, 2), (ZERO, 0)]) == ZERO
@@ -651,8 +700,10 @@ class TestSumOverOnePlus:
 
     def test_common_factors_cancel(self):
         # (1 - q) cancels: 1/(1+q) - 1/(1+q^2) = q (q - 1) / ((1+q)(1+q^2))
-        c = ONE / (ONE - Q)
-        assert self.kernel([(c, 1), (-c, 2)]) == -Q / ((ONE + Q) * (ONE + q_power(2)))
+        c = over_cyclotomic(-1, {1: 1})  # 1 / (1 - q)
+        got = self.kernel([(c, 1), (-c, 2)])
+        assert got * (ONE + Q) * (ONE + q_power(2)) == -Q
+        assert got._den == ((2, 1), (4, 1))
         # the final reduction: (1 - q^2)^k / (1 + q) = (1 - q)^k (1 + q)^(k-1)
         for k in range(1, 5):
             got = self.kernel([((ONE - q_power(2)) ** k, 1)])
@@ -680,30 +731,37 @@ class TestOverOnePlus:
             g = _prs_gcd(num, den)
             want = (shift + z, Fraction(k), tuple(_int_divexact(num, g)), tuple(_int_divexact(den, g)))
             assert (got._shift, got._content, got._num, _den_poly(got._den)) == want, (exps, num)
-            as_dict = RatFuncQ({shift + z + i: k * x for i, x in enumerate(num)}, dict(enumerate(den)))
-            assert got == as_dict
+            as_dict = RatFuncQ({shift + z + i: k * x for i, x in enumerate(num)})
+            assert got * RatFuncQ(dict(enumerate(den))) == as_dict
 
     def test_zero_and_full_cancellation(self):
         assert _over_one_plus(3, [0, 0], [1, 2]) is ZERO
         # (1 + q)^2 (1 + q^2) over the same product is 1
         assert _over_one_plus(0, [1, 2, 2, 2, 1], [1, 1, 2]) == ONE
-        assert _over_one_plus(0, [1, 1], [1, 1]) == ONE / (ONE + Q)
+        assert _over_one_plus(0, [1, 1], [1, 1]) * (ONE + Q) == ONE
 
 
 def random_unit_leaf(rng: random.Random, q):
-    """c q^e times a nonzero q-bracket or 1 + q^k: a unit of the ring, and
-    the same in sympy."""
+    """c q^e times a nonzero q-bracket or 1 + q^k: a unit of the ring, as
+    the inverse of the value (built from the Phi_d of q^m - 1) and the
+    value itself in sympy."""
     c, e = Fraction(rng.choice([-5, -2, -1, 1, 3]), rng.randint(1, 4)), rng.randint(-5, 5)
+    monomial_inverse = (c * q_power(e)) ** -1
     if rng.random() < 0.6:
+        # [x]_{q^a} = (1 - q^(a x)) / (1 - q^a)
         x, a = rng.choice([-4, -3, -2, -1, 1, 2, 3, 4, 5]), rng.choice([-3, -2, -1, 1, 2, 3])
-        return c * q_power(e) * qbracket(x, a), c * q**e * (1 - q ** (a * x)) / (1 - q**a)
+        inverse = monomial_inverse * (ONE - q_power(a)) * one_minus_power(a * x, -1)
+        return inverse, c * q**e * (1 - q ** (a * x)) / (1 - q**a)
+    # 1 + q^k = (1 - q^2k) / (1 - q^k)
     k = rng.randint(1, 6)
-    return c * q_power(e) * (ONE + q_power(k)), c * q**e * (1 + q**k)
+    inverse = monomial_inverse * (ONE - q_power(k)) * one_minus_power(2 * k, -1)
+    return inverse, c * q**e * (1 + q**k)
 
 
 def random_tree(rng: random.Random, depth: int, q):
     """A random +, -, *, /, ** tree over q-brackets and powers of q; it
-    divides, and takes negative powers, only of units of the ring.
+    divides, and takes negative powers, only of units of the ring, which
+    it multiplies by their inverses.
 
     Returns the RatFuncQ value and the same expression in sympy.
     """
@@ -718,12 +776,12 @@ def random_tree(rng: random.Random, depth: int, q):
     if op == "^":
         k = rng.randint(-2, 3)
         if k < 0:
-            u, us = random_unit_leaf(rng, q)
-            return f * u**k, fs * us**k
+            inverse, us = random_unit_leaf(rng, q)
+            return f * inverse**-k, fs * us**k
         return f**k, fs**k
     if op == "/":
-        u, us = random_unit_leaf(rng, q)
-        return f / u, fs / us
+        inverse, us = random_unit_leaf(rng, q)
+        return f * inverse, fs / us
     g, gs = random_tree(rng, depth - 1, q)
     if op == "+":
         return f + g, fs + gs

@@ -1,10 +1,13 @@
-"""Property tests for RatFuncQ: field axioms, canonical uniqueness and the
-round trips through the num/den views and the canonical string reader of
-`readback`.
+"""Property tests for RatFuncQ: ring axioms, inverses, canonical
+uniqueness and the round trips through the num/den views and the
+canonical string reader of `readback`.
 
 Values are drawn from the ring RatFuncQ represents, Laurent polynomials
-over products of cyclotomic polynomials Phi_d; its units, the only
-divisors, are such products and monomials over each other.  Examples are
+over products of cyclotomic polynomials Phi_d, and built as the library
+builds them, from the multiplicities of their denominators
+(`readback.over_cyclotomic`).  Its units are such products and monomials
+over each other; `/` divides only by a monomial c q^e, and a unit is
+checked against the inverse built from its factors.  Examples are
 derandomized and bounded, so every run checks the same cases.
 """
 
@@ -19,7 +22,7 @@ from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 from qgen.qcore import ONE, ZERO, RatFuncQ  # noqa: E402
 from qgen.qcore import _cyclotomic_divides, _divide_out, _times_cyclotomic  # noqa: E402
-from readback import den_view, num_view, read_canonical  # noqa: E402
+from readback import den_view, denotes, num_view, over_cyclotomic  # noqa: E402
 
 PROPERTY = settings(derandomize=True, max_examples=60, deadline=None, database=None)
 
@@ -57,12 +60,26 @@ def cyclotomic_product(ds: list[int]) -> dict:
 
 coefficients = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 5))
 laurent = st.dictionaries(st.integers(-4, 4), coefficients, max_size=4)
-# c q^e prod Phi_d: the denominators of the ring, and the numerators of its units
+# c q^e and the prod Phi_d over d <= 12: the denominators of the ring are
+# their products, and so are the numerators of its units
 monomials = st.builds(lambda c, e: {e: c}, coefficients.filter(bool), st.integers(-3, 3))
-cyclotomic_dens = st.builds(lambda m, ds: times(m, cyclotomic_product(ds)),
-                            monomials, st.lists(st.integers(1, 12), max_size=3))
-ratfuncs = st.builds(RatFuncQ, laurent, cyclotomic_dens)
-units = st.builds(RatFuncQ, cyclotomic_dens, cyclotomic_dens)
+phi_lists = st.lists(st.integers(1, 12), max_size=3)
+
+
+def over(num: dict, monomial: dict, ds: list[int]) -> RatFuncQ:
+    """num / (monomial prod Phi_d over ds)."""
+    return over_cyclotomic(num, Counter(ds)) / RatFuncQ(monomial)
+
+
+def unit_and_inverse(monomial: dict, ups: list[int], downs: list[int]) -> tuple[RatFuncQ, RatFuncQ]:
+    """monomial prod Phi_d over ups / prod Phi_d over downs, and its inverse."""
+    (e, c), = monomial.items()
+    return (over_cyclotomic(times(monomial, cyclotomic_product(ups)), Counter(downs)),
+            over_cyclotomic(times({-e: 1 / c}, cyclotomic_product(downs)), Counter(ups)))
+
+
+ratfuncs = st.builds(over, laurent, monomials, phi_lists)
+units = st.builds(unit_and_inverse, monomials, phi_lists, phi_lists)
 
 
 @PROPERTY
@@ -79,18 +96,23 @@ def test_ring_axioms(f, g, h):
 
 
 @PROPERTY
-@given(ratfuncs, units)
-def test_field_inverse(f, g):
-    assert g * g**-1 == ONE
-    assert (f / g) * g == f
+@given(ratfuncs, units, monomials)
+def test_field_inverse(f, unit, monomial):
+    u, inverse = unit
+    assert u * inverse == ONE
+    assert (f * inverse) * u == f
+    m = RatFuncQ(monomial)
+    assert m * m**-1 == ONE
+    assert (f / m) * m == f
 
 
 @PROPERTY
-@given(laurent, cyclotomic_dens, cyclotomic_dens)
-def test_canonical_uniqueness(num, den, k):
-    # scaling num and den by the same unit numerator k changes nothing stored
-    f = RatFuncQ(num, den)
-    g = RatFuncQ(times(num, k), times(den, k))
+@given(laurent, monomials, phi_lists, monomials, phi_lists)
+def test_canonical_uniqueness(num, m, ds, k, ks):
+    # scaling num and den by the same unit numerator k prod Phi_d over ks
+    # changes nothing stored
+    f = over(num, m, ds)
+    g = over(times(times(num, k), cyclotomic_product(ks)), times(m, k), ds + ks)
     assert g == f
     assert hash(g) == hash(f)
     assert g.to_canonical_string() == f.to_canonical_string()
@@ -99,26 +121,27 @@ def test_canonical_uniqueness(num, den, k):
 @PROPERTY
 @given(ratfuncs)
 def test_views_round_trip(f):
-    assert RatFuncQ(num_view(f), den_view(f)) == f
+    assert f * RatFuncQ(den_view(f)) == RatFuncQ(num_view(f))
 
 
 @PROPERTY
 @given(ratfuncs)
 def test_canonical_string_round_trip(f):
     text = f.to_canonical_string()
-    assert read_canonical(text) == f
-    assert read_canonical(text).to_canonical_string() == text
+    assert denotes(text, f)
+    assert not denotes(text, f + ONE)
 
 
 @PROPERTY
-@given(ratfuncs, ratfuncs, coefficients, units)
-def test_equal_values_hash_equal(f, g, c, u):
+@given(ratfuncs, ratfuncs, coefficients, units, monomials)
+def test_equal_values_hash_equal(f, g, c, unit, monomial):
     # a == b implies hash(a) == hash(b): for equal values built by different
     # routes, and for constants against the int and Fraction they equal
     pairs = [(f * g, g * f), ((f + g) - g, f), (f + g, g + f), (f * ONE, f),
-             (RatFuncQ(c), c), (RatFuncQ(c) * ONE, c), (RatFuncQ({0: c}, {0: 1}), c),
+             (RatFuncQ(c), c), (RatFuncQ(c) * ONE, c), (RatFuncQ({0: c}), c),
              (RatFuncQ(c.numerator), c.numerator)]
-    pairs += [((f * u) / u, f), ((f / u) * u, f)]
+    u, inverse, m = *unit, RatFuncQ(monomial)
+    pairs += [((f * u) * inverse, f), ((f * inverse) * u, f), ((f * m) / m, f), ((f / m) * m, f)]
     for a, b in pairs:
         assert a == b and b == a
         assert hash(a) == hash(b)
