@@ -8,15 +8,35 @@ point x is
 a q-deformation of the Bernstein basis.  x is restricted to integers so
 every value stays an exact rational function of q; the symmetry
 B_{k,n}(x | q) = B_{n-k,n}(1-x | 1/q) then holds structurally.
+
+At an integer x, u = [x]_{q^alpha} and v = [1-x]_{q^-alpha} satisfy
+u + v = 1, so the basis is the classical Bernstein basis in u,
+C(n, k) u^k v^(n-k).  It is built once per (n, alpha, x), all n + 1
+values together, each from its neighbour by one sparse step (`_basis`);
+a single index pays for the whole basis.  The last two bases built are
+kept, which covers a sweep over k at x and at 1 - x, as the symmetry
+check makes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Sequence, Union
 
-from qgen.qcore import RatFuncQ, ZERO, binomial, qbracket, subst_q_inverse
+from qgen.qcore import (
+    ONE,
+    RatFuncQ,
+    ZERO,
+    _div_binomial,
+    _int_pow,
+    _mul_one_minus,
+    _new,
+    binomial,
+    qbracket,
+    subst_q_inverse,
+)
 from qgen.records import VerificationRecord, compare
 
 __all__ = [
@@ -34,6 +54,9 @@ class BernsteinIndex:
     alpha: int
 
     def __post_init__(self):
+        for name, value in (("k", self.k), ("n", self.n), ("alpha", self.alpha)):
+            if not isinstance(value, int):
+                raise TypeError(f"basis {name} must be an int, got {value!r}")
         if self.n < 0 or self.k < 0:
             raise IndexError("basis indices must be nonnegative")
         if self.k > self.n:
@@ -42,11 +65,35 @@ class BernsteinIndex:
             raise ValueError("weight alpha must be a positive integer")
 
 
+@lru_cache(maxsize=2)
+def _basis(n: int, alpha: int, x: int) -> tuple[RatFuncQ, ...]:
+    """B_{0,n}(x), ..., B_{n,n}(x) at weight alpha, each value canonical as built.
+
+    The numerator of B_k is g_|x|^k g_|1-x|^(n-k) for the geometric sums
+    g_m = (1 - q^(alpha m)) / (1 - q^alpha), so B_k's is B_{k-1}'s times
+    1 - q^(alpha |x|), divided exactly by 1 - q^(alpha |1-x|).  A product
+    of geometric sums is primitive, with a positive lead and constant term
+    1, and the denominator is 1: the content is C(n, k) times the signs of
+    u^k v^(n-k), and the shift is theirs.
+    """
+    if x in (0, 1):  # u = 0 or v = 0: only B_{n x, n} is nonzero, and it is 1
+        return tuple(ONE if k == n * x else ZERO for k in range(n + 1))
+    u, v = qbracket(x, alpha), qbracket(1 - x, -alpha)
+    num, basis = _int_pow(v._num, n), []
+    for k in range(n + 1):
+        if k:
+            num = _div_binomial(_mul_one_minus(num, alpha * abs(x)), alpha * abs(1 - x), -1)
+        content = binomial(n, k) * u._content**k * v._content**(n - k)
+        basis.append(_new(k * u._shift + (n - k) * v._shift, content, num, ()))
+    return tuple(basis)
+
+
 def bernstein_poly(idx: BernsteinIndex, x: int) -> RatFuncQ:
     """C(n,k) [x]_{q^a}^k [1-x]_{q^-a}^(n-k) as a canonical value."""
-    left = qbracket(x, idx.alpha) ** idx.k
-    right = qbracket(1 - x, -idx.alpha) ** (idx.n - idx.k)
-    return binomial(idx.n, idx.k) * left * right
+    # checked before the cache, where 2.0 would find the basis at 2
+    if not isinstance(x, int):
+        raise TypeError(f"the Bernstein point x must be an int, got {x!r}")
+    return _basis(idx.n, idx.alpha, x)[idx.k]
 
 
 def bernstein_symmetry_check(idx: BernsteinIndex, x: int) -> VerificationRecord:

@@ -13,11 +13,14 @@ values the tests compare with, for the tests.
   from the Phi_d of q^|m| - 1;
 - `cross_sum` adds num / den over Laurent polynomials, cross-multiplied,
   for oracles that check ``value * D == N`` without dividing;
+- `cyclotomic` is Phi_d, dense, by long division, independent of the
+  library's product over (1 - q^k);
 - `Q` is the monomial q.
 """
 
 import re
 from fractions import Fraction
+from functools import lru_cache
 
 from qgen import qcore
 from qgen.qcore import ONE, ZERO, RatFuncQ, q_power
@@ -104,3 +107,20 @@ def cross_sum(terms) -> tuple[RatFuncQ, RatFuncQ]:
     for n, d in terms:
         num, den = num * d + n * den, den * d
     return num, den
+
+
+@lru_cache(maxsize=None)
+def cyclotomic(d: int) -> tuple[int, ...]:
+    """Phi_d as ascending integer coefficients: q^d - 1 divided by the
+    Phi_e, e | d, e < d (all monic), by long division."""
+    rem = [-1] + [0] * (d - 1) + [1]
+    for e in range(1, d):
+        if d % e == 0:
+            div = cyclotomic(e)
+            quot = [0] * (len(rem) - len(div) + 1)
+            for i in range(len(quot) - 1, -1, -1):
+                quot[i] = rem[i + len(div) - 1]
+                for j, y in enumerate(div):
+                    rem[i + j] -= quot[i] * y
+            rem = quot
+    return tuple(rem)

@@ -15,8 +15,6 @@ import time
 from contextlib import contextmanager
 from fractions import Fraction
 
-import pytest
-
 from qgen.cli import EXIT_OK, EXIT_PRECISION, EXIT_USAGE, run
 from qgen.genocchi import (
     WeightParams,
@@ -29,8 +27,6 @@ from qgen.genocchi import (
 )
 from qgen.bernstein import BernsteinIndex, bernstein_poly, bernstein_symmetry_check
 from qgen.identities import (
-    sweep,
-    unresolved_failures,
     verify_bernstein_double,
     verify_bernstein_multi,
     verify_bernstein_single,

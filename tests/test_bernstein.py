@@ -1,16 +1,18 @@
 """Weighted q-Bernstein basis: values, symmetry, completeness, operator."""
 
+import time
 from fractions import Fraction
 
 import pytest
 
 from qgen.bernstein import (
     BernsteinIndex,
+    _basis,
     bernstein_operator,
     bernstein_poly,
     bernstein_symmetry_check,
 )
-from qgen.qcore import ONE, RatFuncQ, ZERO, qbracket
+from qgen.qcore import ONE, RatFuncQ, ZERO, binomial, qbracket
 
 
 class TestBasisValues:
@@ -33,6 +35,41 @@ class TestBasisValues:
         with pytest.raises(ValueError):
             BernsteinIndex(0, 2, 0)
 
+    @pytest.mark.parametrize("alpha", range(1, 5))
+    @pytest.mark.parametrize("x", range(-4, 6))
+    def test_old_definition(self, alpha, x):
+        # the basis built by one sparse step per index against the
+        # definition by powers of the two brackets, x = 0 and 1 included
+        for n in range(13):
+            for k in range(n + 1):
+                want = binomial(n, k) * qbracket(x, alpha) ** k * qbracket(1 - x, -alpha) ** (n - k)
+                got = bernstein_poly(BernsteinIndex(k, n, alpha), x)
+                assert got.to_canonical_string() == want.to_canonical_string(), (k, n, alpha, x)
+
+    @pytest.mark.parametrize("bad", [2.0, 0.5, Fraction(1, 2), "2"])
+    def test_non_int_point(self, bad):
+        # each refusal follows the int call at the same (n, alpha), so a
+        # basis cached at x = 2 cannot answer for 2.0
+        idx = BernsteinIndex(1, 2, 1)
+        calls = [lambda x: bernstein_poly(idx, x),
+                 lambda x: bernstein_symmetry_check(idx, x),
+                 lambda x: bernstein_operator([1, 1, 1], 2, 1, x)]
+        for call in calls:
+            call(2)
+            with pytest.raises(TypeError):
+                call(bad)
+
+    @pytest.mark.parametrize("bad", [2.0, Fraction(2), "2"])
+    def test_non_int_index(self, bad):
+        # k, n and alpha in turn, each refused after the int index
+        for fields in ((bad, 2, 2), (1, bad, 2), (1, 2, bad)):
+            bernstein_poly(BernsteinIndex(*(2 if f is bad else f for f in fields)), 3)
+            with pytest.raises(TypeError):
+                BernsteinIndex(*fields)
+        bernstein_operator([1, 1, 1], 2, 1, 3)
+        with pytest.raises(TypeError):
+            bernstein_operator([1, 1, 1], bad, 1, 3)
+
 
 class TestSymmetry:
     def test_trivial_case(self):
@@ -50,6 +87,15 @@ class TestSymmetry:
         for k in range(n + 1):
             record = bernstein_symmetry_check(BernsteinIndex(k, n, alpha), x)
             assert record.status == "PASS", (k, n, alpha, x)
+
+    def test_deep_sweep_within_ceiling(self):
+        # every k at n = 120 reads two bases; squaring the brackets per
+        # index took 0.67 s on a 2-core x86 VM
+        _basis.cache_clear()
+        start = time.perf_counter()
+        for k in range(121):
+            assert bernstein_symmetry_check(BernsteinIndex(k, 120, 3), 3).status == "PASS"
+        assert time.perf_counter() - start < 0.3
 
 
 class TestCompleteness:

@@ -467,6 +467,17 @@ FRONT_DOOR_DIGESTS = {
         "json": "902e376a6720c5a08d31af2caef5e36cc25a1291a0659dc26bd331bedf7834ca",
         "csv": "083a018d4fd390cf9c54fa1bb6c006a441db4a85c2534d39b95492db55eea167",
     },
+    # every k of a deep basis, away from x in {0, 1} and at x = 1
+    ("bernstein", "--n", "24", "--alpha", "3", "--x=-2"): {
+        "text": "5d38016eb58ed970fce4054e16c9255d68a5ddadb1d1dea5af7b361221d88d48",
+        "json": "bc9e37b10f29c47200fcfe84368e5880fa942bf5b9d39643e0e7644c30f680f1",
+        "csv": "c61151efb26e928f663c4376b04462bb458198f6c33a61f40036096b34f3c3d9",
+    },
+    ("bernstein", "--n", "24", "--alpha", "3", "--x", "1"): {
+        "text": "2b48fa588b446d29fa80110fcbba854285611ea9e2d18b796e8ff304d789c3eb",
+        "json": "153b0c71a215407452466ad0056bbdfb8e6d0bc0e89b5b8cfaa8e00148e42ce9",
+        "csv": "e23b32fccada59508f3db410d775a3929796c20ca2374d56a873847d2fe3081e",
+    },
 }
 
 

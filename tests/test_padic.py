@@ -9,7 +9,6 @@ import pytest
 
 from qgen import padic
 from qgen.padic import (
-    ConvergenceTrace,
     IntegrandSpec,
     PadicContext,
     PrecisionError,

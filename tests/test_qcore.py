@@ -38,8 +38,8 @@ from qgen.qcore import (
     _times_cyclotomic,
     _trim,
 )
-from readback import (Q, cross_sum, den_view, denotes, num_view, one_minus_power,
-                      over_cyclotomic, read_canonical)
+from readback import (Q, cross_sum, cyclotomic, den_view, denotes, num_view,
+                      one_minus_power, over_cyclotomic, read_canonical)
 
 
 def qbracket_reflect(x: int, alpha: int, n: int) -> tuple[RatFuncQ, RatFuncQ]:
@@ -495,15 +495,6 @@ def _int_divexact(a, b) -> list[int]:
 def _int_primitive(cs: list[int]) -> list[int]:
     c = math.gcd(*cs)
     return [x // c for x in cs]
-
-
-def cyclotomic(d: int) -> list[int]:
-    """Phi_d as ascending integer coefficients: q^d - 1 over Phi_e for e | d, e < d."""
-    poly = [-1] + [0] * (d - 1) + [1]
-    for e in range(1, d):
-        if d % e == 0:
-            poly = _int_divexact(poly, cyclotomic(e))
-    return poly
 
 
 def random_primitive(rng: random.Random, degree: int, bits: int) -> list[int]:

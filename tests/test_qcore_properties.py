@@ -13,7 +13,6 @@ derandomized and bounded, so every run checks the same cases.
 
 from collections import Counter
 from fractions import Fraction
-from functools import lru_cache
 
 import pytest
 
@@ -22,7 +21,7 @@ from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 from qgen.qcore import ONE, ZERO, RatFuncQ  # noqa: E402
 from qgen.qcore import _cyclotomic_divides, _divide_out, _times_cyclotomic  # noqa: E402
-from readback import den_view, denotes, num_view, over_cyclotomic  # noqa: E402
+from readback import cyclotomic, den_view, denotes, num_view, over_cyclotomic  # noqa: E402
 
 PROPERTY = settings(derandomize=True, max_examples=60, deadline=None, database=None)
 
@@ -36,25 +35,10 @@ def times(a: dict, b: dict) -> dict:
     return {e: c for e, c in out.items() if c}
 
 
-@lru_cache(maxsize=None)
-def phi(d: int) -> tuple[int, ...]:
-    """Phi_d by long division of q^d - 1 by the Phi_e, e | d, e < d (all monic)."""
-    rem = [-1] + [0] * (d - 1) + [1]
-    for e in range(1, d):
-        if d % e == 0:
-            div, quot = phi(e), [0] * (len(rem) - len(phi(e)) + 1)
-            for i in range(len(quot) - 1, -1, -1):
-                quot[i] = rem[i + len(div) - 1]
-                for j, y in enumerate(div):
-                    rem[i + j] -= quot[i] * y
-            rem = quot
-    return tuple(rem)
-
-
 def cyclotomic_product(ds: list[int]) -> dict:
     out = {0: 1}
     for d in ds:
-        out = times(out, dict(enumerate(phi(d))))
+        out = times(out, dict(enumerate(cyclotomic(d))))
     return out
 
 
