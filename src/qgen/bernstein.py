@@ -33,6 +33,7 @@ from qgen.qcore import (
     _int_pow,
     _mul_one_minus,
     _new,
+    _require_int,
     binomial,
     qbracket,
     subst_q_inverse,
@@ -54,9 +55,7 @@ class BernsteinIndex:
     alpha: int
 
     def __post_init__(self):
-        for name, value in (("k", self.k), ("n", self.n), ("alpha", self.alpha)):
-            if not isinstance(value, int):
-                raise TypeError(f"basis {name} must be an int, got {value!r}")
+        _require_int("basis", k=self.k, n=self.n, alpha=self.alpha)
         if self.n < 0 or self.k < 0:
             raise IndexError("basis indices must be nonnegative")
         if self.k > self.n:
@@ -91,8 +90,7 @@ def _basis(n: int, alpha: int, x: int) -> tuple[RatFuncQ, ...]:
 def bernstein_poly(idx: BernsteinIndex, x: int) -> RatFuncQ:
     """C(n,k) [x]_{q^a}^k [1-x]_{q^-a}^(n-k) as a canonical value."""
     # checked before the cache, where 2.0 would find the basis at 2
-    if not isinstance(x, int):
-        raise TypeError(f"the Bernstein point x must be an int, got {x!r}")
+    _require_int("the Bernstein point", x=x)
     return _basis(idx.n, idx.alpha, x)[idx.k]
 
 
@@ -109,13 +107,17 @@ def bernstein_operator(samples: Sequence[Union[Fraction, int]], n: int, alpha: i
                        x: int) -> RatFuncQ:
     """Weighted q-Bernstein operator applied to sampled values.
 
-    samples[k] stands for f(k/n); exactly n+1 samples are required.
+    samples[k] stands for f(k/n), an int or a Fraction; exactly n+1
+    samples are required.
     """
     if n < 1:
         raise ValueError("operator degree must be positive")
     if len(samples) != n + 1:
         raise ValueError(f"expected {n + 1} sample values, got {len(samples)}")
+    for sample in samples:
+        if not isinstance(sample, (int, Fraction)):
+            raise TypeError(f"Bernstein samples must be ints or Fractions, got {sample!r}")
     total = ZERO
     for k, sample in enumerate(samples):
-        total = total + Fraction(sample) * bernstein_poly(BernsteinIndex(k, n, alpha), x)
+        total = total + sample * bernstein_poly(BernsteinIndex(k, n, alpha), x)
     return total

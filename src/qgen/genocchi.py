@@ -52,6 +52,7 @@ from qgen.qcore import (
     RatFuncQ,
     ZERO,
     _over_one_plus,
+    _require_int,
     _trim,
     binomial,
     eval_at,
@@ -91,6 +92,7 @@ class WeightParams:
     h: int
 
     def __post_init__(self):
+        _require_int("weight", alpha=self.alpha, h=self.h)
         if self.alpha < 1:
             raise ValueError("weight alpha must be a positive integer")
         if self.h < 1:

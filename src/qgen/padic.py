@@ -54,6 +54,7 @@ from qgen.qcore import (
     ZERO,
     _divisors,
     _reduced,
+    _require_int,
     _shared_prefactor,
     _sum_over_one_plus,
     binomial,
@@ -103,9 +104,11 @@ def _is_prime(n: int) -> bool:
 
 def vp(r: Union[Fraction, int], p: int) -> int:
     """p-adic valuation of a nonzero rational (|r|_p = p^-vp(r))."""
+    if not isinstance(r, (int, Fraction)):
+        raise TypeError(f"vp expects an int or a Fraction, got {r!r}")
+    _require_int("vp", p=p)
     if not _is_prime(p):
         raise ValueError(f"{p} is not prime")
-    r = Fraction(r)
     if r == 0:
         raise ValueError("valuation of zero is undefined (callers treat it as +infinity)")
     v = 0
@@ -220,6 +223,7 @@ def bracket_power_integrand(x: int, scale: int, power: int, *, sign: int = 1,
     so the term at exponent m = a*l*sign + exp_shift carries coefficient
     (1 - q^a)^-n C(n,l) (-1)^l q^(a l x).
     """
+    _require_int("bracket power", x=x, scale=scale, power=power, sign=sign, exp_shift=exp_shift)
     if scale == 0:
         raise ValueError("bracket scale must be nonzero")
     if sign not in (1, -1):

@@ -23,17 +23,16 @@ Canonical form.  A `RatFuncQ` stores its value once:
 * zero is its own value: shift 0, content 0, num (), den ().
 
 One reducer, no gcd.  The factors of every denominator are known, so
-`_divide_out` keeps num and den coprime by testing each Phi_d against
-num and dividing it out as often as it divides, at most m_d times.  The
-count is how often Phi_d(2^32) divides num(2^32), read off one
-evaluation; one exact division by the counted product proves every
-count, and on a remainder each Phi_d is folded modulo q^d - 1
-(`_cyclotomic_divides`, linear time) one power at a time.  `+` takes the
-lcm as the maximum of the multiplicities and tests only the Phi_d of
-equal multiplicity on both sides (no other can divide the sum); `*`
-tests each numerator against the other side's factors; `**` scales the
-multiplicities; q -> 1/q keeps them.  Multiplying and dividing by Phi_d
-are sparse steps by (1 - q^k).
+`_divide_out` keeps num and den coprime by dividing each Phi_d out of
+num as often as it divides, at most m_d times.  It has one test and one
+proof: the count is how often Phi_d(2^32) divides num(2^32), read off
+one evaluation, and an exact division, which raises on a remainder,
+removes every factor it counts.  `+` takes the lcm as the maximum of
+the multiplicities and tests only the Phi_d of equal multiplicity on
+both sides (no other can divide the sum); `*` tests each numerator
+against the other side's factors; `**` scales the multiplicities;
+q -> 1/q keeps them.  Multiplying and dividing by Phi_d are sparse
+steps by (1 - q^k).
 
 Values are born canonical.  The constructor takes a Laurent polynomial
 (an int, a Fraction or an ``{exponent: coefficient}`` mapping), and `/`
@@ -48,6 +47,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
+from contextlib import suppress
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
@@ -162,28 +162,6 @@ def _cyclotomic_exponents(d: int) -> tuple[tuple[int, int], ...]:
     return tuple((k, mu) for k in _divisors(d) if (mu := _mobius(d // k)))
 
 
-@lru_cache(maxsize=None)
-def _fold_plan(d: int) -> tuple[int, tuple[int, ...]]:
-    # phi(d) = deg Phi_d, and d / p for each prime p dividing d
-    maximal = tuple(d // p for p in _divisors(d)[1:] if len(_divisors(p)) == 2)
-    return sum(k * mu for k, mu in _cyclotomic_exponents(d)), maximal
-
-
-def _cyclotomic_divides(a, d: int) -> bool:
-    # Phi_d divides a iff q^d - 1 divides a prod_p (q^(d/p) - 1) over the
-    # primes p | d: the product holds every Phi_k with k | d, k < d, and
-    # not Phi_d.  Modulo q^d - 1, a folds to d coefficients and each factor
-    # is a rotation minus the identity.  A nonzero a of degree below
-    # phi(d) is not divisible.
-    phi, maximal = _fold_plan(d)
-    if len(a) <= phi:
-        return False
-    f = [sum(a[i::d]) for i in range(d)] if len(a) > d else list(a) + [0] * (d - len(a))
-    for s in maximal:
-        f = list(map(sub, f[-s:] + f[:-s], f))
-    return not any(f)
-
-
 @lru_cache(maxsize=4096)
 def _binomial_plan(mults: Den) -> tuple[bool, tuple[int, ...], tuple[int, ...]]:
     # prod Phi_d^m over mults (m of either sign) as (-1)^m_1 prod_k (1 - q^k)^c_k,
@@ -258,8 +236,8 @@ def _divide_out(num, den: Den, cands: Den) -> tuple[list[int], Den]:
     over can fall short.  Hence one exact division by prod Phi_d^k_d,
     which raises on a remainder, proves every count at once: it succeeds
     only when no count ran over, and then none fell short.  When it
-    raises, every candidate is folded modulo q^d - 1 one power at a time,
-    up to m_d (`_cyclotomic_divides`, the proof of division in that case).
+    raises, every candidate is counted again by exact division alone, one
+    power at a time up to m_d, stopping at the first remainder.
     """
     if len(num) == 1 or not cands:
         return num, den
@@ -278,8 +256,9 @@ def _divide_out(num, den: Den, cands: Den) -> tuple[list[int], Den]:
     except ArithmeticError:  # a count ran over, and a later one may be short
         for d, m in cands:
             counts[d] = 0
-            while counts[d] < m and _cyclotomic_divides(num, d):
-                num, counts[d] = _times_cyclotomic(num, ((d, -1),)), counts[d] + 1
+            with suppress(ArithmeticError):
+                while counts[d] < m:
+                    num, counts[d] = _times_cyclotomic(num, ((d, -1),)), counts[d] + 1
     return num, tuple((d, m - counts.get(d, 0)) for d, m in den if m > counts.get(d, 0))
 
 
@@ -521,8 +500,7 @@ class RatFuncQ:
         return other * self._inverse()
 
     def __pow__(self, k: int):
-        if not isinstance(k, int):
-            raise TypeError("rational function powers must be integers")
+        _require_int("rational function power", k=k)
         if k == 0:
             return ONE
         if k < 0:
@@ -547,7 +525,7 @@ class RatFuncQ:
             c, n = -c, tuple(-x for x in n)
         degree = 0
         for d, m in self._den:
-            degree += _fold_plan(d)[0] * m
+            degree += sum(k * mu for k, mu in _cyclotomic_exponents(d)) * m
             if d == 1 and m % 2:
                 c = -c
         return _new(degree - len(n) + 1 - self._shift, c, n, self._den)
@@ -651,6 +629,13 @@ def _terms(value) -> dict[int, Rational]:
     return out
 
 
+def _require_int(what: str, **values) -> None:
+    # at the door: a float, Fraction or str would build q^2.0 or fail far away
+    for name, value in values.items():
+        if not isinstance(value, int):
+            raise TypeError(f"{what} {name} must be an int, got {value!r}")
+
+
 def _coerce(value) -> "RatFuncQ":
     if isinstance(value, RatFuncQ):
         return value
@@ -665,6 +650,7 @@ ONE = RatFuncQ(1)
 
 def q_power(e: int) -> RatFuncQ:
     """The monomial q^e (e may be negative)."""
+    _require_int("q_power", e=e)
     return _new(e, Fraction(1), (1,), ())
 
 
@@ -688,6 +674,7 @@ def qbracket(x: int, a: int) -> RatFuncQ:
     For x >= 0 this reduces to the geometric sum
     1 + q^a + ... + q^(a (x-1)); negative x gives a Laurent value.
     """
+    _require_int("q-bracket", x=x, a=a)
     if a == 0:
         raise ValueError("bracket scale must be nonzero")
     if x == 0:

@@ -132,6 +132,16 @@ class TestOperator:
         )
         assert lhs == rhs
 
+    @pytest.mark.parametrize("bad", [0.1, 0.5, "1/2", None])
+    def test_only_exact_samples(self, bad):
+        # Fraction() would read 0.1 as a dyadic rational and "1/2" as text
+        with pytest.raises(TypeError):
+            bernstein_operator([bad, 1], 1, 1, 2)
+        with pytest.raises(TypeError):
+            bernstein_operator([1, bad], 1, 1, 2)
+        half = Fraction(1, 2)
+        assert bernstein_operator([half, 1], 1, 1, 2) == half * qbracket(-1, -1) + qbracket(2, 1)
+
     def test_arity_error(self):
         with pytest.raises(ValueError):
             bernstein_operator([1, 2], n=2, alpha=1, x=0)

@@ -56,7 +56,7 @@ def clear_recurrence_caches():
 
     for cached in (genocchi._recurrence_number, genocchi._recurrence_numerator,
                    qcore._one_plus_factors, qcore._cyclotomic_exponents,
-                   qcore._fold_plan, qcore._cyclotomic_at_point, qcore._binomial_plan,
+                   qcore._cyclotomic_at_point, qcore._binomial_plan,
                    qcore._den_poly, qcore._den_op):
         cached.cache_clear()
 
@@ -419,3 +419,10 @@ class TestWeightParams:
             W(0, 1)
         with pytest.raises(ValueError):
             W(1, 0)
+
+    @pytest.mark.parametrize("bad", [2.0, Fraction(2), "2"])
+    def test_rejects_non_int(self, bad):
+        # refused at construction, not later inside the cyclotomic divisors
+        for args in ((bad, 1), (1, bad)):
+            with pytest.raises(TypeError):
+                W(*args)

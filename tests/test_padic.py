@@ -136,6 +136,19 @@ class TestValuation:
         with pytest.raises(ValueError):
             vp(Fraction(1, 2), 6)
 
+    @pytest.mark.parametrize("bad", [0.1, 25.0, "1/25", "25"])
+    def test_only_exact_rationals(self, bad):
+        # Fraction() would read 0.1 as a dyadic rational and "1/25" as text
+        with pytest.raises(TypeError):
+            vp(bad, 5)
+        assert vp(Fraction(1, 25), 5) == -2
+
+    def test_prime_must_be_an_int(self):
+        # a float prime divides in floats: vp(3^40, 3.0) read 1
+        assert vp(3**40, 3) == 40
+        with pytest.raises(TypeError):
+            vp(3**40, 3.0)
+
     def test_absolute_value_law(self):
         # vp(a*b) = vp(a) + vp(b)
         rng = random.Random(3)
@@ -474,6 +487,15 @@ class TestBracketPowerIntegrand:
     def test_power_zero(self):
         spec = bracket_power_integrand(0, 1, 0, exp_shift=3)
         assert spec.items() == [(3, ONE)]
+
+    @pytest.mark.parametrize("bad", [2.0, Fraction(2)])
+    def test_non_int_arguments(self, bad):
+        # x, scale, power, sign and exp_shift in turn; 2.0 would build
+        # q^2.0 coefficients that integrate cannot sum
+        args = dict(x=2, scale=1, power=2, sign=1, exp_shift=1)
+        for name in args:
+            with pytest.raises(TypeError, match=f"bracket power {name} must"):
+                bracket_power_integrand(**{**args, name: bad if name != "sign" else bad / 2})
 
     def test_matches_direct_expansion(self):
         # [0 + x]_q = (1/(1-q)) (q^(0 x) - q^(1 x))

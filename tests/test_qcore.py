@@ -86,6 +86,24 @@ def random_unit(rng: random.Random) -> tuple[RatFuncQ, RatFuncQ]:
     return u, inverse
 
 
+def record_divisions(monkeypatch) -> list:
+    """Patch qcore's exact divisions by Phi_d products to record each call
+    as (multiplicities, raised) in the list returned."""
+    calls, divide = [], qcore._times_cyclotomic
+
+    def recorded(a, mults):
+        try:
+            out = divide(a, mults)
+        except ArithmeticError:
+            calls.append((mults, True))
+            raise
+        calls.append((mults, False))
+        return out
+
+    monkeypatch.setattr(qcore, "_times_cyclotomic", recorded)
+    return calls
+
+
 class TestQBracket:
     def test_empty_sum(self):
         assert qbracket(0, 1) == ZERO
@@ -103,6 +121,15 @@ class TestQBracket:
     def test_zero_scale_rejected(self):
         with pytest.raises(ValueError):
             qbracket(3, 0)
+
+    @pytest.mark.parametrize("bad", [2.0, 0.0, Fraction(2), "2"])
+    def test_non_int_arguments(self, bad):
+        # refused at the door, not later in list arithmetic or a printer:
+        # q^2.0 has no canonical string, and [0.0] is no value
+        for call in (lambda: qbracket(bad, 1), lambda: qbracket(2, bad), lambda: q_power(bad)):
+            with pytest.raises(TypeError, match="must be an int"):
+                call()
+        assert q_power(1) == qbracket(2, 1) - ONE
 
     @pytest.mark.parametrize("x", range(-6, 7))
     @pytest.mark.parametrize("a", [-3, -2, -1, 1, 2, 3])
@@ -337,9 +364,6 @@ class TestCanonicalForm:
         # values are born canonical: the constructor takes a Laurent
         # polynomial, and / and negative ** divide only by c q^s, so no
         # dense denominator is factored over the Phi_d
-        def no_fold(a, d):
-            raise AssertionError(f"folded Phi_{d}")
-
         for divisor in (ONE + Q, RatFuncQ({0: 1, 1: 2}), over_cyclotomic(1, {2: 1}),
                         ONE + Q + Q**2 + Q**3 + Q**4 + Q**5 + Q**6 + Q**7 + Q**8 + 3 * Q**9):
             with pytest.raises(ValueError, match="c\\*q\\^s"):
@@ -350,12 +374,13 @@ class TestCanonicalForm:
                 divisor**-2
         with pytest.raises(TypeError):
             RatFuncQ(1, {0: 1})
-        # palindromic and no product of Phi_d: refused before any fold
-        monkeypatch.setattr(qcore, "_cyclotomic_divides", no_fold)
+        # palindromic and no product of Phi_d: refused before any division
+        divisions = record_divisions(monkeypatch)
         start = time.perf_counter()
         with pytest.raises(ValueError):
             ONE / RatFuncQ({0: 1, 200: 3, 400: 1})
         assert time.perf_counter() - start < 0.1
+        assert divisions == []
         monkeypatch.undo()
         # c q^s divides, and its negative powers are monomials
         third = Fraction(1, 3)
@@ -386,21 +411,20 @@ class TestCanonicalForm:
 
     def test_counted_powers_in_one_division(self, monkeypatch):
         # (1 - q^3)^-12 over a long numerator: Phi_1^12 Phi_3^11 leave in one
-        # exact division, with no fold, and the twelfth Phi_3 stays
-        def no_fold(a, d):
-            raise AssertionError(f"folded Phi_{d}")
-
+        # exact division, which does not raise, and the twelfth Phi_3 stays
         base = [((-1) ** i) * (i % 7 + 1) for i in range(150)]
         num = _times_cyclotomic(base, ((1, 12), (3, 11)))
         den = ((1, 12), (3, 12))
-        monkeypatch.setattr(qcore, "_cyclotomic_divides", no_fold)
+        divisions = record_divisions(monkeypatch)
         assert _divide_out(num, den, den) == (base, ((3, 1),))
+        assert divisions == [(((1, -12), (3, -11)), False)]
 
     @pytest.mark.parametrize("ds", [(1,), (2,), (6,), (1, 2, 6)])
     def test_rule_out_point_root_survives_unreduced(self, ds):
         # a = q - 2^32 vanishes at the rule-out point q = 2^32, so every
-        # Phi_d(2^32) divides a(2^32); no Phi_d divides a, so the fold must
-        # keep every factor, whichever operation brings a against it
+        # Phi_d(2^32) divides a(2^32); no Phi_d divides a, so the recount
+        # by exact division must keep every factor, whichever operation
+        # brings a against it
         a = {0: -2**32, 1: 1}
         den = [1]
         for d in ds:
@@ -414,19 +438,23 @@ class TestCanonicalForm:
             assert f._den == tuple((d, 1) for d in ds)
         assert added == multiplied
 
-    def test_count_that_runs_over_hides_no_later_factor(self):
+    def test_count_that_runs_over_hides_no_later_factor(self, monkeypatch):
         # Phi_3 (q + c) over q^3 - 1 with q + c = Phi_1(2^32) / 3 at 2^32: the
         # value Phi_3(2^32) / 3 * Phi_1(2^32) counts Phi_1 once, which runs
         # over, and leaves Phi_3(2^32) / 3, which counts Phi_3 none times,
-        # one short; the fold that follows the failed division must still
-        # find Phi_3
+        # one short; the recount by exact division that follows the failed
+        # division must still find Phi_3
         c = (2**32 - 1) // 3 - 2**32
         num = _int_mul(cyclotomic(3), [c, 1])
         f = over_cyclotomic(dict(enumerate(num)), {1: 1, 3: 1})
         assert f == over_cyclotomic({0: c, 1: 1}, {1: 1})
         assert f._num == (c, 1) and f._den == ((1, 1),)
         den = ((1, 1), (3, 1))
+        divisions = record_divisions(monkeypatch)
         assert _divide_out(num, den, den) == ([c, 1], ((1, 1),))
+        # the combined division by Phi_1 raised; the recount finds no Phi_1
+        # and one Phi_3, its whole multiplicity
+        assert divisions == [(((1, -1),), True), (((1, -1),), True), (((3, -1),), False)]
 
     def test_mapping_is_not_a_number(self):
         # == accepts exactly what arithmetic accepts: a mapping is only a
@@ -589,33 +617,20 @@ class TestGcd:
         assert value._den == _recurrence_number(25, 8, 6)._den
 
 
-# Counts the Phi_d folds of the default sweep, and those that divide, in a
-# fresh interpreter: the lru_caches of genocchi, identities and qcore would
-# let a warm process skip work.  To re-measure after a change to the
-# reducer, run this script with src on PYTHONPATH and pin what it prints.
-FOLD_COUNT_SCRIPT = """
-from qgen import identities, qcore
-fold = qcore._cyclotomic_divides
-counts = [0, 0]
-def counted(a, d):
-    divides = fold(a, d)
-    counts[0] += 1
-    counts[1] += divides
-    return divides
-qcore._cyclotomic_divides = counted
-identities.sweep()
-print(*counts)
-"""
-
-
-def test_default_sweep_fold_counts():
-    # no fold at all: the counted multiplicities are proved by one exact
-    # division, which never fails on this grid; a fold here means it broke
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    out = subprocess.run([sys.executable, "-c", FOLD_COUNT_SCRIPT], env=env,
-                         capture_output=True, text=True, check=True)
-    assert out.stdout.split() == ["0", "0"]
+def test_default_sweep_makes_no_recount():
+    # the counted multiplicities are proved by one combined exact division
+    # per reduction, which never raises on the default grid; a raise here
+    # means the rule-out broke, and the reducer fell back to recounting
+    # every candidate.  tests/raised_divisions.py counts them in a fresh
+    # interpreter, where the lru_caches skip no work
+    tests = Path(__file__).resolve().parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(tests.parent / "src"), os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, str(tests / "raised_divisions.py"), "verify", "all"],
+                         env=env, capture_output=True, text=True)
+    assert out.returncode == 0, out.stdout + out.stderr
+    combined, raised = map(int, out.stdout.split())
+    assert combined > 0 and raised == 0
 
 
 class TestSumOverOnePlus:

@@ -20,7 +20,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 from qgen.qcore import ONE, ZERO, RatFuncQ  # noqa: E402
-from qgen.qcore import _cyclotomic_divides, _divide_out, _times_cyclotomic  # noqa: E402
+from qgen.qcore import _divide_out  # noqa: E402
 from readback import cyclotomic, den_view, denotes, num_view, over_cyclotomic  # noqa: E402
 
 PROPERTY = settings(derandomize=True, max_examples=60, deadline=None, database=None)
@@ -132,16 +132,26 @@ def test_equal_values_hash_equal(f, g, c, unit, monomial):
     assert len({f * g, g * f}) == 1
 
 
-def fold_only_divide_out(num, den, cands):
-    """`_divide_out` with no rule-out: every round folds every candidate."""
-    limit, removed = dict(cands), Counter()
-    candidates = list(limit)
-    while candidates:
-        found = [d for d in candidates if _cyclotomic_divides(num, d)]
-        if found:
-            num = _times_cyclotomic(num, tuple((d, -1) for d in found))
-            removed.update(found)
-        candidates = [d for d in found if removed[d] < limit[d]]
+def long_division(num: list[int], d: int) -> list[int] | None:
+    """num / Phi_d in Z[q] by dense long division by the monic
+    `readback.cyclotomic(d)`, or None on a nonzero remainder."""
+    div, rem = cyclotomic(d), list(num)
+    quot = [0] * max(len(rem) - len(div) + 1, 0)
+    for i in reversed(range(len(quot))):
+        quot[i] = rem[i + len(div) - 1]
+        for j, y in enumerate(div):
+            rem[i + j] -= quot[i] * y
+    return None if any(rem) else quot
+
+
+def long_division_divide_out(num, den, cands):
+    """`_divide_out` with no rule-out and no qcore helper: each Phi_d of
+    cands divided out of num by long division while it divides, up to its
+    multiplicity."""
+    removed = Counter()
+    for d, m in cands:
+        while removed[d] < m and (quot := long_division(num, d)) is not None:
+            num, removed[d] = quot, removed[d] + 1
     return num, tuple((d, m - removed[d]) for d, m in den if m > removed[d])
 
 
@@ -176,10 +186,10 @@ reducer_nums = st.builds(
 @example(reducer_numerator([1], (2**32 - 1) // 3, [3]), [1, 3], [])
 @example(reducer_numerator([2, 1], (2**32 - 1) // 5, [5, 5]), [1, 5, 5], [2])
 @example(reducer_numerator([1], (2**32 - 1) // 3, [9, 1]), [1, 1, 9], [])
-def test_rule_out_keeps_the_fold_only_result(num, den_ds, extra_ds):
+def test_rule_out_keeps_the_long_division_result(num, den_ds, extra_ds):
     # the candidates are all of den, or the part of it that `+` tests
     den = multiplicities(den_ds + extra_ds)
     for cands in (den, multiplicities(den_ds)):
         got = _divide_out(list(num), den, cands)
-        want = fold_only_divide_out(list(num), den, cands)
+        want = long_division_divide_out(list(num), den, cands)
         assert (list(got[0]), got[1]) == (list(want[0]), want[1])
