@@ -16,7 +16,7 @@ from qgen.padic import (
     convergence_probe,
     functional_equation_residual,
     integrate,
-    truncated_integral,
+    truncated_sums,
 )
 from qgen.qcore import eval_at
 
@@ -42,8 +42,7 @@ def main() -> None:
     print("\nRaw (unnormalized) sums converge to a different functional:")
     spec = IntegrandSpec({0: 1})
     ctx = PadicContext(p=3, N=3, q=Fraction(4))
-    norm = truncated_integral(spec, ctx)
-    raw = truncated_integral(spec, ctx, normalized=False)
+    norm, raw = truncated_sums(spec, ctx)
     print(f"  normalized   S_3(1) = {norm}")
     print(f"  unnormalized S_3(1) = {raw}")
     print("  q-shift residual q I(f1) + I(f) - [2]_q f(0), f = 1:")

@@ -23,6 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import comb
 from typing import Sequence, Union
 
 from qgen.qcore import (
@@ -34,7 +35,6 @@ from qgen.qcore import (
     _mul_one_minus,
     _new,
     _require_int,
-    binomial,
     qbracket,
     subst_q_inverse,
 )
@@ -82,7 +82,7 @@ def _basis(n: int, alpha: int, x: int) -> tuple[RatFuncQ, ...]:
     for k in range(n + 1):
         if k:
             num = _div_binomial(_mul_one_minus(num, alpha * abs(x)), alpha * abs(1 - x), -1)
-        content = binomial(n, k) * u._content**k * v._content**(n - k)
+        content = comb(n, k) * u._content**k * v._content**(n - k)
         basis.append(_new(k * u._shift + (n - k) * v._shift, content, num, ()))
     return tuple(basis)
 

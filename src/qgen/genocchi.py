@@ -39,7 +39,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import comb, factorial
 
 from qgen.padic import (
     ConvergenceTrace,
@@ -54,7 +54,6 @@ from qgen.qcore import (
     _over_one_plus,
     _require_int,
     _trim,
-    binomial,
     eval_at,
     q_power,
     qbracket,
@@ -140,7 +139,7 @@ def _recurrence_numerator(n: int, alpha: int, h: int) -> tuple[int, ...]:
         p_k = _recurrence_numerator(k, alpha, h)
         off = alpha * (k - 1) + (h if k > 1 else 0)
         acc.extend([0] * (off + len(p_k) - len(acc)))
-        c = binomial(n, k)
+        c = comb(n, k)
         for i, x in enumerate(p_k, off):
             acc[i] += c * x
     return tuple(-x for x in _trim(acc))
@@ -169,7 +168,7 @@ def _umbral(n: int, alpha: int, h: int, x: int) -> RatFuncQ:
         g_k = _recurrence_number(k, alpha, h)
         if not g_k:
             continue
-        acc = acc + binomial(n, k) * q_power(alpha * k * x) * g_k * bracket ** (n - k)
+        acc = acc + comb(n, k) * q_power(alpha * k * x) * g_k * bracket ** (n - k)
     return q_power(-alpha * x) * acc
 
 

@@ -30,7 +30,9 @@ loop over x: the exact path over Q, writing r = u/w, as
 (r = 1 would need q = -1, which v_p(q - 1) >= 1 rules out for odd p);
 the modular path as (1 - r^K) (1 - r)^-1 mod p^M, where q = 1 mod p
 makes 1 - r = 2 mod p a unit, so this is an identity in Z/p^M, not an
-approximation.  Each costs O(log K) products per term.  The
+approximation.  Each costs O(log K) products per term, but an exact
+sum has about K digits, so S_N is exact up to N = 4 while p^N <= 3^9
+(`PadicContext.exact`) and a residue mod p^M past that.  The
 literal-definition oracle, a K-step loop over x, is
 `naive_alternating_sum` in the tests.
 
@@ -57,7 +59,6 @@ from qgen.qcore import (
     _require_int,
     _shared_prefactor,
     _sum_over_one_plus,
-    binomial,
     eval_at,
     fraction_text,
     q_power,
@@ -81,8 +82,10 @@ __all__ = [
 
 CoeffLike = Union[RatFuncQ, Fraction, int]
 
-# truncation levels up to this one are summed exactly, above it mod p^M
+# a truncated sum is exact at levels N <= _EXACT_MAX_N with p^N <= _EXACT_MAX_COUNT
+# (read only by PadicContext.exact); the exact sum has about p^N digits
 _EXACT_MAX_N = 4
+_EXACT_MAX_COUNT = 3**9
 
 
 class PrecisionError(ArithmeticError):
@@ -148,6 +151,12 @@ class PadicContext:
             object.__setattr__(self, "M", self.N + 4)
         if self.M < self.N:
             raise ValueError("working precision M must be at least N")
+
+    @property
+    def exact(self) -> bool:
+        """Whether S_N reads as an exact rational: N <= 4 while p^N <= 3^9.
+        Past that, S_N is a residue mod p^M."""
+        return self.N <= _EXACT_MAX_N and self.p**self.N <= _EXACT_MAX_COUNT
 
 
 class IntegrandSpec:
@@ -236,7 +245,7 @@ def bracket_power_integrand(x: int, scale: int, power: int, *, sign: int = 1,
     den = tuple((d, power) for d in _divisors(abs(scale))) if power else ()
     shift, sign_n = (0, (-1) ** power) if scale > 0 else (-scale * power, 1)
     nums = {scale * l * sign + exp_shift:
-            (shift + scale * l * x, ((-1) ** l * binomial(power, l),)) for l in range(power + 1)}
+            (shift + scale * l * x, ((-1) ** l * math.comb(power, l),)) for l in range(power + 1)}
     return IntegrandSpec.__new__(IntegrandSpec)._set(Fraction(sign_n), den, nums)
 
 
@@ -274,23 +283,16 @@ def _geometric(r: Fraction, count: int) -> Fraction:
     return Fraction((w**count - u**count) // (w - u), w ** (count - 1))
 
 
-def _truncated_exact(spec: IntegrandSpec, ctx: PadicContext) -> Fraction:
-    # q^(m x) (-q)^x = r^x with r = -q^(m+1)
-    count = ctx.p**ctx.N
-    return sum((c * _geometric(-ctx.q ** (m + 1), count)
-                for m, c in _coeff_values(spec, ctx.q)), Fraction(0))
-
-
 def _diff_valuation(diff: Fraction, ctx: PadicContext) -> float:
     """vp(diff) for a truncated sum minus its limit; inf when diff is 0.
 
-    Above _EXACT_MAX_N the sum is a residue mod p^M, so the valuation is
+    Past `ctx.exact` the sum is a residue mod p^M, so the valuation is
     only known up to M and is capped there.
     """
     if diff == 0:
         return math.inf
     v = vp(diff, ctx.p)
-    return min(v, ctx.M) if ctx.N > _EXACT_MAX_N else v
+    return v if ctx.exact else min(v, ctx.M)
 
 
 def _to_mod(r: Fraction, p: int, mod: int) -> int:
@@ -307,63 +309,56 @@ def _geometric_mod(r: int, count: int, mod: int) -> int:
     return (1 - pow(r, count, mod)) * pow(1 - r, -1, mod) % mod
 
 
-def _truncated_modular(spec: IntegrandSpec, ctx: PadicContext) -> Fraction:
-    p, mod, count = ctx.p, ctx.p**ctx.M, ctx.p**ctx.N
-    qm = _to_mod(ctx.q, p, mod)
-    total = sum(_to_mod(c, p, mod) * _geometric_mod(-pow(qm, m + 1, mod), count, mod)
-                for m, c in _coeff_values(spec, ctx.q))
-    return Fraction(total % mod)
-
-
-def _normalize(raw: Fraction, ctx: PadicContext, method: str) -> Fraction:
-    # raw / [p^N]_{-q}: [p^N]_{-q} is the same geometric sum at r = -q
-    count = ctx.p**ctx.N
-    if method == "exact":
-        return raw / _geometric(-ctx.q, count)
-    mod = ctx.p**ctx.M
-    bracket = _geometric_mod(-_to_mod(ctx.q, ctx.p, mod), count, mod)
-    return Fraction(raw.numerator * pow(bracket, -1, mod) % mod)
-
-
-def _method(ctx: PadicContext, method: str) -> str:
+def _sums(spec: IntegrandSpec, ctx: PadicContext, method: str) -> tuple[Fraction, Fraction]:
+    # (S_N, raw sum) from one summation: q^(m x) (-q)^x = r^x with
+    # r = -q^(m+1), and [p^N]_{-q} is the same geometric sum at r = -q
     if method == "auto":
-        return "exact" if ctx.N <= _EXACT_MAX_N else "modular"
-    if method not in ("exact", "modular"):
+        method = "exact" if ctx.exact else "modular"
+    elif method not in ("exact", "modular"):
         raise ValueError(f"unknown method: {method!r}")
-    return method
+    count, coeffs = ctx.p**ctx.N, _coeff_values(spec, ctx.q)
+    if method == "exact":
+        raw = sum((c * _geometric(-ctx.q ** (m + 1), count) for m, c in coeffs), Fraction(0))
+        return raw / _geometric(-ctx.q, count), raw
+    p, mod = ctx.p, ctx.p**ctx.M
+    qm = _to_mod(ctx.q, p, mod)
+    raw = sum(_to_mod(c, p, mod) * _geometric_mod(-pow(qm, m + 1, mod), count, mod)
+              for m, c in coeffs) % mod
+    total = raw * pow(_geometric_mod(-qm, count, mod), -1, mod) % mod
+    return Fraction(total), Fraction(raw)
 
 
 def truncated_integral(spec: IntegrandSpec, ctx: PadicContext, *,
                        normalized: bool = True, method: str = "auto") -> Fraction:
     """Truncated sum S_N(f) at q = ctx.q.
 
-    Exact rational for N <= 4 (or ``method="exact"``); for larger N the
-    value is a reduced representative mod p^M (``method="modular"``).
-    Both sum each term, and the normalizer [p^N]_{-q}, as one geometric
-    series in closed form, over Q or mod p^M, and neither loops over x.
-    The raw sum without the 1/[p^N]_{-q} normalizer is available via
-    ``normalized=False``.
+    By default (``method="auto"``) an exact rational where ``ctx.exact``
+    holds (N <= 4 while p^N <= 3^9), and past it a reduced representative
+    mod p^M; ``method="exact"`` or ``"modular"`` forces a path at any
+    level.  Readings (`truncated_reading`, `convergence_probe`) follow
+    ``ctx.exact``, not ``method``.  Both paths sum each term, and the
+    normalizer [p^N]_{-q}, as one geometric series in closed form, over Q
+    or mod p^M, and neither loops over x.  The raw sum without the
+    1/[p^N]_{-q} normalizer is available via ``normalized=False``.
     """
-    method = _method(ctx, method)
-    raw = (_truncated_exact if method == "exact" else _truncated_modular)(spec, ctx)
-    return _normalize(raw, ctx, method) if normalized else raw
+    total, raw = _sums(spec, ctx, method)
+    return total if normalized else raw
 
 
 def truncated_sums(spec: IntegrandSpec, ctx: PadicContext) -> tuple[Fraction, Fraction]:
     """S_N(f) and the raw sum from one summation: the raw sum divided by
     [p^N]_{-q} is S_N(f), read as `truncated_integral` reads it."""
-    raw = truncated_integral(spec, ctx, normalized=False)
-    return _normalize(raw, ctx, _method(ctx, "auto")), raw
+    return _sums(spec, ctx, "auto")
 
 
 def truncated_reading(value: Fraction, limit: Fraction, ctx: PadicContext) -> tuple[str, str]:
-    """A truncated sum and vp(sum - limit) as printed: exact up to N = 4,
-    in full at any size (inf when the sum equals the limit); above, the
-    sum is a residue ``r mod p^M`` and a valuation that reaches M reads
-    ``>=M``, since the residue shows only that the sum agrees with the
-    limit in M digits."""
+    """A truncated sum and vp(sum - limit) as printed: exact up to N = 4
+    while p^N <= 3^9 (``ctx.exact``), in full at any size (inf when the sum
+    equals the limit); past that, the sum is a residue ``r mod p^M`` and a
+    valuation that reaches M reads ``>=M``, since the residue shows only
+    that the sum agrees with the limit in M digits."""
     valuation = _diff_valuation(value - limit, ctx)
-    if ctx.N <= _EXACT_MAX_N:
+    if ctx.exact:
         return fraction_text(value), str(valuation)
     text = f">={ctx.M}" if valuation >= ctx.M else str(valuation)
     return f"{fraction_text(value)} mod {ctx.p}^{ctx.M}", text
@@ -399,7 +394,7 @@ def convergence_probe(spec: IntegrandSpec, p: int, q: Union[Fraction, int],
 
         vp(S_N - L) >= N + min over m != 0 of (vp(c_m(q)) + vp(q - 1) + vp(m)),
 
-    capped at M above N = 4; a level below it raises ArithmeticError.  For
+    capped at M past ``ctx.exact``; a level below it raises ArithmeticError.  For
     one term c q^(m x) and K = p^N, S_N - L is
     c (1 + q) q^K (q^(m K) - 1) / ((1 + q^(m+1)) (1 + q^K)), whose one
     non-unit factor q^(m K) - 1 has valuation vp(q - 1) + vp(m) + N by
@@ -414,7 +409,7 @@ def convergence_probe(spec: IntegrandSpec, p: int, q: Union[Fraction, int],
         ctx = PadicContext(p=p, N=N, q=q, M=M)
         v = _diff_valuation(truncated_integral(spec, ctx) - limit, ctx)
         bound = N + vp(q - 1, p) + offset
-        if N > _EXACT_MAX_N:
+        if not ctx.exact:
             bound = min(bound, ctx.M)
         if v < bound:
             raise ArithmeticError(f"vp(S_{N} - L) = {v} is below the a-priori bound {bound}")

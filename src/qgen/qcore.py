@@ -51,7 +51,6 @@ from contextlib import suppress
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
-from math import comb
 from operator import add, or_, sub
 from typing import Mapping, Union
 
@@ -60,7 +59,6 @@ __all__ = [
     "RatFuncQ",
     "ZERO",
     "ONE",
-    "binomial",
     "eval_at",
     "fraction_text",
     "q_power",
@@ -657,15 +655,6 @@ def q_power(e: int) -> RatFuncQ:
 # ---------------------------------------------------------------------------
 # spec operations
 # ---------------------------------------------------------------------------
-
-
-def binomial(n: int, k: int) -> int:
-    """C(n, k), with the convention C(n, k) = 0 for k < 0 or k > n."""
-    if n < 0:
-        raise ValueError("binomial expects a nonnegative upper index")
-    if k < 0 or k > n:
-        return 0
-    return comb(n, k)
 
 
 def qbracket(x: int, a: int) -> RatFuncQ:

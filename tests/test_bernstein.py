@@ -2,6 +2,7 @@
 
 import time
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -12,7 +13,7 @@ from qgen.bernstein import (
     bernstein_poly,
     bernstein_symmetry_check,
 )
-from qgen.qcore import ONE, RatFuncQ, ZERO, binomial, qbracket
+from qgen.qcore import ONE, RatFuncQ, ZERO, qbracket
 
 
 class TestBasisValues:
@@ -42,7 +43,7 @@ class TestBasisValues:
         # definition by powers of the two brackets, x = 0 and 1 included
         for n in range(13):
             for k in range(n + 1):
-                want = binomial(n, k) * qbracket(x, alpha) ** k * qbracket(1 - x, -alpha) ** (n - k)
+                want = comb(n, k) * qbracket(x, alpha) ** k * qbracket(1 - x, -alpha) ** (n - k)
                 got = bernstein_poly(BernsteinIndex(k, n, alpha), x)
                 assert got.to_canonical_string() == want.to_canonical_string(), (k, n, alpha, x)
 

@@ -265,16 +265,39 @@ class TestIntegral:
         from qgen import padic
 
         calls = []
-        for name in ("_truncated_exact", "_truncated_modular"):
-            real = getattr(padic, name)
-            monkeypatch.setattr(padic, name, lambda spec, ctx, real=real: calls.append(ctx.N)
-                                or real(spec, ctx))
+        real = padic._sums
+        monkeypatch.setattr(padic, "_sums", lambda spec, ctx, method: calls.append(ctx.N)
+                            or real(spec, ctx, method))
         code, _, _ = run_cli(capsys, [
             "integral", "--p", "3", "--q", "4", "--m", "1", "--N", "1,4,5",
             "--unnormalized", "--format", "json",
         ])
         assert code == EXIT_OK
         assert calls == [1, 4, 5]
+
+    def test_large_prime_levels_are_residues(self, capsys, monkeypatch):
+        # an exact sum over p^N terms has about p^N digits, so past
+        # p^N = 3^9 the levels N <= 4 read mod p^M too; an exact sum there
+        # fails at once instead of taking minutes
+        from qgen import padic
+
+        real = padic._geometric
+
+        def bounded(r, count):
+            assert count <= 3**9, f"exact geometric sum over {count} terms"
+            return real(r, count)
+
+        monkeypatch.setattr(padic, "_geometric", bounded)
+        code, out, _ = run_cli(capsys, ["integral", "--p", "31", "--q", "32", "--m", "1",
+                                        "--N", "3,4"])
+        assert code == EXIT_OK
+        rows = out.splitlines()[-2:]
+        assert rows[0].startswith("  N=3   value=") and rows[0].endswith(" mod 31^7  vp(diff)=4")
+        assert rows[1] == "  N=4   value=23647455279 mod 31^8  vp(diff)=5"
+        code, out, _ = run_cli(capsys, ["integral", "--p", "11", "--q", "12", "--m", "1",
+                                        "--N", "4"])
+        assert code == EXIT_OK
+        assert " mod " not in out and out.splitlines()[-1].endswith("vp(diff)=5")
 
     @staticmethod
     def _residue(spec, N, M, normalized):

@@ -6,6 +6,7 @@ import subprocess
 import sys
 import time
 from fractions import Fraction
+from math import comb
 from pathlib import Path
 
 import pytest
@@ -25,8 +26,8 @@ from qgen.genocchi import (
     weighted_genocchi_recurrence,
 )
 from qgen.padic import PadicContext
-from qgen.qcore import (ONE, RatFuncQ, ZERO, _one_plus_lcm, binomial, eval_at,
-                        q_power, qbracket)
+from qgen.qcore import (ONE, RatFuncQ, ZERO, _one_plus_lcm, eval_at, q_power,
+                        qbracket)
 from readback import cross_sum, den_view
 
 W = WeightParams
@@ -43,7 +44,7 @@ def unweighted_recurrence_residual(n: int, h: int) -> RatFuncQ:
     w = W(1, h)
     acc = ZERO
     for k in range(n + 1):
-        acc = acc + binomial(n, k) * q_power(k) * weighted_genocchi_number(k, w)
+        acc = acc + comb(n, k) * q_power(k) * weighted_genocchi_number(k, w)
     residual = q_power(h - 1) * acc + weighted_genocchi_number(n, w)
     if n == 1:
         residual = residual - qbracket(2, 1)
@@ -84,7 +85,7 @@ def closed_termwise(n: int, alpha: int, h: int, x: int) -> tuple[RatFuncQ, RatFu
     g_n(x) = N / D: the moments (-1)^l C(n-1, l) q^(alpha l x) / (1 + q^(alpha l + h))
     added over the product of their denominators, then the prefactor
     n [2]_q (1 - q^alpha)^-(n-1)."""
-    num, den = cross_sum(((-1) ** l * binomial(n - 1, l) * q_power(alpha * l * x),
+    num, den = cross_sum(((-1) ** l * comb(n - 1, l) * q_power(alpha * l * x),
                           ONE + q_power(alpha * l + h)) for l in range(n))
     return n * qbracket(2, 1) * num, den * (ONE - q_power(alpha)) ** max(n - 1, 0)
 

@@ -1,6 +1,7 @@
 """Identity verifiers and the sweep driver."""
 
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -19,7 +20,7 @@ from qgen.identities import (
     verify_shift2,
     verify_symmetry,
 )
-from qgen.qcore import ONE, PoleError, RatFuncQ, binomial, q_power, qbracket
+from qgen.qcore import ONE, PoleError, RatFuncQ, q_power, qbracket
 from qgen.records import FAIL, VerificationRecord
 
 W = WeightParams
@@ -198,10 +199,10 @@ def direct_bernstein_sides(D, K, w):
     lhs = RatFuncQ(0)
     for l in range(D - K + 1):
         g = weighted_genocchi_number(l + K + 1, w)
-        lhs = lhs + (-1) ** l * binomial(D - K, l) * g / (l + K + 1)
+        lhs = lhs + (-1) ** l * comb(D - K, l) * g / (l + K + 1)
     rhs = RatFuncQ(0)
     for l in range(K + 1):
-        rhs = rhs + (-1) ** (K + l) * binomial(K, l) * identities._reflected(D - l, w)
+        rhs = rhs + (-1) ** (K + l) * comb(K, l) * identities._reflected(D - l, w)
     return lhs, rhs
 
 

@@ -4,6 +4,7 @@ diagnostics, and the q-shift functional equation."""
 import random
 import time
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -17,11 +18,11 @@ from qgen.padic import (
     functional_equation_residual,
     integrate,
     truncated_integral,
+    truncated_reading,
     truncated_sums,
     vp,
 )
-from qgen.qcore import (ONE, RatFuncQ, ZERO, _one_plus_lcm, binomial, eval_at, q_power,
-                        qbracket)
+from qgen.qcore import ONE, RatFuncQ, ZERO, _one_plus_lcm, eval_at, q_power, qbracket
 from readback import Q, cross_sum, one_minus_power, over_cyclotomic
 
 
@@ -399,6 +400,28 @@ class TestTruncated:
             with pytest.raises(PrecisionError, match="divisible by p=3"):
                 truncated_integral(spec, ctx, normalized=normalized)
 
+    @pytest.mark.parametrize("p,N,exact", [
+        (3, 4, True), (3, 5, False), (7, 4, True), (11, 4, True), (13, 4, False),
+        (23, 3, True), (31, 3, False), (139, 2, True), (149, 2, False),
+        (19681, 1, True), (19687, 1, False), (19687, 0, True),
+    ])
+    def test_exact_levels(self, p, N, exact):
+        # N <= 4 while p^N <= 3^9 = 19,683
+        assert PadicContext(p=p, N=N, q=Fraction(p + 1)).exact is exact
+
+    def test_levels_past_the_cut_read_as_residues(self):
+        # p^3 = 29,791 > 3^9, so N = 3 reads mod p^M although N <= 4: the
+        # auto sums are the modular ones, the reading prints a residue, and
+        # the probe's bound N + vp(q - 1) + vp(31) = 5 is capped at M = 4
+        spec = IntegrandSpec({31: 1, 0: Fraction(1, 2)})
+        ctx = PadicContext(p=31, N=3, q=Fraction(32), M=4)
+        value, raw = truncated_sums(spec, ctx)
+        assert value == truncated_integral(spec, ctx, method="modular")
+        assert raw == truncated_integral(spec, ctx, normalized=False, method="modular")
+        limit = eval_at(integrate(spec), ctx.q)
+        assert truncated_reading(value, limit, ctx) == (f"{value} mod 31^4", ">=4")
+        assert convergence_probe(spec, 31, 32, [3], M=4).entries == ((3, 4),)
+
     def test_auto_dispatch(self):
         spec = IntegrandSpec({0: 1})
         low = PadicContext(p=3, N=2, q=Fraction(4))
@@ -527,7 +550,7 @@ class TestBracketPowerIntegrand:
                 for shift in range(3):
                     case = (x, power, shift)
                     coeffs = {scale * l * sign + shift:
-                              (-1) ** l * binomial(power, l) * q_power(scale * l * x) * weight
+                              (-1) ** l * comb(power, l) * q_power(scale * l * x) * weight
                               for l in range(power + 1)}
                     spec = bracket_power_integrand(x, scale, power, sign=sign, exp_shift=shift)
                     termwise = IntegrandSpec(coeffs)

@@ -20,7 +20,6 @@ from qgen.qcore import (
     PoleError,
     RatFuncQ,
     ZERO,
-    binomial,
     eval_at,
     q_power,
     qbracket,
@@ -316,18 +315,6 @@ class TestReflection:
     def test_bad_weight(self):
         with pytest.raises(ValueError):
             qbracket_reflect(1, 0, 2)
-
-
-class TestBinomial:
-    def test_values(self):
-        assert binomial(4, 2) == 6
-        assert binomial(5, 0) == 1
-        assert binomial(3, 5) == 0
-        assert binomial(3, -1) == 0
-
-    def test_negative_n(self):
-        with pytest.raises(ValueError):
-            binomial(-1, 0)
 
 
 class TestCanonicalForm:
