@@ -309,9 +309,11 @@ def _geometric_mod(r: int, count: int, mod: int) -> int:
     return (1 - pow(r, count, mod)) * pow(1 - r, -1, mod) % mod
 
 
-def _sums(spec: IntegrandSpec, ctx: PadicContext, method: str) -> tuple[Fraction, Fraction]:
-    # (S_N, raw sum) from one summation: q^(m x) (-q)^x = r^x with
-    # r = -q^(m+1), and [p^N]_{-q} is the same geometric sum at r = -q
+def _sums(spec: IntegrandSpec, ctx: PadicContext, method: str,
+          normalized: bool = True) -> tuple[Fraction, Fraction]:
+    # (S_N, or the raw sum when not normalized; the raw sum) from one
+    # summation: q^(m x) (-q)^x = r^x with r = -q^(m+1), and [p^N]_{-q} is
+    # the same geometric sum at r = -q, whose division is most of an exact sum
     if method == "auto":
         method = "exact" if ctx.exact else "modular"
     elif method not in ("exact", "modular"):
@@ -319,12 +321,12 @@ def _sums(spec: IntegrandSpec, ctx: PadicContext, method: str) -> tuple[Fraction
     count, coeffs = ctx.p**ctx.N, _coeff_values(spec, ctx.q)
     if method == "exact":
         raw = sum((c * _geometric(-ctx.q ** (m + 1), count) for m, c in coeffs), Fraction(0))
-        return raw / _geometric(-ctx.q, count), raw
+        return raw / _geometric(-ctx.q, count) if normalized else raw, raw
     p, mod = ctx.p, ctx.p**ctx.M
     qm = _to_mod(ctx.q, p, mod)
     raw = sum(_to_mod(c, p, mod) * _geometric_mod(-pow(qm, m + 1, mod), count, mod)
               for m, c in coeffs) % mod
-    total = raw * pow(_geometric_mod(-qm, count, mod), -1, mod) % mod
+    total = raw * pow(_geometric_mod(-qm, count, mod), -1, mod) % mod if normalized else raw
     return Fraction(total), Fraction(raw)
 
 
@@ -338,11 +340,10 @@ def truncated_integral(spec: IntegrandSpec, ctx: PadicContext, *,
     level.  Readings (`truncated_reading`, `convergence_probe`) follow
     ``ctx.exact``, not ``method``.  Both paths sum each term, and the
     normalizer [p^N]_{-q}, as one geometric series in closed form, over Q
-    or mod p^M, and neither loops over x.  The raw sum without the
-    1/[p^N]_{-q} normalizer is available via ``normalized=False``.
+    or mod p^M, and neither loops over x.  ``normalized=False`` gives the
+    raw sum and does not compute the 1/[p^N]_{-q} normalizer.
     """
-    total, raw = _sums(spec, ctx, method)
-    return total if normalized else raw
+    return _sums(spec, ctx, method, normalized)[0]
 
 
 def truncated_sums(spec: IntegrandSpec, ctx: PadicContext) -> tuple[Fraction, Fraction]:

@@ -25,14 +25,16 @@ Canonical form.  A `RatFuncQ` stores its value once:
 One reducer, no gcd.  The factors of every denominator are known, so
 `_divide_out` keeps num and den coprime by dividing each Phi_d out of
 num as often as it divides, at most m_d times.  It has one test and one
-proof: the count is how often Phi_d(2^32) divides num(2^32), read off
+proof: the count is how often Phi_d(2^8) divides num(2^8), read off
 one evaluation, and an exact division, which raises on a remainder,
 removes every factor it counts.  `+` takes the lcm as the maximum of
 the multiplicities and tests only the Phi_d of equal multiplicity on
 both sides (no other can divide the sum); `*` tests each numerator
 against the other side's factors; `**` scales the multiplicities;
 q -> 1/q keeps them.  Multiplying and dividing by Phi_d are sparse
-steps by (1 - q^k).
+steps by (1 - q^k).  The lcm of the moment denominators 1 + q^e grows
+from the longest prefix of its sorted exponents already expanded, so a
+table of closed forms expands each lcm once.
 
 Values are born canonical.  The constructor takes a Laurent polynomial
 (an int, a Fraction or an ``{exponent: coefficient}`` mapping), and `/`
@@ -114,12 +116,17 @@ def _int_pow(a, k: int) -> list[int]:
 
 def _div_binomial(a, k: int, s: int) -> list[int]:
     # a / (1 + s q^k) in Z[q] for s = +-1, k >= 1, by the recurrence
-    # b[i] = a[i] - s b[i-k], run as one running sum per residue of i mod k;
-    # the top k values of b are the remainder
+    # b[i] = a[i] - s b[i-k]: block by block for k^2 >= len, else as one
+    # running sum per residue of i mod k; the top k values are the remainder
     b = list(a)
-    step = None if s < 0 else (lambda x, y: y - x)
-    for j in range(min(k, len(b) - k)):
-        b[j::k] = accumulate(b[j::k], step)
+    if k * k >= len(b):
+        op = add if s < 0 else sub
+        for i in range(k, len(b), k):
+            b[i:i + k] = map(op, b[i:i + k], b[i - k:i])
+    else:
+        step = None if s < 0 else (lambda x, y: y - x)
+        for j in range(k):
+            b[j::k] = accumulate(b[j::k], step)
     top = max(len(b) - k, 0)
     if any(b[top:]):
         raise ArithmeticError("nonzero remainder in exact binomial division")
@@ -200,8 +207,9 @@ def _one_plus_factors(e: int) -> tuple[int, ...]:
     return tuple(d for d in _divisors(2 * e) if e % d)
 
 
-# the rule-out point of `_divide_out` is q = 2^_RULE_OUT_BITS
-_RULE_OUT_BITS = 32
+# the rule-out point of `_divide_out` is q = 2^_RULE_OUT_BITS: remainders by
+# Phi_d(2^B) cost about B^2, and at B = 6 combined divisions raise on CI's grids
+_RULE_OUT_BITS = 8
 
 
 def _at_point(cs) -> int:
@@ -225,7 +233,7 @@ def _divide_out(num, den: Den, cands: Den) -> tuple[list[int], Den]:
 
     Each Phi_d of cands (a part of den) is divided out of num as often as
     it divides, k_d at most its multiplicity m_d in cands.  num is
-    evaluated once at q = 2^B (B = 32), by `_at_point`; in the order of
+    evaluated once at q = 2^B (B = 8), by `_at_point`; in the order of
     cands, k_d counts how often Phi_d(2^B) divides that value, up to m_d,
     and the value is divided by each power counted.  Phi_d^j | num forces
     Phi_d(2^B)^j | num(2^B), so while every earlier count is exact the
@@ -305,15 +313,30 @@ def _over_one_plus(shift: int, num, exps) -> "RatFuncQ":
     return _reduced(shift, list(num), den, den)
 
 
+# exps -> (L, L expanded) for the lcm L of the 1 + q^e over exps, for
+# every prefix `_one_plus_lcm` has built
+_one_plus_chain: dict[tuple[int, ...], tuple[Den, tuple[int, ...]]] = {}
+
+
 @lru_cache(maxsize=None)
 def _one_plus_lcm(exps: tuple[int, ...]) -> tuple[Den, dict[int, tuple[int, ...]]]:
-    """L = lcm of the 1 + q^e over positive exps, and L / (1 + q^e) for each e.
+    """L = lcm of the 1 + q^e over positive exps, and L / (1 + q^e) for
+    each e, with L itself at e = 0.
 
     L is the product of the distinct cyclotomic factors of the 1 + q^e.
+    It grows from the longest prefix of exps already built (the closed
+    form at n and at n + 1 share all exponents but the last): each step
+    multiplies the expansion by the Phi_d that the next 1 + q^e adds.
     """
-    lcm = tuple((d, 1) for d in sorted({d for e in exps for d in _one_plus_factors(e)}))
-    poly = _den_poly(lcm)
-    return lcm, {e: tuple(_div_binomial(poly, e, 1)) for e in exps}
+    i = len(exps)
+    while i and exps[:i] not in _one_plus_chain:
+        i -= 1
+    lcm, poly = _one_plus_chain[exps[:i]] if i else ((), (1,))
+    for i in range(i, len(exps)):
+        new = tuple((d, 1) for d in _one_plus_factors(exps[i]) if (d, 1) not in lcm)
+        lcm, poly = tuple(sorted(lcm + new)), tuple(_times_cyclotomic(poly, new))
+        _one_plus_chain[exps[:i + 1]] = lcm, poly
+    return lcm, {0: poly} | {e: tuple(_div_binomial(poly, e, 1)) for e in exps}
 
 
 def _shared_prefactor(coeffs) -> tuple[Fraction, Den, list[tuple[int, tuple[int, ...]]]]:
@@ -348,12 +371,11 @@ def _sum_over_one_plus(content: Fraction, den: Den, terms, times: Den = ()) -> "
     if not terms:
         return ZERO
     lcm, cofs = _one_plus_lcm(tuple(sorted({abs(e) for _, _, e in terms if e})))
-    lcm_poly = _den_poly(lcm)
     shifts = [s - e if e < 0 else s for s, _, e in terms]
     lo = min(shifts)
     acc: list[int] = []
     for (_, num, e), shift in zip(terms, shifts):
-        cof, k = (cofs[abs(e)], 2) if e else (lcm_poly, 1)
+        cof, k = cofs[abs(e)], 2 if e else 1
         n, off = len(cof), shift - lo
         acc.extend([0] * (off + len(num) + n - 1 - len(acc)))
         for i, y in enumerate(num, off):

@@ -60,6 +60,7 @@ def clear_recurrence_caches():
                    qcore._cyclotomic_at_point, qcore._binomial_plan,
                    qcore._den_poly, qcore._den_op):
         cached.cache_clear()
+    qcore._one_plus_chain.clear()
 
 
 def bernoulli_oracle(n: int) -> Fraction:

@@ -8,7 +8,7 @@ from math import comb
 
 import pytest
 
-from qgen import padic
+from qgen import padic, qcore
 from qgen.padic import (
     IntegrandSpec,
     PadicContext,
@@ -312,6 +312,21 @@ class TestTruncated:
         assert truncated_sums(spec, ctx) == (truncated_integral(spec, ctx),
                                              truncated_integral(spec, ctx, normalized=False))
 
+    @pytest.mark.parametrize("method,geometric", [("exact", "_geometric"),
+                                                  ("modular", "_geometric_mod")])
+    def test_raw_sum_makes_no_normalizer(self, monkeypatch, method, geometric):
+        # the raw reading sums one geometric series per term and never the
+        # normalizer [p^N]_{-q}, whose exact division is most of a large sum
+        calls = []
+        real = getattr(padic, geometric)
+        monkeypatch.setattr(padic, geometric, lambda r, *rest: calls.append(r) or real(r, *rest))
+        ctx = PadicContext(p=3, N=4, q=Fraction(4))
+        spec = IntegrandSpec({1: 1, -2: Fraction(1, 2)})
+        raw = truncated_integral(spec, ctx, normalized=False, method=method)
+        assert len(calls) == 2
+        assert truncated_integral(spec, ctx, method=method) != raw
+        assert len(calls) == 5
+
     @pytest.mark.parametrize("p,q", [(3, 4), (5, 6), (3, 10), (3, "-2"), (3, "5/2"),
                                      (5, "-4"), (5, "-2/3"), (7, "8"), (7, "19/5")])
     @pytest.mark.parametrize("N", [1, 2, 3])
@@ -492,6 +507,7 @@ class TestConvergence:
     def test_deep_levels_within_ceiling(self):
         # p^12 = 244,140,625 residues: the modular path must not loop over them
         _one_plus_lcm.cache_clear()
+        qcore._one_plus_chain.clear()
         start = time.perf_counter()
         trace = convergence_probe(IntegrandSpec({1: 1}), 5, 6, range(13))
         elapsed = time.perf_counter() - start

@@ -26,8 +26,10 @@ from qgen.qcore import (
     subst_q_inverse,
 )
 from qgen.qcore import (
+    _RULE_OUT_BITS,
     _at_point,
     _den_poly,
+    _div_binomial,
     _divide_out,
     _int_mul,
     _one_plus_lcm,
@@ -83,6 +85,11 @@ def random_unit(rng: random.Random) -> tuple[RatFuncQ, RatFuncQ]:
         m, k = rng.choice([-8, -5, -3, -2, -1, 1, 2, 3, 4, 6]), rng.choice([-2, -1, 1, 2])
         u, inverse = u * one_minus_power(m, k), inverse * one_minus_power(m, -k)
     return u, inverse
+
+
+# the rule-out point of `_divide_out`: Phi_1(POINT) = 255 = 3 * 5 * 17, and
+# 3 divides Phi_3(POINT) = 65,793
+POINT = 2**_RULE_OUT_BITS
 
 
 def record_divisions(monkeypatch) -> list:
@@ -386,14 +393,15 @@ class TestCanonicalForm:
         assert f * (Q - ONE) == RatFuncQ(a)
 
     def test_point_value_by_halves(self):
-        # the evaluation at 2^32 splits lists above 64 terms in halves; it
-        # must give Horner's integer at every length around the splits
+        # the evaluation at the rule-out point splits lists above 64 terms
+        # in halves; it must give Horner's integer at every length around
+        # the splits
         rng = random.Random(1702)
         for n in (*range(1, 140), 257, 1000):
             cs = [rng.choice((0, 1, -1, rng.randint(-2**70, 2**70))) for _ in range(n)]
             horner = 0
             for x in reversed(cs):
-                horner = horner * 2**32 + x
+                horner = horner * POINT + x
             assert _at_point(cs) == horner, n
 
     def test_counted_powers_in_one_division(self, monkeypatch):
@@ -407,31 +415,35 @@ class TestCanonicalForm:
         assert divisions == [(((1, -12), (3, -11)), False)]
 
     @pytest.mark.parametrize("ds", [(1,), (2,), (6,), (1, 2, 6)])
-    def test_rule_out_point_root_survives_unreduced(self, ds):
-        # a = q - 2^32 vanishes at the rule-out point q = 2^32, so every
-        # Phi_d(2^32) divides a(2^32); no Phi_d divides a, so the recount
-        # by exact division must keep every factor, whichever operation
-        # brings a against it
-        a = {0: -2**32, 1: 1}
+    def test_rule_out_point_root_survives_unreduced(self, ds, monkeypatch):
+        # a = q - POINT vanishes at the rule-out point q = POINT, so every
+        # Phi_d(POINT) divides a(POINT); no Phi_d divides a, so the combined
+        # division raises and the recount by exact division must keep
+        # every factor, whichever operation brings a against it
+        a = {0: -POINT, 1: 1}
         den = [1]
         for d in ds:
             den = _int_mul(den, cyclotomic(d))
         den = {i: x for i, x in enumerate(den) if x}
         mults = {d: 1 for d in ds}
         multiplied = over_cyclotomic(a, mults)
-        added = over_cyclotomic({0: -2**32}, mults) + over_cyclotomic({1: 1}, mults)
+        added = over_cyclotomic({0: -POINT}, mults) + over_cyclotomic({1: 1}, mults)
         for f in (added, multiplied):
             assert num_view(f) == a and den_view(f) == den
             assert f._den == tuple((d, 1) for d in ds)
         assert added == multiplied
+        divisions = record_divisions(monkeypatch)
+        den = tuple((d, 1) for d in ds)
+        assert _divide_out([-POINT, 1], den, den) == ([-POINT, 1], den)
+        assert divisions[0] == (tuple((d, -1) for d in ds), True)
 
     def test_count_that_runs_over_hides_no_later_factor(self, monkeypatch):
-        # Phi_3 (q + c) over q^3 - 1 with q + c = Phi_1(2^32) / 3 at 2^32: the
-        # value Phi_3(2^32) / 3 * Phi_1(2^32) counts Phi_1 once, which runs
-        # over, and leaves Phi_3(2^32) / 3, which counts Phi_3 none times,
-        # one short; the recount by exact division that follows the failed
-        # division must still find Phi_3
-        c = (2**32 - 1) // 3 - 2**32
+        # Phi_3 (q + c) over q^3 - 1 with q + c = Phi_1(POINT) / 3 at POINT:
+        # 3 divides Phi_3(POINT), so the value Phi_3(POINT) / 3 * Phi_1(POINT)
+        # counts Phi_1 once, which runs over, and leaves Phi_3(POINT) / 3,
+        # which counts Phi_3 none times, one short; the recount by exact
+        # division that follows the failed division must still find Phi_3
+        c = (POINT - 1) // 3 - POINT
         num = _int_mul(cyclotomic(3), [c, 1])
         f = over_cyclotomic(dict(enumerate(num)), {1: 1, 3: 1})
         assert f == over_cyclotomic({0: c, 1: 1}, {1: 1})
@@ -505,6 +517,28 @@ def _int_divexact(a, b) -> list[int]:
     if any(rem):
         raise ArithmeticError("nonzero remainder in exact polynomial division")
     return _trim(out)
+
+
+@pytest.mark.parametrize("s", [1, -1])
+def test_binomial_division_matches_long_division(s):
+    # a / (1 + s q^k) runs block by block for k^2 >= len(a), with a short
+    # last block unless k divides len(a), and by residues of i mod k below;
+    # on both paths the quotient is long division's, and a remainder raises
+    rng = random.Random(2603)
+    for n in (1, 2, 9, 16, 30, 64):
+        for k in range(1, n + 2):
+            divisor = [1] + [0] * (k - 1) + [s]
+            if k < n:
+                quotient = [rng.randint(-9, 9) for _ in range(n - k - 1)] + [rng.randint(1, 9)]
+                a = _int_mul(quotient, divisor)
+                assert _div_binomial(a, k, s) == quotient == _int_divexact(a, divisor), (n, k)
+            else:
+                a = [rng.randint(-9, 9) for _ in range(n - 1)] + [0]
+                assert _div_binomial([0] * n, k, s) == []
+            a[-1] += 1
+            for divide in (_div_binomial, lambda a, k, s: _int_divexact(a, divisor)):
+                with pytest.raises(ArithmeticError):
+                    divide(a, k, s)
 
 
 def _int_primitive(cs: list[int]) -> list[int]:
@@ -639,16 +673,28 @@ class TestSumOverOnePlus:
         terms = [(s, num, e) for (s, num), (_, e) in zip(nums, pairs)]
         return _sum_over_one_plus(content, den, terms, times)
 
-    @pytest.mark.parametrize("exps", [(1,), (2,), (1, 2, 3), (3, 6, 9, 12), (2, 5, 7, 10, 12)])
+    @pytest.mark.parametrize("exps", [
+        [(1,)], [(2,)], [(1, 2, 3)], [(3, 6, 9, 12)],
+        [(2, 5, 7, 10, 12)],  # no prefix built before
+        [(3,), (3, 6), (3, 6, 9), (3, 6, 9, 12)],  # in chain order
+        [(3, 6, 9, 12), (3, 6, 10), (6, 9), (3, 6), (1, 3, 6, 9)],  # off the chain
+    ])
     def test_lcm_is_product_of_cyclotomic_factors(self, exps):
-        # 1 + q^e is the product of Phi_d over d | 2e with d not dividing e
-        lcm, cofactors = _one_plus_lcm(exps)
-        want = [1]
-        for d in sorted({d for e in exps for d in range(1, 2 * e + 1) if 2 * e % d == 0 and e % d}):
-            want = _int_mul(want, cyclotomic(d))
-        assert list(_den_poly(lcm)) == want
-        for e in exps:
-            assert _int_mul(cofactors[e], [1] + [0] * (e - 1) + [1]) == want
+        # 1 + q^e is the product of Phi_d over d | 2e with d not dividing e;
+        # L grows from the longest prefix built before, whatever the order
+        # the exponent sets are asked for in
+        _one_plus_lcm.cache_clear()
+        qcore._one_plus_chain.clear()
+        for asked in exps:
+            lcm, cofactors = _one_plus_lcm(asked)
+            ds = sorted({d for e in asked for d in range(1, 2 * e + 1) if 2 * e % d == 0 and e % d})
+            want = [1]
+            for d in ds:
+                want = _int_mul(want, cyclotomic(d))
+            assert lcm == tuple((d, 1) for d in ds)
+            assert list(_den_poly(lcm)) == list(cofactors[0]) == want
+            for e in asked:
+                assert _int_mul(cofactors[e], [1] + [0] * (e - 1) + [1]) == want
 
     def test_random_coefficients_and_exponents(self):
         # any numerators and denominators, repeated e, e = 0 and e < 0

@@ -20,8 +20,11 @@ pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 from qgen.qcore import ONE, ZERO, RatFuncQ  # noqa: E402
-from qgen.qcore import _divide_out  # noqa: E402
+from qgen.qcore import _RULE_OUT_BITS, _divide_out  # noqa: E402
 from readback import cyclotomic, den_view, denotes, num_view, over_cyclotomic  # noqa: E402
+
+# the rule-out point of `_divide_out`
+POINT = 2**_RULE_OUT_BITS
 
 PROPERTY = settings(derandomize=True, max_examples=60, deadline=None, database=None)
 
@@ -160,18 +163,18 @@ def multiplicities(ds: list[int]) -> tuple[tuple[int, int], ...]:
 
 
 def reducer_numerator(cs: list[int], at_point: int | None, ds: list[int]) -> list[int]:
-    """cs(q) prod Phi_d, times q - 2^32 + at_point (of that value at the
-    rule-out point q = 2^32) unless at_point is None."""
+    """cs(q) prod Phi_d, times q - POINT + at_point (of that value at the
+    rule-out point q = POINT) unless at_point is None."""
     poly = times(dict(enumerate(cs)), cyclotomic_product(ds))
     if at_point is not None:
-        poly = times(poly, {0: at_point - 2**32, 1: 1})
+        poly = times(poly, {0: at_point - POINT, 1: 1})
     return [poly.get(i, 0) for i in range(max(poly) + 1)]
 
 
-# values at 2^32 of the extra linear factor: none, a root, and parts of
-# Phi_1(2^32) = 3 * 5 * 17 * 257 * 65537, whose primes the Phi_d(2^32) of
-# other d share, so a count can run over and make a later one short
-point_values = st.sampled_from([None, 0, (2**32 - 1) // 3, (2**32 - 1) // 5, (2**32 - 1) // 17])
+# values at POINT of the extra linear factor: none, a root, and parts of
+# Phi_1(POINT) = 255 = 3 * 5 * 17, whose primes the Phi_d(POINT) of other d
+# share, so a count can run over and make a later one short
+point_values = st.sampled_from([None, 0, (POINT - 1) // 3, (POINT - 1) // 5, (POINT - 1) // 17])
 
 reducer_nums = st.builds(
     reducer_numerator, st.lists(st.integers(-6, 6), min_size=1, max_size=5).filter(lambda cs: cs[-1]),
@@ -182,10 +185,10 @@ reducer_nums = st.builds(
 @given(reducer_nums, st.lists(st.integers(1, 12), min_size=1, max_size=5),
        st.lists(st.integers(1, 12), max_size=3))
 # Phi_1 counted once too often takes the 3 or 5 that Phi_3, Phi_9 or Phi_5
-# needs at 2^32, so their counts fall short
-@example(reducer_numerator([1], (2**32 - 1) // 3, [3]), [1, 3], [])
-@example(reducer_numerator([2, 1], (2**32 - 1) // 5, [5, 5]), [1, 5, 5], [2])
-@example(reducer_numerator([1], (2**32 - 1) // 3, [9, 1]), [1, 1, 9], [])
+# needs at POINT, so their counts fall short
+@example(reducer_numerator([1], (POINT - 1) // 3, [3]), [1, 3], [])
+@example(reducer_numerator([2, 1], (POINT - 1) // 5, [5, 5]), [1, 5, 5], [2])
+@example(reducer_numerator([1], (POINT - 1) // 3, [9, 1]), [1, 1, 9], [])
 def test_rule_out_keeps_the_long_division_result(num, den_ds, extra_ds):
     # the candidates are all of den, or the part of it that `+` tests
     den = multiplicities(den_ds + extra_ds)
