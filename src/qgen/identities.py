@@ -2,7 +2,8 @@
 
 Each verifier computes both sides of one identity as canonical rational
 functions of q and records PASS or FAIL by structural equality; a sweep
-driver maps the parameter domains where each identity holds.
+driver maps the parameter domains where each identity holds.  A theorem
+is one entry of the theorem table, its grid, plus its verify_<name>.
 
 Domain policy: parameters inside an identity's asserted domain produce
 PASS/FAIL records, and every FAIL gates regressions; probes outside it
@@ -40,17 +41,6 @@ __all__ = [
     "verify_shift2",
     "verify_symmetry",
 ]
-
-THEOREMS = (
-    "symmetry",
-    "shift2",
-    "integral-shift",
-    "integral-reflect",
-    "bernstein-single",
-    "bernstein-double",
-    "bernstein-multi",
-)
-
 
 def _weight_params(w: WeightParams) -> tuple[tuple[str, int], ...]:
     return (("alpha", w.alpha), ("h", w.h))
@@ -166,11 +156,14 @@ def verify_bernstein_multi(n_list: list[int], k: int, w: WeightParams) -> Verifi
 
 
 def verify_bernstein_double(n1: int, n2: int, k: int, w: WeightParams) -> VerificationRecord:
-    """Two-basis special case; identical content to the multi verifier at
-    s = 2, relabeled with its own theorem id and (n1, n2) parameters."""
-    rec = verify_bernstein_multi([n1, n2], k, w)
+    """Two-basis case of the s-fold identity, stated for n1 + n2 > 2k,
+    with its own theorem id and (n1, n2) parameters."""
+    if min(n1, n2, k) < 0:
+        raise ValueError("indices must be nonnegative")
+    if n1 + n2 <= 2 * k:
+        raise ValueError("requires n1 + n2 > 2k")
     params = (("n1", n1), ("n2", n2), ("k", k)) + _weight_params(w)
-    return replace(rec, theorem="bernstein-double", params=params)
+    return compare("bernstein-double", params, *_bernstein_sides(n1 + n2, 2 * k, w))
 
 
 # ---------------------------------------------------------------------------
@@ -206,59 +199,59 @@ class SweepConfig:
     product_alpha_max: int = 2
     product_h_max: int = 2
 
-    def _weights(self, product_grid: bool = False) -> list[WeightParams]:
-        a_hi = self.product_alpha_max if product_grid else self.alpha_max
-        h_hi = self.product_h_max if product_grid else self.h_max
-        return [
-            WeightParams(a, h)
-            for a in range(self.alpha_min, a_hi + 1)
-            for h in range(self.h_min, h_hi + 1)
-        ]
+    def capped(self, n_max: int | None = None, alpha_max: int | None = None,
+               h_max: int | None = None, **bounds: int | None) -> SweepConfig:
+        """The config under the CLI's caps, each None left out: n_max,
+        alpha_max and h_max set the main ranges and only shrink the pair,
+        multi and product ranges; `bounds` set their fields as given."""
+        updates = {name: value for name, value in bounds.items() if value is not None}
+        if n_max is not None:
+            updates.update(n_max=n_max, scalar_n_max=n_max, single_n_max=n_max,
+                           pair_n_max=min(self.pair_n_max, n_max),
+                           multi_n_max=min(self.multi_n_max, n_max))
+        if alpha_max is not None:
+            updates.update(alpha_max=alpha_max,
+                           product_alpha_max=min(self.product_alpha_max, alpha_max))
+        if h_max is not None:
+            updates.update(h_max=h_max, product_h_max=min(self.product_h_max, h_max))
+        return replace(self, **updates)
+
+    def _weights(self, alpha_max: int, h_max: int) -> list[WeightParams]:
+        return [WeightParams(a, h) for a in range(self.alpha_min, alpha_max + 1)
+                for h in range(self.h_min, h_max + 1)]
 
 
-_Task = tuple[str, tuple]
+def _scalar_grid(c: SweepConfig, n_min: int, n_max: int):
+    return product(range(n_min, n_max + 1), c._weights(c.alpha_max, c.h_max))
 
 
-def _tasks(config: SweepConfig) -> list[_Task]:
-    tasks: list[_Task] = []
-    weights = config._weights()
-    product_weights = config._weights(product_grid=True)
-    for n in range(config.n_min, config.n_max + 1):
-        for w in weights:
-            for x in range(config.x_min, config.x_max + 1):
-                tasks.append(("symmetry", (n, w, x)))
-    for theorem, lo, hi in (("shift2", config.scalar_n_min, config.scalar_n_max),
-                            ("integral-shift", config.n_min, config.n_max),
-                            ("integral-reflect", config.scalar_n_min, config.scalar_n_max)):
-        for n in range(lo, hi + 1):
-            for w in weights:
-                tasks.append((theorem, (n, w)))
-    for n in range(1, config.single_n_max + 1):
-        for k in range(n):
-            for w in product_weights:
-                tasks.append(("bernstein-single", (n, k, w)))
-    for n1 in range(config.pair_n_min, config.pair_n_max + 1):
-        for n2 in range(config.pair_n_min, config.pair_n_max + 1):
-            for k in range((n1 + n2 - 1) // 2 + 1):
-                for w in product_weights:
-                    tasks.append(("bernstein-double", (n1, n2, k, w)))
-    for s in range(config.s_min, config.s_max + 1):
-        for n_list in product(range(config.multi_n_min, config.multi_n_max + 1), repeat=s):
-            total = sum(n_list)
-            for k in range((total - 1) // s + 1):
-                if total > s * k:
-                    for w in product_weights:
-                        tasks.append(("bernstein-multi", (list(n_list), k, w)))
-    return tasks
+def _bernstein_grid(c: SweepConfig, points) -> list[tuple]:
+    # each point at every product weight, the weight last
+    weights = c._weights(c.product_alpha_max, c.product_h_max)
+    return [(*point, w) for point in points for w in weights]
 
 
-def _run_task(task: _Task) -> VerificationRecord:
-    # Each verifier is looked up by its module-level name at call time:
-    # perfbench/spans.py traces the theorems by rebinding those names.
-    theorem, args = task
-    if theorem not in THEOREMS:
-        raise ValueError(f"unknown theorem: {theorem!r}")
-    return globals()["verify_" + theorem.replace("-", "_")](*args)
+# The theorem table: each theorem's grid, a function from the config to
+# the argument tuples of its verify_<name> in record order.  A theorem is
+# one entry here plus its verifier; the sweep runs them in this order.
+_GRIDS = {
+    "symmetry": lambda c: product(range(c.n_min, c.n_max + 1), c._weights(c.alpha_max, c.h_max),
+                                  range(c.x_min, c.x_max + 1)),
+    "shift2": lambda c: _scalar_grid(c, c.scalar_n_min, c.scalar_n_max),
+    "integral-shift": lambda c: _scalar_grid(c, c.n_min, c.n_max),
+    "integral-reflect": lambda c: _scalar_grid(c, c.scalar_n_min, c.scalar_n_max),
+    "bernstein-single": lambda c: _bernstein_grid(c, (
+        (n, k) for n in range(1, c.single_n_max + 1) for k in range(n))),
+    "bernstein-double": lambda c: _bernstein_grid(c, (
+        (n1, n2, k) for n1, n2 in product(range(c.pair_n_min, c.pair_n_max + 1), repeat=2)
+        for k in range((n1 + n2 - 1) // 2 + 1))),
+    "bernstein-multi": lambda c: _bernstein_grid(c, (
+        (list(n_list), k) for s in range(c.s_min, c.s_max + 1)
+        for n_list in product(range(c.multi_n_min, c.multi_n_max + 1), repeat=s)
+        for k in range((sum(n_list) - 1) // s + 1))),
+}
+
+THEOREMS = tuple(_GRIDS)
 
 
 @dataclass(frozen=True)
@@ -280,16 +273,14 @@ def _summarize(records: tuple[VerificationRecord, ...]) -> dict[str, dict[str, i
     return {t: dict(sorted(v.items())) for t, v in sorted(summary.items())}
 
 
-_BOUNDARY_AXES = ("symmetry", "shift2", "integral-shift", "integral-reflect", "bernstein-single")
-
-
 def _boundaries(records: tuple[VerificationRecord, ...]) -> tuple[dict, ...]:
+    # the theorems whose records carry an n parameter flip along n
     series: dict[tuple, list[tuple[int, str]]] = {}
     for rec in records:
-        if rec.theorem not in _BOUNDARY_AXES:
-            continue
         params = dict(rec.params)
-        n = params.pop("n")
+        n = params.pop("n", None)
+        if n is None:
+            continue
         key = (rec.theorem, tuple(sorted(params.items())))
         verdict = "PASS" if rec.passed else "FAIL"
         series.setdefault(key, []).append((int(n), verdict))
@@ -311,20 +302,24 @@ def _boundaries(records: tuple[VerificationRecord, ...]) -> tuple[dict, ...]:
 def sweep(config: SweepConfig | None = None,
           only: tuple[str, ...] | None = None) -> SweepReport:
     """Run every verifier over its grid; deterministic record order
-    (theorem declaration order, then lexicographic parameters).
+    (theorem table order, then each grid's order).
 
     `only` restricts the run to the named theorems.  The run is one
     sequential pass, so the theorems share the memoized closed forms
     and Pascal-rule tables.
     """
     config = config or SweepConfig()
-    tasks = _tasks(config)
     if only is not None:
         unknown = set(only) - set(THEOREMS)
         if unknown:
             raise ValueError(f"unknown theorems: {sorted(unknown)}")
-        tasks = [t for t in tasks if t[0] in only]
-    records = tuple(_run_task(t) for t in tasks)
+    found: list[VerificationRecord] = []
+    for theorem, grid in _GRIDS.items():
+        if only is None or theorem in only:
+            # by module-level name: perfbench/spans.py traces it by rebinding
+            verify = globals()["verify_" + theorem.replace("-", "_")]
+            found.extend(verify(*args) for args in grid(config))
+    records = tuple(found)
     return SweepReport(records=records, summary=_summarize(records),
                        boundaries=_boundaries(records))
 

@@ -149,6 +149,30 @@ class TestVerify:
         assert out == ""
         json.loads(target.read_text())
 
+    @pytest.mark.parametrize("cap, fields", [
+        (["--n-max", "2"], {"n_max": 2, "scalar_n_max": 2, "single_n_max": 2,
+                            "pair_n_max": 2, "multi_n_max": 2}),
+        (["--n-max", "12"], {"n_max": 12, "scalar_n_max": 12, "single_n_max": 12}),
+        (["--alpha-max", "6"], {"alpha_max": 6, "product_alpha_max": 2}),
+        (["--h-max", "5"], {"h_max": 5, "product_h_max": 2}),
+        (["--x-min=-1", "--x-max", "1"], {"x_min": -1, "x_max": 1}),
+        (["--s-max", "4"], {"s_max": 4}),
+    ], ids=["n-max-2", "n-max-12", "alpha-max", "h-max", "x-range", "s-max"])
+    def test_caps_in_config_echo(self, capsys, cap, fields):
+        # --n-max, --alpha-max and --h-max set the main ranges and only
+        # shrink the pair, multi and product ranges; the x and s bounds are
+        # set as given, and every other field keeps its default
+        code, out, _ = run_cli(capsys, ["verify", "shift2", "--alpha-max", "1", "--h-max", "1",
+                                        *cap, "--format", "json"])
+        assert code == EXIT_OK
+        want = {"n_min": 0, "n_max": 8, "scalar_n_min": 0, "scalar_n_max": 10,
+                "alpha_min": 1, "alpha_max": 1, "h_min": 1, "h_max": 1,
+                "x_min": -2, "x_max": 3, "single_n_max": 8,
+                "pair_n_min": 1, "pair_n_max": 4, "multi_n_min": 1, "multi_n_max": 3,
+                "s_min": 2, "s_max": 3, "product_alpha_max": 1, "product_h_max": 1,
+                "theorem": "shift2"}
+        assert json.loads(out)["config-echo"] == {**want, **fields}
+
     def test_workers_option_is_gone(self, capsys):
         # verify has no parallelism option: argparse rejects it, exit 2
         code, out, err = run_cli(capsys, ["verify", "all", "--workers", "2"])
@@ -161,14 +185,17 @@ class TestVerify:
     @pytest.mark.parametrize("argv, empty", [
         (["--x-min", "3", "--x-max", "-3"], "symmetry"),
         (["--s-max", "1"], "bernstein-multi"),
-        (["--n-max", "0"], "bernstein-single, bernstein-double, bernstein-multi"),
+        (["--n-max", "0"],
+         "shift2, integral-reflect, bernstein-single, bernstein-double, bernstein-multi"),
     ], ids=["x-range", "s-max", "n-max"])
     def test_empty_theorem(self, capsys, argv, empty):
-        # a theorem that checked nothing is not a success, even when
-        # the others checked something
+        # a theorem that checked nothing is not a success, even when the
+        # others checked something; at n = 0 shift2 and integral-reflect
+        # hold boundary probes only, which assert nothing
         code, out, err = run_cli(capsys, ["verify", "all", "--format", "json", *argv])
         assert (code, out) == (EXIT_USAGE, "")
-        assert err == f"qgen: the verify grid is empty for {empty}; nothing was checked there\n"
+        assert err == (f"qgen: the verify grid has no asserted check for {empty}; "
+                       "nothing was checked there\n")
 
     def test_empty_grid(self, capsys):
         # a run that checked nothing is not a success
@@ -180,7 +207,7 @@ class TestVerify:
 
     def test_unwritable_output(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, [
-            "verify", "shift2", "--n-max", "1", "--alpha-max", "1", "--h-max", "1",
+            "verify", "shift2", "--n-max", "2", "--alpha-max", "1", "--h-max", "1",
             "--output", str(tmp_path / "missing" / "report.json"),
         ])
         assert code == EXIT_USAGE
@@ -529,7 +556,11 @@ BAD_INPUT = [
      "the verify grid is empty; nothing was checked"),
     (["verify", "symmetry", "--x-min", "3", "--x-max", "-3"], EXIT_USAGE,
      "the verify grid is empty; nothing was checked"),
-    (["verify", "shift2", "--n-max", "1", "--output", "{tmp}/missing/r.json"], EXIT_USAGE,
+    (["verify", "integral-reflect", "--n-max", "0"], EXIT_USAGE,
+     "the verify grid has no asserted check for integral-reflect; nothing was checked there"),
+    (["verify", "shift2", "--n-max", "1"], EXIT_USAGE,
+     "the verify grid has no asserted check for shift2; nothing was checked there"),
+    (["verify", "shift2", "--n-max", "2", "--output", "{tmp}/missing/r.json"], EXIT_USAGE,
      "cannot write {tmp}/missing/r.json: [Errno 2] No such file or directory: "
      "'{tmp}/missing/r.json'"),
     (["integral", "--p", "3", "--q", "4"], EXIT_USAGE,

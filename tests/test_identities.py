@@ -185,6 +185,10 @@ class TestBernsteinDoubleMulti:
             verify_bernstein_multi([2], 0, W(1, 1))
         with pytest.raises(ValueError):
             verify_bernstein_multi([1, 1], 1, W(1, 1))
+        # the double verifier: a negative index, or n1 + n2 <= 2k
+        for n1, n2, k in [(-1, 3, 0), (3, -1, 0), (2, 2, -1), (1, 1, 1), (2, 1, 2)]:
+            with pytest.raises(ValueError):
+                verify_bernstein_double(n1, n2, k, W(1, 1))
 
 
 def clear_bernstein_caches():
@@ -208,17 +212,11 @@ def direct_bernstein_sides(D, K, w):
 
 def default_grid_sides():
     """Every (D, K, w) the default sweep's Bernstein records check."""
-    keys = set()
-    for theorem, args in identities._tasks(SweepConfig()):
-        if theorem == "bernstein-single":
-            n, k, w = args
-            keys.add((n, k, w))
-        elif theorem == "bernstein-double":
-            n1, n2, k, w = args
-            keys.add((n1 + n2, 2 * k, w))
-        elif theorem == "bernstein-multi":
-            n_list, k, w = args
-            keys.add((sum(n_list), len(n_list) * k, w))
+    grids, config = identities._GRIDS, SweepConfig()
+    keys = {(n, k, w) for n, k, w in grids["bernstein-single"](config)}
+    keys |= {(n1 + n2, 2 * k, w) for n1, n2, k, w in grids["bernstein-double"](config)}
+    keys |= {(sum(n_list), len(n_list) * k, w)
+             for n_list, k, w in grids["bernstein-multi"](config)}
     return keys
 
 
@@ -303,16 +301,16 @@ class TestSweep:
             "bernstein-multi": 1,
         }
 
-    def test_only_filter(self):
-        config = SweepConfig(
-            n_max=2, scalar_n_max=2, alpha_max=1, h_max=1, x_min=0, x_max=0,
-            single_n_max=2, pair_n_max=1, multi_n_max=1, s_max=2,
-            product_alpha_max=1, product_h_max=1,
-        )
-        report = sweep(config, only=("shift2",))
-        assert {r.theorem for r in report.records} == {"shift2"}
+    @pytest.mark.parametrize("theorem", THEOREMS)
+    def test_only_filter(self, small_report, theorem):
+        # one theorem alone gives its slice of the full sweep, in order
+        report = sweep(SMALL_CONFIG, only=(theorem,))
+        assert report.records
+        assert report.records == tuple(r for r in small_report.records if r.theorem == theorem)
+
+    def test_only_rejects_unknown_theorem(self):
         with pytest.raises(ValueError):
-            sweep(config, only=("no-such-theorem",))
+            sweep(SMALL_CONFIG, only=("no-such-theorem",))
 
     def test_spot_check_consistency(self, small_report):
         for record in small_report.records[::7]:

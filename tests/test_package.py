@@ -28,8 +28,8 @@ def test_test_only_helpers_stay_out():
 
 def test_every_public_name_is_used_outside_the_tests():
     # a name of qgen.__all__ must be read (a Name load or an attribute) in
-    # the package, a demo or the benchmark; `_run_task` reaches each
-    # verify_<theorem> by name through THEOREMS
+    # the package, a demo or the benchmark; `sweep` reaches each
+    # verify_<theorem> by name through its theorem table
     root = Path(__file__).resolve().parents[1]
     used = {"verify_" + t.replace("-", "_") for t in identities.THEOREMS}
     for folder in ("src/qgen", "demos", "perfbench"):
