@@ -13,7 +13,7 @@ from qgen.identities import SweepConfig, sweep, unresolved_failures
 def main() -> None:
     config = SweepConfig(
         n_max=6, scalar_n_max=8, alpha_max=2, h_max=2,
-        x_min=-1, x_max=2, single_n_max=6, pair_n_max=3, multi_n_max=2,
+        x_min=-1, x_max=2, pair_n_max=3, multi_n_max=2,
     )
     print("Sweeping all identity verifiers (exact, structural equality)")
     print("=" * 64)

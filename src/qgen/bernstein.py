@@ -36,7 +36,6 @@ from qgen.qcore import (
     _new,
     _require_int,
     qbracket,
-    subst_q_inverse,
 )
 from qgen.records import VerificationRecord, compare
 
@@ -98,7 +97,7 @@ def bernstein_symmetry_check(idx: BernsteinIndex, x: int) -> VerificationRecord:
     """PASS iff B_{k,n}(x | q) == B_{n-k,n}(1-x | 1/q) structurally."""
     lhs = bernstein_poly(idx, x)
     mirrored = BernsteinIndex(idx.n - idx.k, idx.n, idx.alpha)
-    rhs = subst_q_inverse(bernstein_poly(mirrored, 1 - x))
+    rhs = bernstein_poly(mirrored, 1 - x).subst_q_inverse()
     params = (("k", idx.k), ("n", idx.n), ("alpha", idx.alpha), ("x", x))
     return compare("bernstein-symmetry", params, lhs, rhs)
 

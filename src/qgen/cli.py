@@ -104,13 +104,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", parents=[common],
                               help="verify one identity or all of them over a grid")
     p_verify.add_argument("theorem", choices=("all",) + THEOREMS)
-    p_verify.add_argument("--n-max", type=int, default=None,
-                          help="cap every index range at this value")
-    p_verify.add_argument("--alpha-max", type=int, default=None)
-    p_verify.add_argument("--h-max", type=int, default=None)
-    p_verify.add_argument("--x-min", type=int, default=None)
-    p_verify.add_argument("--x-max", type=int, default=None)
-    p_verify.add_argument("--s-max", type=int, default=None)
+    for flag, text in (
+            ("--n-max", "largest n of symmetry, shift2, integral-* and bernstein-single; "
+                        "lowers, never raises, the n_i of bernstein-double and -multi"),
+            ("--alpha-max", "largest alpha of every theorem; bernstein-* stop at 2"),
+            ("--h-max", "largest h of every theorem; bernstein-* stop at 2"),
+            ("--x-min", "smallest x of symmetry"),
+            ("--x-max", "largest x of symmetry"),
+            ("--s-max", "most basis factors of bernstein-multi")):
+        p_verify.add_argument(flag, type=int, default=None, help=text)
 
     p_int = sub.add_parser("integral", parents=[common],
                            help="truncated fermionic sums and convergence diagnostics")
@@ -293,7 +295,7 @@ def _cmd_table(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    config = SweepConfig().capped(args.n_max, args.alpha_max, args.h_max,
+    config = SweepConfig().capped(args.n_max, alpha_max=args.alpha_max, h_max=args.h_max,
                                   x_min=args.x_min, x_max=args.x_max, s_max=args.s_max)
     requested = THEOREMS if args.theorem == "all" else (args.theorem,)
     report = sweep(config, only=requested)
@@ -304,9 +306,7 @@ def _cmd_verify(args) -> int:
     if unchecked:
         raise ValueError(f"the verify grid has no asserted check for {', '.join(unchecked)}; "
                          "nothing was checked there")
-    config_echo = {k: getattr(config, k) for k in sorted(config.__dataclass_fields__)}
-    config_echo["theorem"] = args.theorem
-    text = serialize_report(report, args.format, config_echo)
+    text = serialize_report(report, args.format, {**config.echo(), "theorem": args.theorem})
     return _write_output(text, args.output, bool(unresolved_failures(report)))
 
 

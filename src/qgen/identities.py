@@ -18,13 +18,13 @@ memoized neighbours.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from functools import lru_cache
 from itertools import product
 
 from qgen.genocchi import WeightParams, weighted_genocchi_number, weighted_genocchi_poly_closed
 from qgen.padic import bracket_power_integrand, integrate
-from qgen.qcore import RatFuncQ, q_power, qbracket, subst_q_inverse
+from qgen.qcore import RatFuncQ, q_power, qbracket
 from qgen.records import FAIL, VerificationRecord, compare
 
 __all__ = [
@@ -50,7 +50,7 @@ def verify_symmetry(n: int, w: WeightParams, x: int) -> VerificationRecord:
     """g_{n+1}(1-x) at 1/q against (-1)^n q^(h + alpha n - 1) g_{n+1}(x)."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    lhs = subst_q_inverse(weighted_genocchi_poly_closed(n + 1, w, 1 - x))
+    lhs = weighted_genocchi_poly_closed(n + 1, w, 1 - x).subst_q_inverse()
     rhs = ((-1) ** n) * q_power(w.h + w.alpha * n - 1) * weighted_genocchi_poly_closed(n + 1, w, x)
     params = (("n", n),) + _weight_params(w) + (("x", x),)
     return compare("symmetry", params, lhs, rhs)
@@ -80,7 +80,7 @@ def verify_integral_shift(n: int, w: WeightParams) -> VerificationRecord:
     if n < 0:
         raise ValueError("n must be nonnegative")
     lhs = q_power(w.h - 1) * _reflected_integral(n, w)
-    rhs = subst_q_inverse(weighted_genocchi_poly_closed(n + 1, w, 2)) / (n + 1)
+    rhs = weighted_genocchi_poly_closed(n + 1, w, 2).subst_q_inverse() / (n + 1)
     params = (("n", n),) + _weight_params(w)
     return compare("integral-shift", params, lhs, rhs)
 
@@ -88,7 +88,7 @@ def verify_integral_shift(n: int, w: WeightParams) -> VerificationRecord:
 @lru_cache(maxsize=None)
 def _reflected(n: int, w: WeightParams) -> RatFuncQ:
     # [2]_q + q^(h+1) g_{n+1}(1/q) / (n+1)
-    g_inv = subst_q_inverse(weighted_genocchi_number(n + 1, w))
+    g_inv = weighted_genocchi_number(n + 1, w).subst_q_inverse()
     return qbracket(2, 1) + q_power(w.h + 1) * g_inv / (n + 1)
 
 
@@ -171,83 +171,82 @@ def verify_bernstein_double(n1: int, n2: int, k: int, w: WeightParams) -> Verifi
 # ---------------------------------------------------------------------------
 
 
+# the Bernstein theorems' weights stop at 2, or lower at alpha_max and
+# h_max: each weight builds its own Pascal-rule tables
+_BERNSTEIN_WEIGHT_MAX = 2
+
+
 @dataclass(frozen=True)
 class SweepConfig:
-    """Finite parameter grids for every verifier.
+    """The upper bounds of every verifier's grid; the theorem table fixes
+    where each grid starts.  A range whose max is below its floor adds no
+    records.  Shrink the maxima for quicker runs."""
 
-    Defaults cover the standard regression grid; shrink the maxima for
-    quicker runs.  A range with max < min contributes no records.
-    """
-
-    n_min: int = 0
-    n_max: int = 8            # symmetry and integral-shift index range
-    scalar_n_min: int = 0
-    scalar_n_max: int = 10    # shift2 and integral-reflect index range
-    alpha_min: int = 1
+    n_max: int = 8            # symmetry, integral-shift and bernstein-single
+    scalar_n_max: int = 10    # shift2 and integral-reflect
     alpha_max: int = 3
-    h_min: int = 1
     h_max: int = 3
-    x_min: int = -2
+    x_min: int = -2           # symmetry's x range
     x_max: int = 3
-    single_n_max: int = 8
-    pair_n_min: int = 1
-    pair_n_max: int = 4
-    multi_n_min: int = 1
-    multi_n_max: int = 3
-    s_min: int = 2
-    s_max: int = 3
-    product_alpha_max: int = 2
-    product_h_max: int = 2
+    pair_n_max: int = 4       # bernstein-double's n1 and n2
+    multi_n_max: int = 3      # bernstein-multi's n_i
+    s_max: int = 3            # bernstein-multi's number of factors
 
-    def capped(self, n_max: int | None = None, alpha_max: int | None = None,
-               h_max: int | None = None, **bounds: int | None) -> SweepConfig:
-        """The config under the CLI's caps, each None left out: n_max,
-        alpha_max and h_max set the main ranges and only shrink the pair,
-        multi and product ranges; `bounds` set their fields as given."""
+    def capped(self, n_max: int | None = None, **bounds: int | None) -> SweepConfig:
+        """The config under the CLI's caps, each None left out: n_max sets
+        the main index ranges and only shrinks the pair and multi ranges;
+        `bounds` set their fields as given."""
         updates = {name: value for name, value in bounds.items() if value is not None}
         if n_max is not None:
-            updates.update(n_max=n_max, scalar_n_max=n_max, single_n_max=n_max,
+            updates.update(n_max=n_max, scalar_n_max=n_max,
                            pair_n_max=min(self.pair_n_max, n_max),
                            multi_n_max=min(self.multi_n_max, n_max))
-        if alpha_max is not None:
-            updates.update(alpha_max=alpha_max,
-                           product_alpha_max=min(self.product_alpha_max, alpha_max))
-        if h_max is not None:
-            updates.update(h_max=h_max, product_h_max=min(self.product_h_max, h_max))
         return replace(self, **updates)
 
-    def _weights(self, alpha_max: int, h_max: int) -> list[WeightParams]:
-        return [WeightParams(a, h) for a in range(self.alpha_min, alpha_max + 1)
-                for h in range(self.h_min, h_max + 1)]
+    def echo(self) -> dict[str, int]:
+        """Every bound of the grids by name, as the report's config echo
+        prints it: the fields, the table's floors and the derived maxima."""
+        return {**asdict(self), "n_min": 0, "scalar_n_min": 0, "alpha_min": 1, "h_min": 1,
+                "pair_n_min": 1, "multi_n_min": 1, "s_min": 2, "single_n_max": self.n_max,
+                "product_alpha_max": min(_BERNSTEIN_WEIGHT_MAX, self.alpha_max),
+                "product_h_max": min(_BERNSTEIN_WEIGHT_MAX, self.h_max)}
 
 
-def _scalar_grid(c: SweepConfig, n_min: int, n_max: int):
-    return product(range(n_min, n_max + 1), c._weights(c.alpha_max, c.h_max))
+def _weights(alpha_max: int, h_max: int) -> list[WeightParams]:
+    return [WeightParams(a, h) for a in range(1, alpha_max + 1) for h in range(1, h_max + 1)]
+
+
+def _scalar_grid(c: SweepConfig, n_max: int, *more):
+    # each n at every weight, then each point of `more`
+    return product(range(n_max + 1), _weights(c.alpha_max, c.h_max), *more)
 
 
 def _bernstein_grid(c: SweepConfig, points) -> list[tuple]:
-    # each point at every product weight, the weight last
-    weights = c._weights(c.product_alpha_max, c.product_h_max)
+    # each point at every Bernstein weight, the weight last
+    weights = _weights(min(_BERNSTEIN_WEIGHT_MAX, c.alpha_max),
+                       min(_BERNSTEIN_WEIGHT_MAX, c.h_max))
     return [(*point, w) for point in points for w in weights]
 
 
 # The theorem table: each theorem's grid, a function from the config to
-# the argument tuples of its verify_<name> in record order.  A theorem is
-# one entry here plus its verifier; the sweep runs them in this order.
+# the argument tuples of its verify_<name> in record order.  Each grid's
+# floor is written here once: n from 0, so shift2 and integral-reflect
+# are probed below their domains; alpha, h and each n_i from 1; s from 2
+# factors.  A theorem is one entry here plus its verifier; the sweep runs
+# them in this order.
 _GRIDS = {
-    "symmetry": lambda c: product(range(c.n_min, c.n_max + 1), c._weights(c.alpha_max, c.h_max),
-                                  range(c.x_min, c.x_max + 1)),
-    "shift2": lambda c: _scalar_grid(c, c.scalar_n_min, c.scalar_n_max),
-    "integral-shift": lambda c: _scalar_grid(c, c.n_min, c.n_max),
-    "integral-reflect": lambda c: _scalar_grid(c, c.scalar_n_min, c.scalar_n_max),
+    "symmetry": lambda c: _scalar_grid(c, c.n_max, range(c.x_min, c.x_max + 1)),
+    "shift2": lambda c: _scalar_grid(c, c.scalar_n_max),
+    "integral-shift": lambda c: _scalar_grid(c, c.n_max),
+    "integral-reflect": lambda c: _scalar_grid(c, c.scalar_n_max),
     "bernstein-single": lambda c: _bernstein_grid(c, (
-        (n, k) for n in range(1, c.single_n_max + 1) for k in range(n))),
+        (n, k) for n in range(1, c.n_max + 1) for k in range(n))),
     "bernstein-double": lambda c: _bernstein_grid(c, (
-        (n1, n2, k) for n1, n2 in product(range(c.pair_n_min, c.pair_n_max + 1), repeat=2)
+        (n1, n2, k) for n1, n2 in product(range(1, c.pair_n_max + 1), repeat=2)
         for k in range((n1 + n2 - 1) // 2 + 1))),
     "bernstein-multi": lambda c: _bernstein_grid(c, (
-        (list(n_list), k) for s in range(c.s_min, c.s_max + 1)
-        for n_list in product(range(c.multi_n_min, c.multi_n_max + 1), repeat=s)
+        (list(n_list), k) for s in range(2, c.s_max + 1)
+        for n_list in product(range(1, c.multi_n_max + 1), repeat=s)
         for k in range((sum(n_list) - 1) // s + 1))),
 }
 

@@ -65,7 +65,6 @@ __all__ = [
     "fraction_text",
     "q_power",
     "qbracket",
-    "subst_q_inverse",
 ]
 
 Rational = Union[Fraction, int]
@@ -694,11 +693,6 @@ def qbracket(x: int, a: int) -> RatFuncQ:
     lo, hi = min(0, x), max(0, x)
     ones = (1,) + ((0,) * (abs(a) - 1) + (1,)) * (hi - lo - 1)
     return _new(min(a * lo, a * (hi - 1)), Fraction(-1 if x < 0 else 1), ones, ())
-
-
-def subst_q_inverse(f: RatFuncQ) -> RatFuncQ:
-    """q -> 1/q on a rational function; involutive."""
-    return f.subst_q_inverse()
 
 
 def eval_at(f: RatFuncQ, q0: Rational) -> Fraction:

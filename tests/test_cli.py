@@ -630,8 +630,7 @@ class TestSerializeReport:
         # own sides: equal values built apart, constants that hash like
         # their Fractions, and records whose sides differ
         config = SweepConfig(n_max=2, scalar_n_max=2, alpha_max=2, h_max=1, x_min=0,
-                             x_max=1, single_n_max=3, pair_n_max=2, multi_n_max=1,
-                             s_max=2, product_alpha_max=1, product_h_max=1)
+                             x_max=1, pair_n_max=2, multi_n_max=1, s_max=2)
         extra = (
             compare("demo", (("n", 0),), RatFuncQ(2), RatFuncQ({0: Fraction(4, 2)})),
             compare("demo", (("n", 1),), ONE, Q),
@@ -663,8 +662,7 @@ class TestSerializeReport:
 
     def test_json_layout_is_json_dumps(self):
         config = SweepConfig(n_max=2, scalar_n_max=2, alpha_max=2, h_max=1, x_min=0,
-                             x_max=1, single_n_max=3, pair_n_max=2, multi_n_max=1,
-                             s_max=2, product_alpha_max=1, product_h_max=1)
+                             x_max=1, pair_n_max=2, multi_n_max=1, s_max=2)
         # a double quote, a backslash and non-ASCII text in theorem and params
         odd = (
             compare('say "q"', (("n", 1), ("path", "a\\b")), ONE + Q, ONE + Q),
@@ -686,8 +684,7 @@ class TestSerializeReport:
         # the text format prints status, theorem and params only; its lines
         # are read here from the JSON report of the same sweep
         config = SweepConfig(n_max=2, scalar_n_max=2, alpha_max=2, h_max=1, x_min=0,
-                             x_max=1, single_n_max=3, pair_n_max=2, multi_n_max=1,
-                             s_max=2, product_alpha_max=1, product_h_max=1)
+                             x_max=1, pair_n_max=2, multi_n_max=1, s_max=2)
         report = sweep(config)
         payload = json.loads(serialize_report(report, "json"))
         want = [f"qgen {payload['tool-version']} verification report"]

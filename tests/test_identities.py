@@ -242,8 +242,7 @@ class TestBernsteinSides:
 
 SMALL_CONFIG = SweepConfig(
     n_max=3, scalar_n_max=3, alpha_max=2, h_max=2, x_min=0, x_max=1,
-    single_n_max=3, pair_n_max=2, multi_n_max=2, s_max=2,
-    product_alpha_max=1, product_h_max=1,
+    pair_n_max=2, multi_n_max=2, s_max=2,
 )
 
 
@@ -274,32 +273,73 @@ class TestSweep:
     def test_empty_config(self):
         # every range has max < min
         report = sweep(SweepConfig(n_max=-1, scalar_n_max=-1, alpha_max=0, h_max=0,
-                                   x_max=-3, single_n_max=0, pair_n_max=0, multi_n_max=0,
-                                   s_max=1, product_alpha_max=0, product_h_max=0))
+                                   x_max=-3, pair_n_max=0, multi_n_max=0, s_max=1))
         assert report.records == ()
         assert report.summary == {}
 
     def test_single_point_config(self):
-        config = SweepConfig(
-            n_min=1, n_max=1, scalar_n_min=1, scalar_n_max=1,
-            alpha_min=1, alpha_max=1, h_min=1, h_max=1,
-            x_min=0, x_max=0, single_n_max=1,
-            pair_n_min=1, pair_n_max=1, multi_n_min=1, multi_n_max=1,
-            s_min=2, s_max=2, product_alpha_max=1, product_h_max=1,
-        )
+        # the smallest grid with a record of every theorem: the floors are
+        # fixed, and bernstein-single needs n = 1, so symmetry and
+        # integral-shift run over n = 0 and 1
+        config = SweepConfig(n_max=1, scalar_n_max=0, alpha_max=1, h_max=1, x_min=0, x_max=0,
+                             pair_n_max=1, multi_n_max=1, s_max=2)
         report = sweep(config)
-        per_theorem = {}
-        for rec in report.records:
-            per_theorem[rec.theorem] = per_theorem.get(rec.theorem, 0) + 1
-        assert per_theorem == {
-            "symmetry": 1,
+        assert {t: counts["total"] for t, counts in report.summary.items()} == {
+            "symmetry": 2,
             "shift2": 1,
-            "integral-shift": 1,
+            "integral-shift": 2,
             "integral-reflect": 1,
             "bernstein-single": 1,
             "bernstein-double": 1,
             "bernstein-multi": 1,
         }
+        # n = 0 lies below the stated domains of shift2 and integral-reflect
+        assert all(rec.status.startswith("BOUNDARY-") for rec in report.records
+                   if rec.theorem in ("shift2", "integral-reflect"))
+
+    def test_derived_bounds(self):
+        # the Bernstein weights stop at 2, whatever alpha_max and h_max
+        # allow above it, and bernstein-single runs to n_max
+        bernstein = ("bernstein-single", "bernstein-double", "bernstein-multi")
+        report = sweep(SweepConfig(alpha_max=1, h_max=5), only=bernstein)
+        weights = {(dict(rec.params)["alpha"], dict(rec.params)["h"]) for rec in report.records}
+        assert weights == {(1, 1), (1, 2)}
+        report = sweep(SweepConfig(n_max=3), only=("bernstein-single",))
+        assert max(dict(rec.params)["n"] for rec in report.records) == 3
+
+    @pytest.mark.parametrize("config", [SweepConfig(), SMALL_CONFIG,
+                                        SweepConfig(n_max=3, alpha_max=1, h_max=5)])
+    def test_echo_bounds_the_grids(self, config):
+        # the config echo's floors and derived maxima are the least and
+        # greatest value each grid runs over
+        echo = config.echo()
+        grids = {t: list(identities._GRIDS[t](config)) for t in THEOREMS}
+
+        def span(values):
+            values = list(values)
+            return min(values), max(values)
+
+        def bounds(*names):
+            return tuple(echo[name] for name in names)
+
+        assert span(n for n, _, _ in grids["symmetry"]) == bounds("n_min", "n_max")
+        assert span(x for _, _, x in grids["symmetry"]) == bounds("x_min", "x_max")
+        assert span(n for n, _ in grids["integral-shift"]) == bounds("n_min", "n_max")
+        for theorem in ("shift2", "integral-reflect"):
+            assert span(n for n, _ in grids[theorem]) == bounds("scalar_n_min", "scalar_n_max")
+        for theorem in THEOREMS:
+            # the weight follows n in symmetry's (n, w, x) and ends every other tuple
+            weights = [args[1] if theorem == "symmetry" else args[-1] for args in grids[theorem]]
+            prefix = "product_" if theorem.startswith("bernstein") else ""
+            assert span(w.alpha for w in weights) == bounds("alpha_min", prefix + "alpha_max")
+            assert span(w.h for w in weights) == bounds("h_min", prefix + "h_max")
+        assert span(n for n, _, _ in grids["bernstein-single"])[1] == echo["single_n_max"]
+        assert span(n1 for n1, _, _, _ in grids["bernstein-double"]) == \
+            bounds("pair_n_min", "pair_n_max")
+        multi = grids["bernstein-multi"]
+        assert span(len(n_list) for n_list, _, _ in multi) == bounds("s_min", "s_max")
+        assert span(n for n_list, _, _ in multi for n in n_list) == \
+            bounds("multi_n_min", "multi_n_max")
 
     @pytest.mark.parametrize("theorem", THEOREMS)
     def test_only_filter(self, small_report, theorem):
@@ -349,7 +389,7 @@ class TestUnresolvedFailures:
     def test_failure_beyond_min_degree_gates(self, perturbed_g4):
         # at k > min(n_i) the cancelled prefactor prod C(n_i, k) is 0; a
         # failure there must gate like any other
-        config = SweepConfig(pair_n_max=4, product_alpha_max=1, product_h_max=1)
+        config = SweepConfig(pair_n_max=4, alpha_max=1, h_max=1)
         report = sweep(config, only=("bernstein-double",))
         failures = [rec for rec in report.records if rec.status == FAIL]
         assert failures
@@ -361,8 +401,7 @@ class TestUnresolvedFailures:
 
 TINY_CONFIG = SweepConfig(
     n_max=1, scalar_n_max=1, alpha_max=1, h_max=1, x_min=0, x_max=0,
-    single_n_max=2, pair_n_max=1, multi_n_max=1, s_max=2,
-    product_alpha_max=1, product_h_max=1,
+    pair_n_max=1, multi_n_max=1, s_max=2,
 )
 
 

@@ -23,7 +23,6 @@ from qgen.qcore import (
     eval_at,
     q_power,
     qbracket,
-    subst_q_inverse,
 )
 from qgen.qcore import (
     _RULE_OUT_BITS,
@@ -249,31 +248,31 @@ class TestArithmetic:
 
 class TestSubstQInverse:
     def test_monomial(self):
-        assert subst_q_inverse(q_power(3)) == q_power(-3)
+        assert q_power(3).subst_q_inverse() == q_power(-3)
 
     def test_ratio(self):
         # (1 + q) / (1 + q^2), and 1 + q^2 = Phi_4
         f = over_cyclotomic({0: 1, 1: 1}, {4: 1})
-        g = subst_q_inverse(f)
+        g = f.subst_q_inverse()
         assert g * RatFuncQ({0: 1, 2: 1}) == RatFuncQ({1: 1, 2: 1})
         # numeric cross-check at q = 5
         assert g.eval_at(5) == f.eval_at(Fraction(1, 5))
         # reversing 1 - 2q gives a negative leading coefficient to move out
         over_phi2 = over_cyclotomic(1, {2: 1})
-        assert subst_q_inverse((ONE - 2 * Q) * over_phi2) == (Q - 2) * over_phi2
+        assert ((ONE - 2 * Q) * over_phi2).subst_q_inverse() == (Q - 2) * over_phi2
         # Phi_1(1/q) = -q^-1 Phi_1(q): an odd power of Phi_1 flips the sign
         over_phi1 = over_cyclotomic(1, {1: 1})
-        assert subst_q_inverse(over_phi1**3) == -Q**3 * over_phi1**3
-        assert subst_q_inverse(over_phi1**2) == Q**2 * over_phi1**2
+        assert (over_phi1**3).subst_q_inverse() == -Q**3 * over_phi1**3
+        assert (over_phi1**2).subst_q_inverse() == Q**2 * over_phi1**2
 
     def test_zero_fixed_point(self):
-        assert subst_q_inverse(ZERO) == ZERO
+        assert ZERO.subst_q_inverse() == ZERO
 
     def test_involution_randomized(self):
         rng = random.Random(99)
         for _ in range(100):
             f = random_ratfunc(rng)
-            assert subst_q_inverse(subst_q_inverse(f)) == f
+            assert f.subst_q_inverse().subst_q_inverse() == f
 
 
 class TestEvalAt:
