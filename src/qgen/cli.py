@@ -2,8 +2,9 @@
 
 Subcommands:
 
-* ``table``      weighted Genocchi values (all routes cross-checked),
-                 symbolic or evaluated at a rational q
+* ``table``      weighted Genocchi values, the closed form cross-checked
+                 against the recurrence at x = 0 and against the umbral
+                 expansion elsewhere, symbolic or evaluated at a rational q
 * ``verify``     run one theorem verifier or all of them over a grid and
                  emit a machine-readable report
 * ``integral``   truncated fermionic sums with convergence diagnostics
@@ -12,8 +13,9 @@ Subcommands:
 Output is byte-deterministic for a fixed invocation: identical configs
 produce identical reports.  Rational inputs are given as "a/b" text so
 no floating point ever enters.  Exit codes: 0 all requested checks
-passed, 1 at least one asserted check failed, 2 usage or configuration
-error, 3 precision (modular arithmetic) error.
+passed, 1 a check failed (an asserted record, a route disagreement, or
+any other failed check of the library, an ArithmeticError), 2 usage or
+configuration error, 3 precision (modular arithmetic) error.
 """
 
 from __future__ import annotations
@@ -93,7 +95,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="write the report to PATH instead of stdout")
 
     p_table = sub.add_parser("table", parents=[common],
-                             help="weighted Genocchi tables (all routes cross-checked)")
+                             help="weighted Genocchi tables (routes cross-checked)")
     p_table.add_argument("--n-max", type=int, default=8)
     p_table.add_argument("--alpha", type=int, default=1)
     p_table.add_argument("--h", type=int, default=1)
@@ -235,52 +237,33 @@ def serialize_report(report: SweepReport, fmt: str, config_echo: dict | None = N
     raise ValueError(f"unknown format: {fmt!r}")
 
 
-def _write_output(text: str, path: str | None, failed: bool = False) -> int:
-    """Write the report; exit 1 when an asserted check failed."""
-    if path is None:
-        sys.stdout.write(text)
-    else:
-        try:
-            with open(path, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        except OSError as exc:
-            print(f"qgen: cannot write {path}: {exc}", file=sys.stderr)
-            return EXIT_USAGE
-    return EXIT_FAIL if failed else EXIT_OK
-
-
-def _write_rows(args, title: list[str], config: dict, rows: list[dict], line,
-                extra: dict | None = None, failed: bool = False) -> int:
+def _rows_report(fmt: str, title: list[str], config: dict, rows: list[dict], line,
+                 extra: dict | None = None) -> str:
     """The report of table, integral and bernstein: one row per value.
 
     json carries {tool-version, config-echo, rows} plus `extra`; the csv
     header is the row keys; text is the title lines, then `line(row)`.
     """
-    if args.format == "json":
-        text = _json_dump({"tool-version": __version__, "config-echo": config,
+    if fmt == "json":
+        return _json_dump({"tool-version": __version__, "config-echo": config,
                            "rows": rows, **(extra or {})})
-    elif args.format == "csv":
-        text = _csv_dump(list(rows[0]), [list(r.values()) for r in rows])
-    else:
-        text = "\n".join(title + [line(r) for r in rows]) + "\n"
-    return _write_output(text, args.output, failed)
+    if fmt == "csv":
+        return _csv_dump(list(rows[0]), [list(r.values()) for r in rows])
+    return "\n".join(title + [line(r) for r in rows]) + "\n"
 
 
 # ---------------------------------------------------------------------------
-# subcommands: bad input raises ValueError, IndexError or PoleError (exit 2)
-# or PrecisionError (exit 3), and `run` prints the one-line message
+# subcommands: each returns (report text, whether an asserted check failed);
+# bad input raises ValueError, IndexError or PoleError, a failed check any
+# other ArithmeticError, and `run` turns either into its exit code
 # ---------------------------------------------------------------------------
 
 
-def _cmd_table(args) -> int:
+def _cmd_table(args) -> tuple[str, bool]:
     w = WeightParams(args.alpha, args.h)
-    if args.n_max < 0:
-        raise ValueError("--n-max must be nonnegative")
-    try:
-        table = build_table(args.n_max, w, xs=(args.x,))  # cross-checks all three routes
-    except ValueError as exc:
-        print(f"qgen: {exc}", file=sys.stderr)
-        return EXIT_FAIL
+    # raises on a route disagreement: at x = 0 the closed form against the
+    # recurrence, at --x against the umbral expansion of its numbers
+    table = build_table(args.n_max, w, xs=(args.x,))
     rows = []
     # sorted by n; the entries at x = 0 are skipped unless --x is 0
     for (n, _, _, x), value, _ in table.entries():
@@ -290,11 +273,12 @@ def _cmd_table(args) -> int:
             rows.append({"n": n, "alpha": w.alpha, "h": w.h, "x": x, "value": text})
     config = {"n-max": args.n_max, "alpha": w.alpha, "h": w.h, "x": args.x,
               "at-q": str(args.at_q) if args.at_q is not None else None}
-    return _write_rows(args, [f"weighted Genocchi table alpha={w.alpha} h={w.h} x={args.x}"],
-                       config, rows, lambda r: f"  n={r['n']:<3} {r['value']}")
+    return _rows_report(args.format,
+                        [f"weighted Genocchi table alpha={w.alpha} h={w.h} x={args.x}"],
+                        config, rows, lambda r: f"  n={r['n']:<3} {r['value']}"), False
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args) -> tuple[str, bool]:
     config = SweepConfig().capped(args.n_max, alpha_max=args.alpha_max, h_max=args.h_max,
                                   x_min=args.x_min, x_max=args.x_max, s_max=args.s_max)
     requested = THEOREMS if args.theorem == "all" else (args.theorem,)
@@ -307,10 +291,10 @@ def _cmd_verify(args) -> int:
         raise ValueError(f"the verify grid has no asserted check for {', '.join(unchecked)}; "
                          "nothing was checked there")
     text = serialize_report(report, args.format, {**config.echo(), "theorem": args.theorem})
-    return _write_output(text, args.output, bool(unresolved_failures(report)))
+    return text, bool(unresolved_failures(report))
 
 
-def _cmd_integral(args) -> int:
+def _cmd_integral(args) -> tuple[str, bool]:
     terms: dict[int, Fraction] = {}
     for m in args.m or []:
         terms[m] = terms.get(m, Fraction(0)) + 1
@@ -341,12 +325,12 @@ def _cmd_integral(args) -> int:
         extra = f"  raw-sum={r['raw-sum']}" if args.unnormalized else ""
         return f"  N={r['N']:<3} value={r['value']}  vp(diff)={r['valuation']}{extra}"
 
-    return _write_rows(args, title, config, rows, line,
-                       {"limit": fraction_text(limit),
-                        "limit-symbolic": limit_sym.to_canonical_string()})
+    return _rows_report(args.format, title, config, rows, line,
+                        {"limit": fraction_text(limit),
+                         "limit-symbolic": limit_sym.to_canonical_string()}), False
 
 
-def _cmd_bernstein(args) -> int:
+def _cmd_bernstein(args) -> tuple[str, bool]:
     # a negative --n still builds k = 0, so BernsteinIndex rejects it
     ks = [args.k] if args.k is not None else list(range(max(args.n, 0) + 1))
     indices = [BernsteinIndex(k, args.n, args.alpha) for k in ks]
@@ -356,9 +340,9 @@ def _cmd_bernstein(args) -> int:
              "symmetry": check.status} for idx, check in zip(indices, checks)]
     config = {"n": args.n, "alpha": args.alpha, "x": args.x, "k": args.k}
     title = [f"weighted q-Bernstein basis n={args.n} alpha={args.alpha} x={args.x}"]
-    return _write_rows(args, title, config, rows,
-                       lambda r: f"  k={r['k']:<3} {r['symmetry']:<5} {r['value']}",
-                       failed=not all(check.passed for check in checks))
+    return (_rows_report(args.format, title, config, rows,
+                         lambda r: f"  k={r['k']:<3} {r['symmetry']:<5} {r['value']}"),
+            not all(check.passed for check in checks))
 
 
 def run(argv: list[str] | None = None) -> int:
@@ -376,13 +360,26 @@ def run(argv: list[str] | None = None) -> int:
         "bernstein": _cmd_bernstein,
     }
     try:
-        return handlers[args.command](args)
+        text, failed = handlers[args.command](args)
     except PrecisionError as exc:
         print(f"qgen: precision error: {exc}", file=sys.stderr)
         return EXIT_PRECISION
     except (ValueError, IndexError, PoleError) as exc:
         print(f"qgen: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except ArithmeticError as exc:  # a failed check, such as a route disagreement
+        print(f"qgen: {exc}", file=sys.stderr)
+        return EXIT_FAIL
+    if args.output is None:
+        sys.stdout.write(text)
+    else:
+        try:
+            with open(args.output, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            print(f"qgen: cannot write {args.output}: {exc}", file=sys.stderr)
+            return EXIT_USAGE
+    return EXIT_FAIL if failed else EXIT_OK
 
 
 def console_main() -> None:

@@ -155,8 +155,8 @@ def _recurrence_number(n: int, alpha: int, h: int) -> RatFuncQ:
 
 def weighted_genocchi_recurrence(n_max: int, w: WeightParams) -> dict[int, RatFuncQ]:
     """Numbers g_0 .. g_{n_max} computed solely from the umbral recurrence."""
-    if n_max < 1:
-        raise ValueError("n_max must be a positive integer")
+    if n_max < 0:
+        raise ValueError("n_max must be nonnegative")
     return {n: _recurrence_number(n, w.alpha, w.h) for n in range(n_max + 1)}
 
 
@@ -241,39 +241,36 @@ class GenocchiTable:
     """Memoized values indexed by (n, alpha, h, x) with route tags.
 
     Recording the same index from two routes cross-checks them: a
-    structural mismatch raises immediately.
+    structural mismatch raises ArithmeticError immediately.
     """
 
     def __init__(self):
-        self._values: dict[tuple[int, int, int, int], RatFuncQ] = {}
-        self._routes: dict[tuple[int, int, int, int], set[str]] = {}
+        self._entries: dict[tuple[int, int, int, int], tuple[RatFuncQ, set[str]]] = {}
 
     def record(self, n: int, w: WeightParams, x: int, value: RatFuncQ, route: str) -> None:
         key = (n, w.alpha, w.h, x)
-        existing = self._values.get(key)
-        if existing is not None and existing != value:
-            raise ValueError(
+        existing, routes = self._entries.setdefault(key, (value, set()))
+        if existing != value:
+            raise ArithmeticError(
                 f"route disagreement at {key}: {route} produced {value}, "
-                f"table holds {existing} from {sorted(self._routes[key])}"
+                f"table holds {existing} from {sorted(routes)}"
             )
-        self._values[key] = value
-        self._routes.setdefault(key, set()).add(route)
+        routes.add(route)
 
     def entries(self) -> list[tuple[tuple[int, int, int, int], RatFuncQ, set[str]]]:
-        return [
-            (key, self._values[key], set(self._routes[key]))
-            for key in sorted(self._values)
-        ]
+        return [(key, value, set(routes))
+                for key, (value, routes) in sorted(self._entries.items())]
 
 
 def build_table(n_max: int, w: WeightParams, xs: tuple[int, ...] = (0,)) -> GenocchiTable:
     """Fill a table over n = 0..n_max at x = 0 and the given x values,
-    cross-checking the routes against one another: all three at x = 0,
-    where the recurrence gives the numbers, the other two elsewhere."""
+    cross-checking the closed form: against the recurrence numbers at
+    x = 0, where [0]_{q^alpha} = 0 leaves the umbral expansion only its
+    k = n term, the recurrence number itself; against the umbral
+    expansion of those numbers elsewhere."""
     table = GenocchiTable()
-    for n, value in weighted_genocchi_recurrence(max(n_max, 1), w).items():
-        if n <= n_max:
-            table.record(n, w, 0, value, ROUTE_RECURRENCE)
+    for n, value in weighted_genocchi_recurrence(n_max, w).items():
+        table.record(n, w, 0, value, ROUTE_RECURRENCE)
     for x in dict.fromkeys((0, *xs)):
         for n in range(n_max + 1):
             table.record(n, w, x, weighted_genocchi_poly_closed(n, w, x), ROUTE_CLOSED)

@@ -461,6 +461,36 @@ class TestUsage:
     def test_help_exits_zero(self, capsys):
         assert run_cli(capsys, ["--help"])[0] == 0
 
+    @pytest.mark.parametrize("arg, message", [
+        pytest.param(["--N", "2,x"], "argument --N: not a truncation list: '2,x'", id="N-text"),
+        pytest.param(["--N=-1"], "argument --N: truncation levels must be nonnegative",
+                     id="N-negative"),
+        pytest.param(["--coeff", "1"], "argument --coeff: expected m:coeff, got '1'",
+                     id="coeff-no-colon"),
+        pytest.param(["--coeff", "1:1/0"], "argument --coeff: expected m:coeff, got '1:1/0'",
+                     id="coeff-zero-denominator"),
+    ])
+    def test_malformed_integral_argument(self, capsys, arg, message):
+        # refused while parsing, with argparse's usage line and message
+        code, out, err = run_cli(capsys, ["integral", "--p", "3", "--q", "4", "--m", "0", *arg])
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err.startswith("usage: qgen integral ")
+        assert err.endswith(f"\nqgen integral: error: {message}\n")
+        assert "Traceback" not in err
+
+    def test_failed_check_exits_one(self, capsys, monkeypatch):
+        # an ArithmeticError from the library is a failed check: exit 1
+        # with its one-line message and no report
+        import qgen.identities
+
+        def failing(n, w):
+            raise ArithmeticError("nonzero remainder in exact binomial division")
+
+        monkeypatch.setattr(qgen.identities, "verify_shift2", failing)
+        code, out, err = run_cli(capsys, ["verify", "shift2", "--n-max", "2"])
+        assert (code, out, err) == (
+            EXIT_FAIL, "", "qgen: nonzero remainder in exact binomial division\n")
+
 
 # sha256 of stdout per invocation and format; the invocations reach
 # --at-q, --unnormalized, a residue row at N >= 5, a censored ">=M"
@@ -547,7 +577,7 @@ def test_report_bytes(capsys, argv, fmt, digest):
 BAD_INPUT = [
     (["table", "--alpha", "0"], EXIT_USAGE, "weight alpha must be a positive integer"),
     (["table", "--h", "0"], EXIT_USAGE, "h must be a positive integer"),
-    (["table", "--n-max", "-1"], EXIT_USAGE, "--n-max must be nonnegative"),
+    (["table", "--n-max", "-1"], EXIT_USAGE, "n_max must be nonnegative"),
     (["table", "--n-max", "3", "--alpha", "2", "--at-q", "-1"], EXIT_USAGE,
      "denominator vanishes at q = -1"),
     (["verify", "all", "--alpha-max", "0"], EXIT_USAGE,

@@ -141,8 +141,13 @@ class TestClosedForm:
         assert eval_at(weighted_genocchi_number(2, W(1, 1)), 1) == -1
 
     def test_negative_index_rejected(self):
-        with pytest.raises(ValueError):
-            weighted_genocchi_number(-1, W(1, 1))
+        w = W(1, 1)
+        for call in (lambda: weighted_genocchi_number(-1, w),
+                     lambda: weighted_genocchi_poly_closed(-1, w, 2),
+                     lambda: weighted_genocchi_poly_umbral(-1, w, 2),
+                     lambda: classical_genocchi(-1)):
+            with pytest.raises(ValueError, match="^index must be nonnegative$"):
+                call()
 
     @pytest.mark.parametrize("alpha", [1, 2, 3])
     @pytest.mark.parametrize("h", [1, 2, 3])
@@ -196,6 +201,12 @@ class TestClosedForm:
 
 
 class TestRecurrenceRoute:
+    def test_from_index_zero(self):
+        # g_0 = 0, so a table from n = 0 alone is well defined
+        assert weighted_genocchi_recurrence(0, W(2, 3)) == {0: ZERO}
+        with pytest.raises(ValueError, match="^n_max must be nonnegative$"):
+            weighted_genocchi_recurrence(-1, W(2, 3))
+
     def test_base_case(self):
         for h in (1, 2, 3):
             table = weighted_genocchi_recurrence(1, W(2, h))
@@ -402,11 +413,18 @@ class TestTable:
             assert routes[(n, 1, 1, 0)] == {ROUTE_CLOSED, ROUTE_RECURRENCE, ROUTE_UMBRAL}
             assert routes[(n, 1, 1, 2)] == {ROUTE_CLOSED, ROUTE_UMBRAL}
 
+    def test_index_zero_alone(self):
+        table = build_table(0, W(2, 3), xs=(1,))
+        assert [(key, value) for key, value, _ in table.entries()] == \
+            [((0, 2, 3, 0), ZERO), ((0, 2, 3, 1), ZERO)]
+        with pytest.raises(ValueError, match="^n_max must be nonnegative$"):
+            build_table(-1, W(2, 3))
+
     def test_mismatch_detection(self):
         table = GenocchiTable()
         w = W(1, 1)
         table.record(2, w, 0, weighted_genocchi_number(2, w), ROUTE_CLOSED)
-        with pytest.raises(ValueError):
+        with pytest.raises(ArithmeticError, match="route disagreement at"):
             table.record(2, w, 0, ONE, "bogus-route")
 
     def test_entries_sorted(self):

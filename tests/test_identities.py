@@ -191,6 +191,21 @@ class TestBernsteinDoubleMulti:
                 verify_bernstein_double(n1, n2, k, W(1, 1))
 
 
+@pytest.mark.parametrize("verify, args, message", [
+    pytest.param(verify, args, message, id=verify.__name__) for verify, args, message in [
+        (verify_symmetry, (-1, W(1, 1), 0), "n must be nonnegative"),
+        (verify_shift2, (-1, W(1, 1)), "n must be nonnegative"),
+        (verify_integral_shift, (-1, W(1, 1)), "n must be nonnegative"),
+        (verify_integral_reflect, (-1, W(1, 1)), "n must be nonnegative"),
+        (verify_bernstein_multi, ([3, -1], 0, W(1, 1)), "indices must be nonnegative"),
+    ]])
+def test_negative_index_rejected(verify, args, message):
+    # each verifier's own message: without its check, the call either
+    # returns a record or fails later with another message
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        verify(*args)
+
+
 def clear_bernstein_caches():
     """Forget the Pascal-rule tables and the reflected values they start from."""
     for cached in (identities._moment_difference, identities._reflected_difference,

@@ -172,6 +172,7 @@ class TestContext:
         pytest.param(dict(p=3, N=1, q=Fraction(4, 3)), ValueError, id="p-in-denominator"),
         pytest.param(dict(p=3, N=3, q=Fraction(4), M=1), ValueError, id="M-below-N"),
         pytest.param(dict(p=3, N=1, q=Fraction(4), M=-1), ValueError, id="M-negative"),
+        pytest.param(dict(p=3, N=-1, q=Fraction(4)), ValueError, id="N-negative"),
         # inexact input is refused at construction, not read as a nearby value
         pytest.param(dict(p=3, N=2.5, q=4), TypeError, id="float-N"),
         pytest.param(dict(p=3, N=2, q=4, M=6.5), TypeError, id="float-M"),
@@ -208,6 +209,15 @@ class TestIntegrandSpec:
         # int() would truncate 1.5 onto the exponent 1 and lose a term
         with pytest.raises(TypeError, match="int exponent"):
             IntegrandSpec(terms)
+
+    @pytest.mark.parametrize("kwargs, message", [
+        pytest.param(dict(scale=0), "^bracket scale must be nonzero$", id="scale-zero"),
+        pytest.param(dict(sign=2), "^sign must be \\+1 or -1$", id="sign-two"),
+        pytest.param(dict(power=-1), "^power must be nonnegative$", id="power-negative"),
+    ])
+    def test_bracket_power_rejects(self, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            bracket_power_integrand(**{"x": 1, "scale": 2, "power": 2, **kwargs})
 
 
 class TestMoments:
@@ -311,6 +321,11 @@ class TestTruncated:
         spec = IntegrandSpec({1: 1, -2: Fraction(2, 5), 0: -3})
         assert truncated_sums(spec, ctx) == (truncated_integral(spec, ctx),
                                              truncated_integral(spec, ctx, normalized=False))
+
+    def test_unknown_method(self):
+        ctx = PadicContext(p=3, N=2, q=Fraction(4))
+        with pytest.raises(ValueError, match="^unknown method: 'bogus'$"):
+            truncated_integral(IntegrandSpec({1: 1}), ctx, method="bogus")
 
     @pytest.mark.parametrize("method,geometric", [("exact", "_geometric"),
                                                   ("modular", "_geometric_mod")])
