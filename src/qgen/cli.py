@@ -147,8 +147,8 @@ def build_parser() -> argparse.ArgumentParser:
 # ---------------------------------------------------------------------------
 
 
-def _sides(records, render) -> list[tuple[str, str]]:
-    """(render(lhs), render(rhs)) for each record, in order.
+def _sides(records) -> list[tuple[str, str]]:
+    """The canonical strings of (lhs, rhs) for each record, in order.
 
     The memo is keyed by value, so each distinct side is rendered once
     however many records share it (2,834 sides hold 782 values in the
@@ -159,31 +159,10 @@ def _sides(records, render) -> list[tuple[str, str]]:
     def side(value) -> str:
         text = memo.get(value)
         if text is None:
-            text = memo[value] = render(value)
+            text = memo[value] = value.to_canonical_string()
         return text
 
     return [(side(rec.lhs), side(rec.rhs)) for rec in records]
-
-
-# one record of the json report, laid out as json.dumps(sort_keys=True,
-# indent=2) lays out its dict at depth 2; each {} is a json string.  Every
-# record checks an identity as printed; the constant "variant" key stays
-# because the golden report digest pins the report format
-_JSON_RECORD = ('    {{\n      "lhs": {},\n      "params": {},\n      "rhs": {},\n'
-                '      "status": {},\n      "theorem": {},\n      "variant": "as-stated"\n    }}')
-
-
-def _json_records(records) -> str:
-    """The records array of the json report, in the layout of json.dumps."""
-    if not records:
-        return "[]"
-    sides = _sides(records, lambda v: json.dumps(v.to_canonical_string()))
-    # the few distinct statuses and theorem names, escaped once each
-    names = {s: json.dumps(s) for s in {s for rec in records for s in (rec.status, rec.theorem)}}
-    return "[\n" + ",\n".join(
-        _JSON_RECORD.format(lhs, json.dumps(rec.params_text()), rhs,
-                            names[rec.status], names[rec.theorem])
-        for rec, (lhs, rhs) in zip(records, sides)) + "\n  ]"
 
 
 def _json_dump(payload: dict) -> str:
@@ -218,21 +197,21 @@ def serialize_report(report: SweepReport, fmt: str, config_echo: dict | None = N
                 )
         return "\n".join(lines) + "\n"
     if fmt == "json":
-        # json.dumps lays out the envelope; the records array takes the
-        # place of its empty stand-in, the one line at depth 1 that reads so
-        envelope = _json_dump({
+        # every record checks an identity as printed; the constant "variant"
+        # key stays because the golden report digest pins the report format
+        records = [{"theorem": rec.theorem, "params": rec.params_text(), "lhs": lhs,
+                    "rhs": rhs, "status": rec.status, "variant": "as-stated"}
+                   for rec, (lhs, rhs) in zip(report.records, _sides(report.records))]
+        return _json_dump({
             "tool-version": __version__,
             "config-echo": config_echo or {},
-            "records": [],
+            "records": records,
             "summary": report.summary,
             "boundaries": list(report.boundaries),
         })
-        return envelope.replace('\n  "records": []',
-                                '\n  "records": ' + _json_records(report.records), 1)
     if fmt == "csv":
-        sides = _sides(report.records, lambda v: v.to_canonical_string())
         rows = [[rec.theorem, rec.params_text(), rec.status, lhs, rhs]
-                for rec, (lhs, rhs) in zip(report.records, sides)]
+                for rec, (lhs, rhs) in zip(report.records, _sides(report.records))]
         return _csv_dump(["theorem", "params", "status", "lhs", "rhs"], rows)
     raise ValueError(f"unknown format: {fmt!r}")
 

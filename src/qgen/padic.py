@@ -92,16 +92,36 @@ class PrecisionError(ArithmeticError):
     """Modular arithmetic hit a denominator divisible by p."""
 
 
+# Miller-Rabin with the first 13 primes as bases decides primality exactly
+# below this bound (Sorenson and Webster, Math. Comp. 86 (2017)); the
+# strong pseudoprime 3317044064679887385961981 passes all 13
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PRIME_BOUND = 3317044064679887385961981
+
+
 def _is_prime(n: int) -> bool:
+    """Whether n is prime; raises ValueError at n >= _PRIME_BOUND."""
+    if n >= _PRIME_BOUND:
+        raise ValueError(f"cannot tell whether {n} is prime: "
+                         f"the test is exact only below {_PRIME_BOUND}")
     if n < 2:
         return False
-    if n % 2 == 0:
-        return n == 2
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    for a in _PRIME_BASES:
+        if n % a == 0:
+            return n == a
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _PRIME_BASES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 

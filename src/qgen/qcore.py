@@ -294,14 +294,6 @@ def _den_op(op, d1: Den, d2: Den) -> Den:
     return tuple(sorted(op(Counter(dict(d1)), Counter(dict(d2))).items()))
 
 
-@lru_cache(maxsize=1024)
-def _lcm_parts(d1: Den, d2: Den) -> tuple[Den, tuple[int, ...], tuple[int, ...], Den]:
-    # (lcm, lcm / d1, lcm / d2, the Phi_d with equal multiplicity in d1 and d2)
-    lcm = _den_op(or_, d1, d2)
-    common = tuple(sorted(set(d1) & set(d2)))
-    return lcm, _den_poly(_den_op(sub, lcm, d1)), _den_poly(_den_op(sub, lcm, d2)), common
-
-
 def _over_one_plus(shift: int, num, exps) -> "RatFuncQ":
     """q^shift num / prod_{e in exps} (1 + q^e) in canonical form.
 
@@ -450,24 +442,16 @@ class RatFuncQ:
             return other
         if not other._num:
             return self
-        s1, c1, d1 = self._shift, self._content, self._den
-        s2, c2, d2 = other._shift, other._content, other._den
-        if d1 == d2:
-            a, b, den, common = self._num, other._num, d1, d1
-        else:
-            den, f1, f2, common = _lcm_parts(d1, d2)
-            a, b = _int_mul(self._num, f1), _int_mul(other._num, f2)
-        # c1 = k1 * top/scale and c2 = k2 * top/scale with integers k1, k2
-        scale = math.lcm(c1.denominator, c2.denominator)
-        top = math.gcd(c1.numerator, c2.numerator)
-        k1 = c1.numerator // top * (scale // c1.denominator)
-        k2 = c2.numerator // top * (scale // c2.denominator)
+        # one content and one den for both; no Phi_d whose multiplicities
+        # differ can divide the sum, so only the common ones are tested
+        content, den, ((s1, a), (s2, b)) = _shared_prefactor((self, other))
+        common = tuple(sorted(set(self._den) & set(other._den)))
         lo = min(s1, s2)
         acc = [0] * max(s1 - lo + len(a), s2 - lo + len(b))
-        for k, part, off in ((k1, a, s1 - lo), (k2, b, s2 - lo)):
+        for part, off in ((a, s1 - lo), (b, s2 - lo)):
             for i, x in enumerate(part, off):
-                acc[i] += k * x
-        return _reduced(lo, acc, den, common, top, scale)
+                acc[i] += x
+        return _reduced(lo, acc, den, common, content.numerator, content.denominator)
 
     __radd__ = __add__
 

@@ -599,6 +599,9 @@ BAD_INPUT = [
      "the integrand is zero; nothing was checked"),
     (["integral", "--p", "4", "--q", "4", "--m", "0"], EXIT_USAGE, "p must be an odd prime"),
     (["integral", "--p", "2", "--q", "3", "--m", "0"], EXIT_USAGE, "p must be an odd prime"),
+    (["integral", "--p", "3317044064679887385961981", "--q", "3317044064679887385961982",
+      "--m", "0"], EXIT_USAGE, "cannot tell whether 3317044064679887385961981 is prime: "
+     "the test is exact only below 3317044064679887385961981"),
     (["integral", "--p", "3", "--q", "2", "--m", "0"], EXIT_USAGE,
      "q must satisfy v_p(q - 1) >= 1"),
     (["integral", "--p", "3", "--q", "1/3", "--m", "0"], EXIT_USAGE,
@@ -680,8 +683,8 @@ class TestSerializeReport:
 
     @staticmethod
     def reference_json(report, config_echo=None):
-        # the report as one json.dumps of per-record dicts: the layout the
-        # serializer writes without building them
+        # the report as one json.dumps of per-record dicts, with no memo of
+        # sides: the oracle of the serializer's memoized rendering
         records = [{"theorem": rec.theorem, "params": rec.params_text(),
                     "lhs": rec.lhs.to_canonical_string(), "rhs": rec.rhs.to_canonical_string(),
                     "status": rec.status, "variant": "as-stated"} for rec in report.records]

@@ -159,6 +159,42 @@ class TestValuation:
             assert vp(a * b, 3) == vp(a, 3) + vp(b, 3)
 
 
+class TestPrimality:
+    # a Carmichael number, then strong pseudoprimes to the bases 2, 3, 5, 7,
+    # to 2..31 and to 2..37: tests with 4, 11 and 12 prime bases pass them
+    PSEUDOPRIMES = [561, 3215031751, 3825123056546413051, 318665857834031151167461]
+    # a strong pseudoprime to all 13 bases 2..41: the first n past the bound
+    BOUND = 3317044064679887385961981
+
+    def test_agrees_with_trial_division(self):
+        def trial(n):
+            return n > 1 and all(n % d for d in range(2, int(n**0.5) + 1))
+
+        assert [n for n in range(5000) if padic._is_prime(n)] == list(filter(trial, range(5000)))
+
+    @pytest.mark.parametrize("n", PSEUDOPRIMES)
+    def test_pseudoprimes_rejected(self, n):
+        with pytest.raises(ValueError, match="not prime"):
+            vp(Fraction(1, 2), n)
+        with pytest.raises(ValueError, match="p must be an odd prime"):
+            PadicContext(p=n, N=1, q=n + 1)
+
+    @pytest.mark.parametrize("n", [BOUND, BOUND + 6])
+    def test_past_the_bound_refused(self, n):
+        with pytest.raises(ValueError, match="the test is exact only below"):
+            vp(Fraction(1, 2), n)
+        with pytest.raises(ValueError, match="the test is exact only below"):
+            PadicContext(p=n, N=1, q=n + 1)
+
+    def test_large_prime_builds_at_once(self):
+        # trial division to the square root of 10^18 + 3 would take minutes
+        start = time.perf_counter()
+        ctx = PadicContext(p=10**18 + 3, N=2, q=10**18 + 4)
+        elapsed = time.perf_counter() - start
+        assert ctx.M == 6
+        assert elapsed < 0.1, f"a context at p = 10^18 + 3 took {elapsed:.2f}s"
+
+
 class TestContext:
     def test_defaults(self):
         ctx = PadicContext(p=3, N=2, q=Fraction(4))
