@@ -15,16 +15,19 @@ produce identical reports.  Rational inputs are given as "a/b" text so
 no floating point ever enters.  Exit codes: 0 all requested checks
 passed, 1 a check failed (an asserted record, a route disagreement, or
 any other failed check of the library, an ArithmeticError), 2 usage or
-configuration error, 3 precision (modular arithmetic) error.
+configuration error, or a report that could not be written, 3 precision
+(modular arithmetic) error.  A reader that closes the pipe early is no
+error: the exit code stays the one the checks earned.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
+import os
 import sys
+from collections.abc import Iterable, Iterator
 from fractions import Fraction
 
 from qgen import __version__
@@ -165,20 +168,29 @@ def _sides(records) -> list[tuple[str, str]]:
     return [(side(rec.lhs), side(rec.rhs)) for rec in records]
 
 
-def _json_dump(payload: dict) -> str:
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+def _json_chunks(payload: dict) -> Iterator[str]:
+    # with indent set, json.dumps runs this same pure-Python encoder
+    yield from json.JSONEncoder(sort_keys=True, indent=2).iterencode(payload)
+    yield "\n"
 
 
-def _csv_dump(header: list[str], rows: list[list[str]]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buf.getvalue()
+class _Echo:
+    """A file whose write hands the line back, so csv.writer yields rows."""
+
+    def write(self, line: str) -> str:
+        return line
 
 
-def serialize_report(report: SweepReport, fmt: str, config_echo: dict | None = None) -> str:
-    """Render a sweep report; byte-stable for identical inputs."""
+def _csv_chunks(header: list[str], rows: Iterable[list[str]]) -> Iterator[str]:
+    writer = csv.writer(_Echo(), lineterminator="\n")
+    yield writer.writerow(header)
+    for row in rows:
+        yield writer.writerow(row)
+
+
+def _report_chunks(report: SweepReport, fmt: str,
+                   config_echo: dict | None = None) -> Iterable[str]:
+    """A sweep report as str chunks, in order; byte-stable for identical inputs."""
     if fmt == "text":  # status, theorem and params only: no side is rendered
         lines = [f"qgen {__version__} verification report"]
         for rec in report.records:
@@ -195,14 +207,14 @@ def serialize_report(report: SweepReport, fmt: str, config_echo: dict | None = N
                     f"  {b['theorem']} {b['params']}: {b['flip']} between "
                     f"n={b['n_from']} and n={b['n_to']}"
                 )
-        return "\n".join(lines) + "\n"
+        return ["\n".join(lines) + "\n"]
     if fmt == "json":
         # every record checks an identity as printed; the constant "variant"
         # key stays because the golden report digest pins the report format
         records = [{"theorem": rec.theorem, "params": rec.params_text(), "lhs": lhs,
                     "rhs": rhs, "status": rec.status, "variant": "as-stated"}
                    for rec, (lhs, rhs) in zip(report.records, _sides(report.records))]
-        return _json_dump({
+        return _json_chunks({
             "tool-version": __version__,
             "config-echo": config_echo or {},
             "records": records,
@@ -210,35 +222,41 @@ def serialize_report(report: SweepReport, fmt: str, config_echo: dict | None = N
             "boundaries": list(report.boundaries),
         })
     if fmt == "csv":
-        rows = [[rec.theorem, rec.params_text(), rec.status, lhs, rhs]
-                for rec, (lhs, rhs) in zip(report.records, _sides(report.records))]
-        return _csv_dump(["theorem", "params", "status", "lhs", "rhs"], rows)
+        rows = ([rec.theorem, rec.params_text(), rec.status, lhs, rhs]
+                for rec, (lhs, rhs) in zip(report.records, _sides(report.records)))
+        return _csv_chunks(["theorem", "params", "status", "lhs", "rhs"], rows)
     raise ValueError(f"unknown format: {fmt!r}")
 
 
+def serialize_report(report: SweepReport, fmt: str, config_echo: dict | None = None) -> str:
+    """Render a sweep report as one string: the chunks `run` writes, joined."""
+    return "".join(_report_chunks(report, fmt, config_echo))
+
+
 def _rows_report(fmt: str, title: list[str], config: dict, rows: list[dict], line,
-                 extra: dict | None = None) -> str:
-    """The report of table, integral and bernstein: one row per value.
+                 extra: dict | None = None) -> Iterable[str]:
+    """The report of table, integral and bernstein, one row per value, as chunks.
 
     json carries {tool-version, config-echo, rows} plus `extra`; the csv
     header is the row keys; text is the title lines, then `line(row)`.
     """
     if fmt == "json":
-        return _json_dump({"tool-version": __version__, "config-echo": config,
-                           "rows": rows, **(extra or {})})
+        return _json_chunks({"tool-version": __version__, "config-echo": config,
+                             "rows": rows, **(extra or {})})
     if fmt == "csv":
-        return _csv_dump(list(rows[0]), [list(r.values()) for r in rows])
-    return "\n".join(title + [line(r) for r in rows]) + "\n"
+        return _csv_chunks(list(rows[0]), (list(r.values()) for r in rows))
+    return ["\n".join(title + [line(r) for r in rows]) + "\n"]
 
 
 # ---------------------------------------------------------------------------
-# subcommands: each returns (report text, whether an asserted check failed);
+# subcommands: each returns (report chunks, whether an asserted check failed)
+# once every check has run, so the chunks only serialize what was computed;
 # bad input raises ValueError, IndexError or PoleError, a failed check any
 # other ArithmeticError, and `run` turns either into its exit code
 # ---------------------------------------------------------------------------
 
 
-def _cmd_table(args) -> tuple[str, bool]:
+def _cmd_table(args) -> tuple[Iterable[str], bool]:
     w = WeightParams(args.alpha, args.h)
     # raises on a route disagreement: at x = 0 the closed form against the
     # recurrence, at --x against the umbral expansion of its numbers
@@ -257,7 +275,7 @@ def _cmd_table(args) -> tuple[str, bool]:
                         config, rows, lambda r: f"  n={r['n']:<3} {r['value']}"), False
 
 
-def _cmd_verify(args) -> tuple[str, bool]:
+def _cmd_verify(args) -> tuple[Iterable[str], bool]:
     config = SweepConfig().capped(args.n_max, alpha_max=args.alpha_max, h_max=args.h_max,
                                   x_min=args.x_min, x_max=args.x_max, s_max=args.s_max)
     requested = THEOREMS if args.theorem == "all" else (args.theorem,)
@@ -269,11 +287,11 @@ def _cmd_verify(args) -> tuple[str, bool]:
     if unchecked:
         raise ValueError(f"the verify grid has no asserted check for {', '.join(unchecked)}; "
                          "nothing was checked there")
-    text = serialize_report(report, args.format, {**config.echo(), "theorem": args.theorem})
-    return text, bool(unresolved_failures(report))
+    chunks = _report_chunks(report, args.format, {**config.echo(), "theorem": args.theorem})
+    return chunks, bool(unresolved_failures(report))
 
 
-def _cmd_integral(args) -> tuple[str, bool]:
+def _cmd_integral(args) -> tuple[Iterable[str], bool]:
     terms: dict[int, Fraction] = {}
     for m in args.m or []:
         terms[m] = terms.get(m, Fraction(0)) + 1
@@ -309,7 +327,7 @@ def _cmd_integral(args) -> tuple[str, bool]:
                          "limit-symbolic": limit_sym.to_canonical_string()}), False
 
 
-def _cmd_bernstein(args) -> tuple[str, bool]:
+def _cmd_bernstein(args) -> tuple[Iterable[str], bool]:
     # a negative --n still builds k = 0, so BernsteinIndex rejects it
     ks = [args.k] if args.k is not None else list(range(max(args.n, 0) + 1))
     indices = [BernsteinIndex(k, args.n, args.alpha) for k in ks]
@@ -339,7 +357,7 @@ def run(argv: list[str] | None = None) -> int:
         "bernstein": _cmd_bernstein,
     }
     try:
-        text, failed = handlers[args.command](args)
+        chunks, failed = handlers[args.command](args)
     except PrecisionError as exc:
         print(f"qgen: precision error: {exc}", file=sys.stderr)
         return EXIT_PRECISION
@@ -349,14 +367,24 @@ def run(argv: list[str] | None = None) -> int:
     except ArithmeticError as exc:  # a failed check, such as a route disagreement
         print(f"qgen: {exc}", file=sys.stderr)
         return EXIT_FAIL
-    if args.output is None:
-        sys.stdout.write(text)
-    else:
-        try:
+    try:
+        if args.output is None:
+            sys.stdout.writelines(chunks)
+            sys.stdout.flush()
+        else:
             with open(args.output, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        except OSError as exc:
+                fh.writelines(chunks)
+    except OSError as exc:
+        if args.output is not None:
             print(f"qgen: cannot write {args.output}: {exc}", file=sys.stderr)
+            return EXIT_USAGE
+        # the interpreter flushes stdout again at exit; whatever of the
+        # report is left then goes to the null device, not to a second error
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        if not isinstance(exc, BrokenPipeError):  # a reader that closed early wants no more
+            print(f"qgen: cannot write <stdout>: {exc}", file=sys.stderr)
             return EXIT_USAGE
     return EXIT_FAIL if failed else EXIT_OK
 

@@ -24,6 +24,10 @@ from readback import Q, denotes, over_cyclotomic, read_canonical, read_fraction
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
+def src_env():
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+
+
 def run_cli(capsys, argv):
     code = run(argv)
     captured = capsys.readouterr()
@@ -74,6 +78,20 @@ class TestTable:
         assert err.startswith("qgen: route disagreement at (0, 1, 1, 0): umbral produced 1 + q")
         assert err.count("\n") == 1
         assert "Traceback" not in err
+
+    def test_failed_check_writes_no_file(self, capsys, monkeypatch, tmp_path):
+        # every check finishes before the first byte goes out, so a failed
+        # one leaves no partial report behind
+        import qgen.cli
+
+        def disagree(n_max, w, xs):
+            raise ArithmeticError("route disagreement at (0, 1, 1, 0)")
+
+        monkeypatch.setattr(qgen.cli, "build_table", disagree)
+        target = tmp_path / "r.json"
+        code, out, err = run_cli(capsys, ["table", "--format", "json", "--output", str(target)])
+        assert (code, out, err) == (EXIT_FAIL, "", "qgen: route disagreement at (0, 1, 1, 0)\n")
+        assert not target.exists()
 
     @pytest.mark.parametrize("fmt", ["text", "json"])
     def test_values_past_the_int_digit_limit(self, capsys, fmt):
@@ -737,12 +755,72 @@ class TestSerializeReport:
         assert serialize_report(report, "text") == "\n".join(want) + "\n"
 
 
+class WriteLog(io.StringIO):
+    """A stdout that counts the writes made to it."""
+
+    writes = 0
+
+    def write(self, text):
+        self.writes += 1
+        return super().write(text)
+
+
+class TestStreamedReport:
+    @pytest.mark.parametrize("fmt", ["json", "csv", "text"])
+    def test_writes_join_to_serialize_report(self, monkeypatch, fmt):
+        # run writes the chunks of the one serializer that serialize_report joins
+        log = WriteLog()
+        monkeypatch.setattr(sys, "stdout", log)
+        assert run(["verify", "all", "--format", fmt]) == EXIT_OK
+        config = SweepConfig()
+        echo = {**config.echo(), "theorem": "all"}
+        assert log.getvalue() == serialize_report(sweep(config), fmt, echo)
+
+    @pytest.mark.parametrize("argv", [["verify", "all"], ["table"]])
+    def test_json_report_is_written_in_chunks(self, monkeypatch, argv):
+        # the report never exists as one string
+        log = WriteLog()
+        monkeypatch.setattr(sys, "stdout", log)
+        assert run([*argv, "--format", "json"]) == EXIT_OK
+        json.loads(log.getvalue())
+        assert log.writes > 1
+
+    @staticmethod
+    def qgen_process(argv, **kwargs):
+        return subprocess.Popen([sys.executable, "-m", "qgen.cli", *argv], env=src_env(),
+                                stderr=subprocess.PIPE, **kwargs)
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full on this system")
+    @pytest.mark.parametrize("argv", [
+        ["table", "--n-max", "3"],
+        ["verify", "all"],
+    ], ids=["flushed-at-the-end", "written-while-streaming"])
+    def test_full_stdout_exits_two(self, argv):
+        # the small report fails only when run flushes stdout, the 1.9 MB
+        # one while it is written; either way one line, no traceback
+        with open("/dev/full", "wb") as full:
+            proc = self.qgen_process([*argv, "--format", "json"], stdout=full)
+            _, err = proc.communicate(timeout=120)
+        assert proc.returncode == EXIT_USAGE
+        assert err == b"qgen: cannot write <stdout>: [Errno 28] No space left on device\n"
+
+    def test_closed_pipe_is_quiet(self):
+        # as `| head -c 100` does, the reader closes the pipe long before
+        # the 1.9 MB report ends: no traceback, no "Exception ignored" at
+        # exit, and the exit code the checks earned
+        proc = self.qgen_process(["verify", "all", "--format", "json"], stdout=subprocess.PIPE)
+        head = proc.stdout.read(100)
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=120)
+        assert head.startswith(b'{\n  "boundaries": [')
+        assert (proc.returncode, err) == (EXIT_OK, b"")
+
+
 def test_cli_import_leaves_multiprocessing_unloaded():
     # the sweep runs in one process; loading multiprocessing would only
     # add to the start-up of every command
     code = "import sys, qgen.cli; print('multiprocessing' in sys.modules)"
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+    out = subprocess.run([sys.executable, "-c", code], env=src_env(), capture_output=True,
                          text=True, check=True)
     assert out.stdout.strip() == "False"
 
