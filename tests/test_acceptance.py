@@ -36,6 +36,7 @@ from qgen.identities import (
 )
 from qgen.padic import IntegrandSpec, PadicContext, functional_equation_residual
 from qgen.qcore import ONE, RatFuncQ, ZERO, eval_at, qbracket
+from pins import GOLDEN
 from readback import Q
 
 W = WeightParams
@@ -197,7 +198,7 @@ def test_08_bernstein_basis_properties():
 def test_09_cli_determinism(capsys):
     with criterion("9 cli-determinism", 600.0):
         # two runs of `verify all` with the default config, byte for byte
-        argv = ["verify", "all", "--format", "json"]
+        argv = GOLDEN.argv
         code_first = run(argv)
         first = capsys.readouterr().out
         code_second = run(argv)
@@ -205,8 +206,7 @@ def test_09_cli_determinism(capsys):
         assert first == second
         assert first  # non-empty report
         # the golden report: the same bytes whatever the representation
-        assert hashlib.sha256(first.encode("utf-8")).hexdigest() == (
-            "77bd72c75de0b2aea75333cf2f9f8eb984169b6b8bc47b4149266438c5da4ddf")
+        assert hashlib.sha256(first.encode("utf-8")).hexdigest() == GOLDEN.sha256
         # exit codes conform to the contract
         assert code_first == code_second == EXIT_OK
         assert run(["verify", "nonexistent-theorem"]) == EXIT_USAGE

@@ -19,6 +19,7 @@ from qgen.identities import SweepConfig, SweepReport, sweep
 from qgen.padic import IntegrandSpec, PadicContext, integrate, truncated_integral
 from qgen.qcore import ONE, RatFuncQ, eval_at
 from qgen.records import compare
+from pins import GOLDEN, PINS
 from readback import Q, denotes, over_cyclotomic, read_canonical, read_fraction
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -510,84 +511,16 @@ class TestUsage:
             EXIT_FAIL, "", "qgen: nonzero remainder in exact binomial division\n")
 
 
-# sha256 of stdout per invocation and format; the invocations reach
-# --at-q, --unnormalized, a residue row at N >= 5, a censored ">=M"
-# valuation, the geometric sum at r = -1 (m = -1) on an exact and a
-# modular level side by side, and a verify grid other than the default
-# one (whose json report tests/test_acceptance.py pins)
-FRONT_DOOR_DIGESTS = {
-    ("verify", "all", "--n-max", "3", "--alpha-max", "2", "--h-max", "2"): {
-        "text": "c1b3c3f005ef73affc8f4405d07c326faaed398d702bcac1e5e649547feba0e1",
-        "json": "76b43ef031cc9de880dc1165fa148c4a79d0b69e9816f0cadd99740fe652663e",
-        "csv": "204e84f7c0a29c0cf09a426abceeb1f435fc56217232aeda48af912f2709fd39",
-    },
-    ("table", "--n-max", "5", "--alpha", "2", "--h", "3", "--x=-1"): {
-        "text": "7df1d7a3f64142a2405496ae539d44e5d6cbcf933a464afe02b806dfcebb56d0",
-        "json": "89dc7e49c9cac4b647bf1c5cda4ef2cc603bdfd77d5e3d5a1b34cbc3c4d9b605",
-        "csv": "9439d57a7ef7ec06a089cbf9c8c6cbec874f9f1cce4aa93ea7fc5512b9c42abc",
-    },
-    ("table", "--n-max", "6", "--alpha", "1", "--h", "2", "--x", "2", "--at-q", "3/2"): {
-        "text": "a9244c9d58dd21f19c628e420fb7b92575987d050c1624143a57433eea96d3b2",
-        "json": "507f2065b89522e2ca978414e76f10f6106ab22288458e394446c1519c73aa95",
-        "csv": "d07215d03a4de57b515072c2fb1ac6dd967bf7c49e3924db983159f748585802",
-    },
-    ("integral", "--p", "3", "--q", "4", "--m", "1", "--coeff=-2:1/2", "--N", "2,4,5",
-     "--unnormalized"): {
-        "text": "1122bbcbc89e4df75fba8a1a3cbef0a2fb676ba67607c1ab07006743d90c6428",
-        "json": "a0190802b44e4f2637d5846192b820058414bfe9a06bf24f7b29e33cb57bfe06",
-        "csv": "f14cb2e23fd64fa5be409a9940797f246c9c013af60ce4f12157fb6d59c790fa",
-    },
-    ("integral", "--p", "5", "--q", "6", "--m", "0", "--coeff", "3:-2/3", "--N", "1,6",
-     "--M", "6"): {
-        "text": "425eb75a99b4644ca99df1e12a4534aa67763f6250c83b0780142435faa1d92f",
-        "json": "14c9f4a1f008b9f3e47a90022889f61f4c836fa0b0607138dc1bc681afd28548",
-        "csv": "ee5eb3841c19bd4e33c695339dc2e7113f35e2a59fd35db76792c08c6ff9d32c",
-    },
-    ("integral", "--p", "5", "--q", "6", "--m", "0", "--coeff=-1:1", "--N", "4,5",
-     "--unnormalized"): {
-        "text": "2f7f2c59b4c8d26796b177383ccdc3d5701dfb34fb862abe5218b5adcee70ac8",
-        "json": "2965f100a1311e7472a6c6770885d883f802ecdf4d29875d7c0b8f8b29c12e20",
-        "csv": "3d3b37ce6b62d9128e587e54d509bce4d181ce248c0fc55cca73a3c4f52132a1",
-    },
-    ("integral", "--p", "7", "--q", "9/2", "--m", "2", "--coeff=-3:2/5", "--N", "0,1,2,3",
-     "--unnormalized"): {
-        "text": "8faa9b9c5428023bf1a4d6bbaf2a891455fcb20ff913e5e208c64712874bb9b7",
-        "json": "a80e003bd6e46e5828844c1dff11a7608fb5bd9c58b60b3dc50cc0f710378aa6",
-        "csv": "f2c8ae80d972d8afc4e5f6db1033866307628bce5e06181cec75d233db1d6d73",
-    },
-    ("bernstein", "--n", "4", "--alpha", "2", "--x", "3"): {
-        "text": "36ee0c5c53bb2841a7f94bd06569656faa338d4100be4ff38f19651e0a075b52",
-        "json": "47adf3c4704744476a50cffd983c7461f38322b118219aa8f95aa8ff143bf3dc",
-        "csv": "b118a1f55e37a5308c4b12fb9d3d0d516a2cb98dc0250ac49800352b88ec177b",
-    },
-    ("bernstein", "--n", "3", "--k", "1", "--x=-2"): {
-        "text": "4141568f5cfb5720a6f97016c4605e1bc203edb88cac98b3ddb9abeac0c1acd8",
-        "json": "902e376a6720c5a08d31af2caef5e36cc25a1291a0659dc26bd331bedf7834ca",
-        "csv": "083a018d4fd390cf9c54fa1bb6c006a441db4a85c2534d39b95492db55eea167",
-    },
-    # every k of a deep basis, away from x in {0, 1} and at x = 1
-    ("bernstein", "--n", "24", "--alpha", "3", "--x=-2"): {
-        "text": "5d38016eb58ed970fce4054e16c9255d68a5ddadb1d1dea5af7b361221d88d48",
-        "json": "bc9e37b10f29c47200fcfe84368e5880fa942bf5b9d39643e0e7644c30f680f1",
-        "csv": "c61151efb26e928f663c4376b04462bb458198f6c33a61f40036096b34f3c3d9",
-    },
-    ("bernstein", "--n", "24", "--alpha", "3", "--x", "1"): {
-        "text": "2b48fa588b446d29fa80110fcbba854285611ea9e2d18b796e8ff304d789c3eb",
-        "json": "153b0c71a215407452466ad0056bbdfb8e6d0bc0e89b5b8cfaa8e00148e42ce9",
-        "csv": "e23b32fccada59508f3db410d775a3929796c20ca2374d56a873847d2fe3081e",
-    },
-}
-
-
-@pytest.mark.parametrize("argv, fmt, digest", [
-    pytest.param(argv, fmt, digest, id=" ".join([*argv, fmt]))
-    for argv, digests in FRONT_DOOR_DIGESTS.items()
-    for fmt, digest in digests.items()
+# the front-door pins, in-process; the golden pin runs in
+# tests/test_acceptance.py, and tests/pins.py runs them all cold
+@pytest.mark.parametrize("pin", [
+    pytest.param(pin, id=pin.command.replace(" --format ", " "))
+    for pin in PINS if pin.tier1 and pin is not GOLDEN
 ])
-def test_report_bytes(capsys, argv, fmt, digest):
-    code, out, err = run_cli(capsys, [*argv, "--format", fmt])
+def test_report_bytes(capsys, pin):
+    code, out, err = run_cli(capsys, pin.argv)
     assert (code, err) == (EXIT_OK, "")
-    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == pin.sha256
 
 
 # every "qgen:" line the CLI prints for bad input, with its exit code;
