@@ -267,12 +267,16 @@ def build_table(n_max: int, w: WeightParams, xs: tuple[int, ...] = (0,)) -> Geno
     cross-checking the closed form: against the recurrence numbers at
     x = 0, where [0]_{q^alpha} = 0 leaves the umbral expansion only its
     k = n term, the recurrence number itself; against the umbral
-    expansion of those numbers elsewhere."""
+    expansion of those numbers elsewhere.
+
+    n is the outer loop: the closed forms at one n and every x integrate
+    over the same moment denominators, and `qcore` keeps only the last
+    table of their cofactors, so each table is built once."""
     table = GenocchiTable()
     for n, value in weighted_genocchi_recurrence(n_max, w).items():
         table.record(n, w, 0, value, ROUTE_RECURRENCE)
-    for x in dict.fromkeys((0, *xs)):
-        for n in range(n_max + 1):
+    for n in range(n_max + 1):
+        for x in dict.fromkeys((0, *xs)):
             table.record(n, w, x, weighted_genocchi_poly_closed(n, w, x), ROUTE_CLOSED)
             table.record(n, w, x, weighted_genocchi_poly_umbral(n, w, x), ROUTE_UMBRAL)
     return table

@@ -34,7 +34,11 @@ against the other side's factors; `**` scales the multiplicities;
 q -> 1/q keeps them.  Multiplying and dividing by Phi_d are sparse
 steps by (1 - q^k).  The lcm of the moment denominators 1 + q^e grows
 from the longest prefix of its sorted exponents already expanded, so a
-table of closed forms expands each lcm once.
+table of closed forms expands each lcm once.  Only the last table of
+cofactors lcm / (1 + q^e) is kept: the calls that share one come in a
+row (the x of one (n, alpha, h), both sides of an identity), and kept
+for every lcm the tables held 64 of the 156 MB that a sweep to n = 30
+keeps.
 
 Values are born canonical.  The constructor takes a Laurent polynomial
 (an int, a Fraction or an ``{exponent: coefficient}`` mapping), and `/`
@@ -309,7 +313,7 @@ def _over_one_plus(shift: int, num, exps) -> "RatFuncQ":
 _one_plus_chain: dict[tuple[int, ...], tuple[Den, tuple[int, ...]]] = {}
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1)
 def _one_plus_lcm(exps: tuple[int, ...]) -> tuple[Den, dict[int, tuple[int, ...]]]:
     """L = lcm of the 1 + q^e over positive exps, and L / (1 + q^e) for
     each e, with L itself at e = 0.
@@ -318,6 +322,13 @@ def _one_plus_lcm(exps: tuple[int, ...]) -> tuple[Den, dict[int, tuple[int, ...]
     It grows from the longest prefix of exps already built (the closed
     form at n and at n + 1 share all exponents but the last): each step
     multiplies the expansion by the Phi_d that the next 1 + q^e adds.
+
+    Only the last table is kept: it holds len(exps) + 1 polynomials of
+    about deg L terms each, too many to keep one per lcm at depth.  The
+    calls that share a table are adjacent (the six x of one (n, alpha, h)
+    in a symmetry check, both sides of shift2, an integral and the closed
+    form after it), and `_one_plus_chain` keeps L expanded, so a table
+    needed again later is only divided out again.
     """
     i = len(exps)
     while i and exps[:i] not in _one_plus_chain:

@@ -123,24 +123,30 @@ PINS = (
     # each theorem run alone prints exactly its rows of it
     Pin("verify all --format csv",
         "7d9cc2569fd2d5b71fee91289b3f6698a9df2d09541e89281d605e532efd1085"),
-    # the --n-max 16 and --n-max 20 json reports (10,148,080 and
-    # 21,831,040 bytes) reach longer numerators and larger Phi_d than the
+    # the --n-max 16, 20 and 30 json reports (10,148,080, 21,831,040 and
+    # 102,622,638 bytes) reach longer numerators and larger Phi_d than the
     # default grid, where a reducer that cancels a factor it should not,
-    # or misses one, changes bytes.  The --n-max 20 run also guards the
-    # streamed write: it peaks near 68 MB where the report built as one
-    # string peaked near 135 MB, so it fails above 85 MB
+    # or misses one, changes bytes.  The --n-max 20 and 30 bounds guard
+    # two memory cuts: the streamed write (built as one string, --n-max
+    # 20 peaked near 135 MB) and the moment kernel's one cofactor table
+    # (kept for every lcm, the tables took --n-max 20 to 65-68 MB and
+    # --n-max 30 to 238-241 MB, where the runs now peak at 52-55 and
+    # 170-173 MB on Pythons 3.10 to 3.13)
     Pin("verify all --n-max 16 --format json",
         "5c7ff9f12376aa4ca595b56590454d16cef51fceb6614b57dcbd5f60e7c01fe1"),
     Pin("verify all --n-max 20 --format json",
-        "5198167a34ba4924cbfd17b45497559d4455b8b6735717a31516da2e72fd923d", max_rss_mb=85),
+        "5198167a34ba4924cbfd17b45497559d4455b8b6735717a31516da2e72fd923d", max_rss_mb=60),
+    Pin("verify all --n-max 30 --format json",
+        "9de90138a5685c9092e59cc99a643da37e397d8ef02787740890bcc3453db472", max_rss_mb=200),
     # the integral checks at weights 4 to 6: they integrate
     # [1 - xi]_{q^-alpha}^n, a spec with a negative scale and sign -1, over
     # a prefactor with Phi_4, Phi_5 or Phi_6, which the default grid
-    # (alpha <= 3) never builds
+    # (alpha <= 3) never builds.  Each peaks at 21-25 MB with one
+    # cofactor table kept, 28-33 MB with one per lcm
     Pin("verify integral-reflect --n-max 12 --alpha-max 6 --h-max 4 --format json",
-        "a16cb36ec448ff1af83e995246ebad964277c3e79cac4e567a8b19110741caa8"),
+        "a16cb36ec448ff1af83e995246ebad964277c3e79cac4e567a8b19110741caa8", max_rss_mb=27),
     Pin("verify integral-shift --n-max 12 --alpha-max 6 --h-max 4 --format json",
-        "acfd85d5cd45aa8a130d2abb35a4e4661248ed5844af25c1a7d8ff003b07fe26"),
+        "acfd85d5cd45aa8a130d2abb35a4e4661248ed5844af25c1a7d8ff003b07fe26", max_rss_mb=27),
     # the demos use the public API; an API change that breaks one, or a
     # change to what one prints, fails here
     Pin("demos/genocchi_tables.py",

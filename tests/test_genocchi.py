@@ -427,6 +427,19 @@ class TestTable:
         with pytest.raises(ArithmeticError, match="route disagreement at"):
             table.record(2, w, 0, ONE, "bogus-route")
 
+    def test_each_moment_table_built_once(self):
+        # the closed forms at one n and every x share their moment
+        # denominators; with n the outer loop, n = 1..12 build 12 tables of
+        # cofactors, where x outside would build each twice (24)
+        from qgen import qcore
+        from qgen.genocchi import _closed
+
+        _closed.cache_clear()
+        _one_plus_lcm.cache_clear()
+        qcore._one_plus_chain.clear()
+        build_table(12, W(3, 3), xs=(2,))
+        assert _one_plus_lcm.cache_info().misses == 12
+
     def test_entries_sorted(self):
         table = build_table(3, W(1, 1), xs=(0,))
         keys = [key for key, _, _ in table.entries()]

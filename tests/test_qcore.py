@@ -748,6 +748,22 @@ class TestSumOverOnePlus:
             assert got == (ONE - Q) ** k * (ONE + Q) ** (k - 1)
             assert den_view(got) == {0: 1}
 
+    def test_only_the_last_table_is_kept(self):
+        # integrals over other exponent sets, A then B then A again: the
+        # cache holds B's table alone when A comes back, so A's is rebuilt
+        # (from the lcm prefixes _one_plus_chain keeps) and gives A again
+        from qgen.padic import bracket_power_integrand, integrate
+
+        _one_plus_lcm.cache_clear()
+        qcore._one_plus_chain.clear()
+        a = bracket_power_integrand(2, 3, 6, exp_shift=2)  # exponents 3, 6, ..., 21
+        b = bracket_power_integrand(-1, 2, 5)  # exponents 1, 3, ..., 11
+        first = integrate(a)
+        integrate(b)
+        assert integrate(a) == first
+        info = _one_plus_lcm.cache_info()
+        assert (info.currsize, info.misses) == (1, 3)
+
 
 class TestOverOnePlus:
     """The cyclotomic strip against a reduction by the PRS gcd."""
