@@ -20,11 +20,11 @@ check makes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Sequence
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
-from typing import Sequence, Union
 
 from qgen.qcore import (
     ONE,
@@ -47,20 +47,20 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class BernsteinIndex:
-    k: int
-    n: int
-    alpha: int
+class BernsteinIndex(namedtuple("BernsteinIndex", "k n alpha")):
+    """Index k, degree n and weight alpha of a basis element."""
 
-    def __post_init__(self):
-        _require_int("basis", k=self.k, n=self.n, alpha=self.alpha)
-        if self.n < 0 or self.k < 0:
+    __slots__ = ()
+
+    def __new__(cls, k: int, n: int, alpha: int):
+        _require_int("basis", k=k, n=n, alpha=alpha)
+        if n < 0 or k < 0:
             raise IndexError("basis indices must be nonnegative")
-        if self.k > self.n:
-            raise IndexError(f"basis index k={self.k} exceeds degree n={self.n}")
-        if self.alpha < 1:
+        if k > n:
+            raise IndexError(f"basis index k={k} exceeds degree n={n}")
+        if alpha < 1:
             raise ValueError("weight alpha must be a positive integer")
+        return super().__new__(cls, k, n, alpha)
 
 
 @lru_cache(maxsize=2)
@@ -102,7 +102,7 @@ def bernstein_symmetry_check(idx: BernsteinIndex, x: int) -> VerificationRecord:
     return compare("bernstein-symmetry", params, lhs, rhs)
 
 
-def bernstein_operator(samples: Sequence[Union[Fraction, int]], n: int, alpha: int,
+def bernstein_operator(samples: Sequence[Fraction | int], n: int, alpha: int,
                        x: int) -> RatFuncQ:
     """Weighted q-Bernstein operator applied to sampled values.
 

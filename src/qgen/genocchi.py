@@ -36,7 +36,7 @@ numbers reproduces the classical Genocchi integers generated by
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
@@ -79,23 +79,22 @@ ROUTE_RECURRENCE = "recurrence"
 ROUTE_UMBRAL = "umbral"
 
 
-@dataclass(frozen=True)
-class WeightParams:
+class WeightParams(namedtuple("WeightParams", "alpha h")):
     """Weight alpha >= 1 and auxiliary exponent h >= 1.
 
     alpha = 0 degenerates the defining bracket ([x]_{q^0} is 0/0) and is
     rejected even though weight 0 formally appears in the literature.
     """
 
-    alpha: int
-    h: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        _require_int("weight", alpha=self.alpha, h=self.h)
-        if self.alpha < 1:
+    def __new__(cls, alpha: int, h: int):
+        _require_int("weight", alpha=alpha, h=h)
+        if alpha < 1:
             raise ValueError("weight alpha must be a positive integer")
-        if self.h < 1:
+        if h < 1:
             raise ValueError("h must be a positive integer")
+        return super().__new__(cls, alpha, h)
 
 
 @lru_cache(maxsize=None)

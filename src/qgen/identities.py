@@ -18,7 +18,7 @@ memoized neighbours.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field, replace
+from collections import namedtuple
 from functools import lru_cache
 from itertools import product
 
@@ -176,21 +176,26 @@ def verify_bernstein_double(n1: int, n2: int, k: int, w: WeightParams) -> Verifi
 _BERNSTEIN_WEIGHT_MAX = 2
 
 
-@dataclass(frozen=True)
-class SweepConfig:
+# SweepConfig's fields, each an int, with their defaults
+_SWEEP_BOUNDS = {
+    "n_max": 8,           # symmetry, integral-shift and bernstein-single
+    "scalar_n_max": 10,   # shift2 and integral-reflect
+    "alpha_max": 3,
+    "h_max": 3,
+    "x_min": -2,          # symmetry's x range
+    "x_max": 3,
+    "pair_n_max": 4,      # bernstein-double's n1 and n2
+    "multi_n_max": 3,     # bernstein-multi's n_i
+    "s_max": 3,           # bernstein-multi's number of factors
+}
+
+
+class SweepConfig(namedtuple("SweepConfig", _SWEEP_BOUNDS, defaults=_SWEEP_BOUNDS.values())):
     """The upper bounds of every verifier's grid; the theorem table fixes
     where each grid starts.  A range whose max is below its floor adds no
     records.  Shrink the maxima for quicker runs."""
 
-    n_max: int = 8            # symmetry, integral-shift and bernstein-single
-    scalar_n_max: int = 10    # shift2 and integral-reflect
-    alpha_max: int = 3
-    h_max: int = 3
-    x_min: int = -2           # symmetry's x range
-    x_max: int = 3
-    pair_n_max: int = 4       # bernstein-double's n1 and n2
-    multi_n_max: int = 3      # bernstein-multi's n_i
-    s_max: int = 3            # bernstein-multi's number of factors
+    __slots__ = ()
 
     def capped(self, n_max: int | None = None, **bounds: int | None) -> SweepConfig:
         """The config under the CLI's caps, each None left out: n_max sets
@@ -201,12 +206,12 @@ class SweepConfig:
             updates.update(n_max=n_max, scalar_n_max=n_max,
                            pair_n_max=min(self.pair_n_max, n_max),
                            multi_n_max=min(self.multi_n_max, n_max))
-        return replace(self, **updates)
+        return self._replace(**updates)
 
     def echo(self) -> dict[str, int]:
         """Every bound of the grids by name, as the report's config echo
         prints it: the fields, the table's floors and the derived maxima."""
-        return {**asdict(self), "n_min": 0, "scalar_n_min": 0, "alpha_min": 1, "h_min": 1,
+        return {**self._asdict(), "n_min": 0, "scalar_n_min": 0, "alpha_min": 1, "h_min": 1,
                 "pair_n_min": 1, "multi_n_min": 1, "s_min": 2, "single_n_max": self.n_max,
                 "product_alpha_max": min(_BERNSTEIN_WEIGHT_MAX, self.alpha_max),
                 "product_h_max": min(_BERNSTEIN_WEIGHT_MAX, self.h_max)}
@@ -253,14 +258,17 @@ _GRIDS = {
 THEOREMS = tuple(_GRIDS)
 
 
-@dataclass(frozen=True)
-class SweepReport:
+class SweepReport(namedtuple("SweepReport", "records summary boundaries")):
     """Deterministically ordered records plus per-theorem summary counts
-    and the detected domain boundaries (status flips along n)."""
+    and the detected domain boundaries (status flips along n).  A report
+    built without a summary gets an empty dict of its own."""
 
-    records: tuple[VerificationRecord, ...]
-    summary: dict[str, dict[str, int]] = field(default_factory=dict)
-    boundaries: tuple[dict, ...] = ()
+    __slots__ = ()
+
+    def __new__(cls, records: tuple[VerificationRecord, ...],
+                summary: dict[str, dict[str, int]] | None = None,
+                boundaries: tuple[dict, ...] = ()):
+        return super().__new__(cls, records, {} if summary is None else summary, boundaries)
 
 
 def _summarize(records: tuple[VerificationRecord, ...]) -> dict[str, dict[str, int]]:

@@ -46,10 +46,10 @@ one adopted throughout; `integrate` and the truncated sums take
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Iterable, Mapping
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Mapping, Union
 
 from qgen.qcore import (
     RatFuncQ,
@@ -80,7 +80,7 @@ __all__ = [
     "vp",
 ]
 
-CoeffLike = Union[RatFuncQ, Fraction, int]
+CoeffLike = RatFuncQ | Fraction | int
 
 # a truncated sum is exact at levels N <= _EXACT_MAX_N with p^N <= _EXACT_MAX_COUNT
 # (read only by PadicContext.exact); the exact sum has about p^N digits
@@ -125,7 +125,7 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-def vp(r: Union[Fraction, int], p: int) -> int:
+def vp(r: Fraction | int, p: int) -> int:
     """p-adic valuation of a nonzero rational (|r|_p = p^-vp(r))."""
     if not isinstance(r, (int, Fraction)):
         raise TypeError(f"vp expects an int or a Fraction, got {r!r}")
@@ -142,35 +142,32 @@ def vp(r: Union[Fraction, int], p: int) -> int:
     return v
 
 
-@dataclass(frozen=True)
-class PadicContext:
+class PadicContext(namedtuple("PadicContext", "p N q M")):
     """Odd prime p, truncation level N, working precision M, and a
-    rational q with v_p(q - 1) >= 1 and a p-free denominator."""
+    rational q with v_p(q - 1) >= 1 and a p-free denominator.  q is
+    stored as a Fraction, and M defaults to N + 4 guard digits."""
 
-    p: int
-    N: int
-    q: Fraction
-    M: int | None = None  # None means N + 4 guard digits
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not all(isinstance(v, int) for v in (self.p, self.N, self.M) if v is not None):
-            raise TypeError(f"p, N and M must be ints, got {self.p!r}, {self.N!r}, {self.M!r}")
-        if not isinstance(self.q, (int, Fraction)):
-            raise TypeError(f"q must be an int or a Fraction, got {self.q!r}")
-        if self.p < 3 or not _is_prime(self.p):
+    def __new__(cls, p: int, N: int, q: Fraction | int, M: int | None = None):
+        if not all(isinstance(v, int) for v in (p, N, M) if v is not None):
+            raise TypeError(f"p, N and M must be ints, got {p!r}, {N!r}, {M!r}")
+        if not isinstance(q, (int, Fraction)):
+            raise TypeError(f"q must be an int or a Fraction, got {q!r}")
+        if p < 3 or not _is_prime(p):
             raise ValueError("p must be an odd prime")
-        if self.N < 0:
+        if N < 0:
             raise ValueError("truncation level must be nonnegative")
-        q = Fraction(self.q)
-        object.__setattr__(self, "q", q)
-        if q.denominator % self.p == 0:
+        q = Fraction(q)
+        if q.denominator % p == 0:
             raise ValueError("q must have a p-free denominator")
-        if q == 1 or vp(q - 1, self.p) < 1:
+        if q == 1 or vp(q - 1, p) < 1:
             raise ValueError("q must satisfy v_p(q - 1) >= 1")
-        if self.M is None:
-            object.__setattr__(self, "M", self.N + 4)
-        if self.M < self.N:
+        if M is None:
+            M = N + 4
+        if M < N:
             raise ValueError("working precision M must be at least N")
+        return super().__new__(cls, p, N, q, M)
 
     @property
     def exact(self) -> bool:
@@ -390,25 +387,23 @@ def truncated_reading(value: Fraction, limit: Fraction, ctx: PadicContext) -> tu
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ConvergenceTrace:
+class ConvergenceTrace(namedtuple("ConvergenceTrace", "p q entries limit constant")):
     """Valuations of S_N(f) - L for increasing N, against the exact limit L.
 
-    ``constant`` is the smallest C with vp(S_N - L) >= N - C across the
-    trace (None when every difference vanished exactly).
+    p is an int, q and ``limit`` are Fractions, ``entries`` holds one
+    (N, vp(S_N - L)) pair per level, the valuation ``math.inf`` where the
+    difference vanished, and ``constant`` is the smallest C with
+    vp(S_N - L) >= N - C across the trace (None when every difference
+    vanished exactly).
     """
 
-    p: int
-    q: Fraction
-    entries: tuple[tuple[int, float], ...]
-    limit: Fraction
-    constant: int | None
+    __slots__ = ()
 
     def valuations(self) -> list[float]:
         return [v for _, v in self.entries]
 
 
-def convergence_probe(spec: IntegrandSpec, p: int, q: Union[Fraction, int],
+def convergence_probe(spec: IntegrandSpec, p: int, q: Fraction | int,
                       N_list: Iterable[int], M: int | None = None) -> ConvergenceTrace:
     """Measure vp(S_N(f) - L) for each N, where L is the exact symbolic
     integral evaluated at q, and check it against the a-priori bound

@@ -53,12 +53,11 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from contextlib import suppress
+from collections.abc import Mapping
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
 from operator import add, or_, sub
-from typing import Mapping, Union
 
 __all__ = [
     "PoleError",
@@ -71,7 +70,7 @@ __all__ = [
     "qbracket",
 ]
 
-Rational = Union[Fraction, int]
+Rational = Fraction | int
 # ((d, m_d), ...): prod Phi_d^m_d with d increasing and every m_d >= 1
 Den = tuple[tuple[int, int], ...]
 
@@ -265,9 +264,11 @@ def _divide_out(num, den: Den, cands: Den) -> tuple[list[int], Den]:
     except ArithmeticError:  # a count ran over, and a later one may be short
         for d, m in cands:
             counts[d] = 0
-            with suppress(ArithmeticError):
+            try:
                 while counts[d] < m:
                     num, counts[d] = _times_cyclotomic(num, ((d, -1),)), counts[d] + 1
+            except ArithmeticError:  # Phi_d divides num counts[d] times
+                pass
     return num, tuple((d, m - counts.get(d, 0)) for d, m in den if m > counts.get(d, 0))
 
 

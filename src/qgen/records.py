@@ -9,7 +9,7 @@ substituted silently.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from qgen.qcore import RatFuncQ
 
@@ -23,13 +23,11 @@ BOUNDARY_FAIL = "BOUNDARY-FAIL"
 Params = tuple[tuple[str, object], ...]
 
 
-@dataclass(frozen=True)
-class VerificationRecord:
-    theorem: str
-    params: Params
-    lhs: RatFuncQ
-    rhs: RatFuncQ
-    status: str
+class VerificationRecord(namedtuple("VerificationRecord", "theorem params lhs rhs status")):
+    """One checked point: theorem (str), params (Params), both sides
+    (RatFuncQ) and the status (str)."""
+
+    __slots__ = ()
 
     @property
     def passed(self) -> bool:

@@ -10,8 +10,9 @@ The rest are too slow for tier-1 and run only here, in CI.
 Run as a script, this module runs every pin cold, one at a time, as
 `python -W error ...` in the caller's environment (so PYTHONPATH and
 PYTHONHASHSEED reach the child).  It hashes the child's stdout as it
-streams and reads the child's peak resident set size from os.wait4
-(MB = 10^6 bytes).  It prints one line per pin, and exits 1 if any pin
+streams and reads the child's peak resident set size (MB = 10^6 bytes)
+through a `python -S` trampoline, so that the peak is the pin's own and
+not this runner's.  It prints one line per pin, and exits 1 if any pin
 prints other bytes, exits nonzero, peaks over its bound, or did not run:
 
     PYTHONHASHSEED=1 PYTHONPATH=src python tests/pins.py
@@ -158,6 +159,21 @@ PINS = (
 )
 
 
+# On Linux a child's ru_maxrss is at least the high-water mark of the
+# process that spawned it: the child starts from that process's memory,
+# and its exec keeps the mark.  So the runner spawns each pin from a
+# small `python -S` process (about 10 MB), which waits for the pin and
+# writes its exit code and ru_maxrss (KiB on Linux) to the fd argv[1]
+TRAMPOLINE = """\
+import os, sys
+fd = int(sys.argv[1])
+pid = os.posix_spawn(sys.argv[2], sys.argv[2:], os.environ,
+                     file_actions=[(os.POSIX_SPAWN_CLOSE, fd)])
+_, status, usage = os.wait4(pid, 0)
+os.write(fd, b"%d %d" % (os.waitstatus_to_exitcode(status), usage.ru_maxrss))
+"""
+
+
 def check(pin: Pin) -> tuple[float, list[str]]:
     """Run one pin cold; return its peak in MB and what failed (empty if it holds)."""
     if pin.command.endswith(".py"):
@@ -165,15 +181,19 @@ def check(pin: Pin) -> tuple[float, list[str]]:
     else:
         argv = [sys.executable, "-W", "error", "-m", "qgen.cli", *pin.argv]
     digest = hashlib.sha256()
-    with subprocess.Popen(argv, stdin=subprocess.DEVNULL, stdout=subprocess.PIPE) as proc:
-        for chunk in iter(lambda: proc.stdout.read(1 << 16), b""):
-            digest.update(chunk)
-        _, status, usage = os.wait4(proc.pid, 0)
-        proc.returncode = code = os.waitstatus_to_exitcode(status)
-    # ru_maxrss is in KiB on Linux.  The child starts from this process's
-    # memory and its exec keeps that high-water mark, so no peak reads
-    # below this runner's own (about 20 MB)
-    peak_mb = usage.ru_maxrss * 1024 / 1e6
+    read_fd, write_fd = os.pipe()
+    with open(read_fd, "rb") as result:
+        with subprocess.Popen([sys.executable, "-S", "-c", TRAMPOLINE, str(write_fd), *argv],
+                              stdin=subprocess.DEVNULL, stdout=subprocess.PIPE,
+                              pass_fds=(write_fd,)) as proc:
+            os.close(write_fd)
+            for chunk in iter(lambda: proc.stdout.read(1 << 16), b""):
+                digest.update(chunk)
+        reading = result.read().split()
+    if proc.returncode or len(reading) != 2:
+        return 0.0, [f"trampoline exit {proc.returncode}"]
+    code, peak_kib = map(int, reading)
+    peak_mb = peak_kib * 1024 / 1e6
     failures = []
     if code:
         failures.append(f"exit {code}")

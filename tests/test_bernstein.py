@@ -1,5 +1,6 @@
 """Weighted q-Bernstein basis: values, symmetry, completeness, operator."""
 
+import re
 import time
 from fractions import Fraction
 from math import comb
@@ -29,11 +30,12 @@ class TestBasisValues:
         assert got == RatFuncQ({1: -2, 2: -2})
 
     def test_index_validation(self):
-        with pytest.raises(IndexError):
+        with pytest.raises(IndexError, match="^basis index k=3 exceeds degree n=2$"):
             BernsteinIndex(3, 2, 1)
-        with pytest.raises(IndexError):
-            BernsteinIndex(-1, 2, 1)
-        with pytest.raises(ValueError):
+        for k, n in ((-1, 2), (0, -1)):
+            with pytest.raises(IndexError, match="^basis indices must be nonnegative$"):
+                BernsteinIndex(k, n, 1)
+        with pytest.raises(ValueError, match="^weight alpha must be a positive integer$"):
             BernsteinIndex(0, 2, 0)
 
     @pytest.mark.parametrize("alpha", range(1, 5))
@@ -63,9 +65,10 @@ class TestBasisValues:
     @pytest.mark.parametrize("bad", [2.0, Fraction(2), "2"])
     def test_non_int_index(self, bad):
         # k, n and alpha in turn, each refused after the int index
-        for fields in ((bad, 2, 2), (1, bad, 2), (1, 2, bad)):
+        for name, fields in (("k", (bad, 2, 2)), ("n", (1, bad, 2)), ("alpha", (1, 2, bad))):
             bernstein_poly(BernsteinIndex(*(2 if f is bad else f for f in fields)), 3)
-            with pytest.raises(TypeError):
+            message = f"^basis {name} must be an int, got {re.escape(repr(bad))}$"
+            with pytest.raises(TypeError, match=message):
                 BernsteinIndex(*fields)
         bernstein_operator([1, 1, 1], 2, 1, 3)
         with pytest.raises(TypeError):

@@ -587,6 +587,12 @@ class TestSerializeReport:
         assert payload["summary"] == {}
         assert payload["config-echo"] == {"theorem": "all"}
         assert "tool-version" in payload
+        # byte for byte in every format
+        assert text == ('{\n  "boundaries": [],\n  "config-echo": {\n    "theorem": "all"\n  },\n'
+                        f'  "records": [],\n  "summary": {{}},\n  "tool-version": "{__version__}"\n}}\n')
+        assert serialize_report(SweepReport(records=()), "csv") == "theorem,params,status,lhs,rhs\n"
+        assert serialize_report(SweepReport(records=()), "text") == \
+            f"qgen {__version__} verification report\n\nsummary:\n"
 
     def test_record_round_trip(self):
         rec = compare("demo", (("n", 1), ("alpha", 1)), ONE + Q, ONE + Q)

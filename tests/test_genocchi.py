@@ -2,6 +2,7 @@
 classical limit, and the unweighted specializations."""
 
 import os
+import re
 import subprocess
 import sys
 import time
@@ -448,14 +449,15 @@ class TestTable:
 
 class TestWeightParams:
     def test_rejects_zero_weight(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^weight alpha must be a positive integer$"):
             W(0, 1)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^h must be a positive integer$"):
             W(1, 0)
 
     @pytest.mark.parametrize("bad", [2.0, Fraction(2), "2"])
     def test_rejects_non_int(self, bad):
         # refused at construction, not later inside the cyclotomic divisors
-        for args in ((bad, 1), (1, bad)):
-            with pytest.raises(TypeError):
+        for name, args in (("alpha", (bad, 1)), ("h", (1, bad))):
+            message = f"^weight {name} must be an int, got {re.escape(repr(bad))}$"
+            with pytest.raises(TypeError, match=message):
                 W(*args)

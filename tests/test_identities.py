@@ -322,6 +322,27 @@ class TestSweep:
         report = sweep(SweepConfig(n_max=3), only=("bernstein-single",))
         assert max(dict(rec.params)["n"] for rec in report.records) == 3
 
+    def test_config_defaults_caps_and_echo(self):
+        defaults = {"n_max": 8, "scalar_n_max": 10, "alpha_max": 3, "h_max": 3, "x_min": -2,
+                    "x_max": 3, "pair_n_max": 4, "multi_n_max": 3, "s_max": 3}
+        config = SweepConfig()
+        assert {name: getattr(config, name) for name in defaults} == defaults
+        # capped: n_max sets the main ranges and only shrinks the pair and
+        # multi ones, the other bounds are set as given, None changes nothing
+        assert config.capped() == config
+        assert config.capped(5) == SweepConfig(n_max=5, scalar_n_max=5)
+        capped = config.capped(2, alpha_max=1, h_max=None, s_max=4)
+        assert capped == SweepConfig(n_max=2, scalar_n_max=2, alpha_max=1, pair_n_max=2,
+                                     multi_n_max=2, s_max=4)
+        assert type(capped) is SweepConfig and config == SweepConfig()
+        # the echo: the fields in order, then the floors, then the derived maxima
+        assert list(capped.echo().items()) == [
+            ("n_max", 2), ("scalar_n_max", 2), ("alpha_max", 1), ("h_max", 3), ("x_min", -2),
+            ("x_max", 3), ("pair_n_max", 2), ("multi_n_max", 2), ("s_max", 4),
+            ("n_min", 0), ("scalar_n_min", 0), ("alpha_min", 1), ("h_min", 1),
+            ("pair_n_min", 1), ("multi_n_min", 1), ("s_min", 2), ("single_n_max", 2),
+            ("product_alpha_max", 1), ("product_h_max", 2)]
+
     @pytest.mark.parametrize("config", [SweepConfig(), SMALL_CONFIG,
                                         SweepConfig(n_max=3, alpha_max=1, h_max=5)])
     def test_echo_bounds_the_grids(self, config):
@@ -385,6 +406,14 @@ class TestUnresolvedFailures:
         # a failure gates, a boundary probe does not
         report = SweepReport(records=(failing, boundary))
         assert unresolved_failures(report) == [failing]
+
+    def test_reports_do_not_share_a_summary(self):
+        from qgen.identities import SweepReport
+
+        first, second = SweepReport(records=()), SweepReport(())
+        assert first.summary == second.summary == {} and first.boundaries == ()
+        first.summary["demo"] = {"total": 0}
+        assert second.summary == {}
 
     @pytest.fixture
     def perturbed_g4(self, monkeypatch):

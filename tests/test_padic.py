@@ -2,6 +2,7 @@
 diagnostics, and the q-shift functional equation."""
 
 import random
+import re
 import time
 from fractions import Fraction
 from math import comb
@@ -199,25 +200,41 @@ class TestContext:
     def test_defaults(self):
         ctx = PadicContext(p=3, N=2, q=Fraction(4))
         assert ctx.M == 6  # N + 4 guard digits
+        # an int q is stored as a Fraction, by keyword or by position
+        for ctx in (PadicContext(p=5, N=3, q=6), PadicContext(5, 3, 6)):
+            assert type(ctx.q) is Fraction and ctx.q == 6 and ctx.M == 7
 
-    @pytest.mark.parametrize("kwargs, error", [
-        pytest.param(dict(p=2, N=1, q=Fraction(3)), ValueError, id="even-prime"),
-        pytest.param(dict(p=9, N=1, q=Fraction(10)), ValueError, id="not-prime"),
-        pytest.param(dict(p=3, N=1, q=Fraction(2)), ValueError, id="q-not-1-mod-p"),
-        pytest.param(dict(p=3, N=1, q=Fraction(1)), ValueError, id="q-is-1"),
-        pytest.param(dict(p=3, N=1, q=Fraction(4, 3)), ValueError, id="p-in-denominator"),
-        pytest.param(dict(p=3, N=3, q=Fraction(4), M=1), ValueError, id="M-below-N"),
-        pytest.param(dict(p=3, N=1, q=Fraction(4), M=-1), ValueError, id="M-negative"),
-        pytest.param(dict(p=3, N=-1, q=Fraction(4)), ValueError, id="N-negative"),
+    @pytest.mark.parametrize("kwargs, error, message", [
+        pytest.param(dict(p=2, N=1, q=Fraction(3)), ValueError, "p must be an odd prime",
+                     id="even-prime"),
+        pytest.param(dict(p=9, N=1, q=Fraction(10)), ValueError, "p must be an odd prime",
+                     id="not-prime"),
+        pytest.param(dict(p=3, N=1, q=Fraction(2)), ValueError,
+                     "q must satisfy v_p(q - 1) >= 1", id="q-not-1-mod-p"),
+        pytest.param(dict(p=3, N=1, q=Fraction(1)), ValueError,
+                     "q must satisfy v_p(q - 1) >= 1", id="q-is-1"),
+        pytest.param(dict(p=3, N=1, q=Fraction(4, 3)), ValueError,
+                     "q must have a p-free denominator", id="p-in-denominator"),
+        pytest.param(dict(p=3, N=3, q=Fraction(4), M=1), ValueError,
+                     "working precision M must be at least N", id="M-below-N"),
+        pytest.param(dict(p=3, N=1, q=Fraction(4), M=-1), ValueError,
+                     "working precision M must be at least N", id="M-negative"),
+        pytest.param(dict(p=3, N=-1, q=Fraction(4)), ValueError,
+                     "truncation level must be nonnegative", id="N-negative"),
         # inexact input is refused at construction, not read as a nearby value
-        pytest.param(dict(p=3, N=2.5, q=4), TypeError, id="float-N"),
-        pytest.param(dict(p=3, N=2, q=4, M=6.5), TypeError, id="float-M"),
-        pytest.param(dict(p=3.0, N=2, q=4), TypeError, id="float-p"),
-        pytest.param(dict(p=3, N=2, q="4"), TypeError, id="string-q"),
-        pytest.param(dict(p=3, N=2, q=4.0), TypeError, id="float-q"),
+        pytest.param(dict(p=3, N=2.5, q=4), TypeError,
+                     "p, N and M must be ints, got 3, 2.5, None", id="float-N"),
+        pytest.param(dict(p=3, N=2, q=4, M=6.5), TypeError,
+                     "p, N and M must be ints, got 3, 2, 6.5", id="float-M"),
+        pytest.param(dict(p=3.0, N=2, q=4), TypeError,
+                     "p, N and M must be ints, got 3.0, 2, None", id="float-p"),
+        pytest.param(dict(p=3, N=2, q="4"), TypeError,
+                     "q must be an int or a Fraction, got '4'", id="string-q"),
+        pytest.param(dict(p=3, N=2, q=4.0), TypeError,
+                     "q must be an int or a Fraction, got 4.0", id="float-q"),
     ])
-    def test_validation(self, kwargs, error):
-        with pytest.raises(error):
+    def test_validation(self, kwargs, error, message):
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
             PadicContext(**kwargs)
 
 

@@ -3,6 +3,7 @@
 import ast
 import hashlib
 import re
+import resource
 from pathlib import Path
 
 from qgen.cli import EXIT_OK, run as qgen_run
@@ -56,3 +57,19 @@ def test_runner_fails_each_broken_pin(capsys, monkeypatch):
         assert line.startswith("FAIL") and line.endswith(f"{pin.command}  ({failure})")
         assert summary == "0 of 1 pins hold"
     assert pins.PINS == real
+
+
+def test_peak_is_the_pins_own(capsys, monkeypatch):
+    # a child's ru_maxrss starts at the high-water mark of the process
+    # that spawns it; the runner's trampoline keeps this process's 64 MB
+    # or more out of a small pin's peak (16-20 MB on its own)
+    monkeypatch.setenv("PYTHONPATH", SRC)
+    command = "bernstein --n 1 --format json"
+    assert qgen_run(command.split(" ")) == EXIT_OK
+    digest = hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest()
+    block = b"\x01" * 64_000_000
+    del block
+    assert resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024 / 1e6 >= 64
+    peak_mb, failures = pins.check(Pin(command, digest))
+    assert failures == []
+    assert 5 < peak_mb < 40
