@@ -51,7 +51,7 @@ from qgen.padic import (
 from qgen.qcore import PoleError, eval_at, fraction_text
 from qgen.records import FAIL, PASS
 
-__all__ = ["build_parser", "console_main", "run", "serialize_report"]
+__all__ = ["console_main", "run", "serialize_report"]
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -188,8 +188,7 @@ def _csv_chunks(header: list[str], rows: Iterable[list[str]]) -> Iterator[str]:
         yield writer.writerow(row)
 
 
-def _report_chunks(report: SweepReport, fmt: str,
-                   config_echo: dict | None = None) -> Iterable[str]:
+def _report_chunks(report: SweepReport, fmt: str, config_echo: dict) -> Iterable[str]:
     """A sweep report as str chunks, in order; byte-stable for identical inputs."""
     if fmt == "text":  # status, theorem and params only: no side is rendered
         lines = [f"qgen {__version__} verification report"]
@@ -216,7 +215,7 @@ def _report_chunks(report: SweepReport, fmt: str,
                    for rec, (lhs, rhs) in zip(report.records, _sides(report.records))]
         return _json_chunks({
             "tool-version": __version__,
-            "config-echo": config_echo or {},
+            "config-echo": config_echo,
             "records": records,
             "summary": report.summary,
             "boundaries": list(report.boundaries),
@@ -228,7 +227,7 @@ def _report_chunks(report: SweepReport, fmt: str,
     raise ValueError(f"unknown format: {fmt!r}")
 
 
-def serialize_report(report: SweepReport, fmt: str, config_echo: dict | None = None) -> str:
+def serialize_report(report: SweepReport, fmt: str, config_echo: dict) -> str:
     """Render a sweep report as one string: the chunks `run` writes, joined."""
     return "".join(_report_chunks(report, fmt, config_echo))
 

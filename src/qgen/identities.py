@@ -10,8 +10,8 @@ PASS/FAIL records, and every FAIL gates regressions; probes outside it
 (e.g. the shift identity below its stated n > 1) are recorded with
 BOUNDARY-* statuses and never gate.  The single, double and s-fold
 Bernstein identities all reduce to one equation in D = sum(n_i) and
-K = s k.  Its two sides are alternating binomial sums, read from two
-Pascal-rule tables per w: the j-th differences of g_i / i and the k-th
+K = s k.  Its two sides are forward differences, read from one
+Pascal-rule table: the (D - K)-th differences of g_i / i and the K-th
 differences of the reflected values, each entry one subtraction of two
 memoized neighbours.
 """
@@ -103,28 +103,25 @@ def verify_integral_reflect(n: int, w: WeightParams) -> VerificationRecord:
     return compare("integral-reflect", params, lhs, _reflected(n, w), boundary=(n < 1))
 
 
+def _moment(i: int, w: WeightParams) -> RatFuncQ:
+    # g_i / i, the moments the left side takes differences of
+    return weighted_genocchi_number(i, w) / i
+
+
 @lru_cache(maxsize=None)
-def _moment_difference(j: int, i: int, w: WeightParams) -> RatFuncQ:
-    # sum_{l=0}^{j} (-1)^l C(j, l) g_{i+l} / (i+l), by Pascal's rule
+def _difference(seq, j: int, i: int, w: WeightParams) -> RatFuncQ:
+    # sum_{l=0}^{j} (-1)^l C(j, l) seq(i + l, w), by Pascal's rule
     if j == 0:
-        return weighted_genocchi_number(i, w) / i
-    return _moment_difference(j - 1, i, w) - _moment_difference(j - 1, i + 1, w)
-
-
-@lru_cache(maxsize=None)
-def _reflected_difference(k: int, d: int, w: WeightParams) -> RatFuncQ:
-    # sum_{l=0}^{k} (-1)^(k+l) C(k, l) _reflected(d - l), by Pascal's rule
-    if k == 0:
-        return _reflected(d, w)
-    return _reflected_difference(k - 1, d - 1, w) - _reflected_difference(k - 1, d, w)
+        return seq(i, w)
+    return _difference(seq, j - 1, i, w) - _difference(seq, j - 1, i + 1, w)
 
 
 def _bernstein_sides(D: int, K: int, w: WeightParams) -> tuple[RatFuncQ, RatFuncQ]:
     """Both sides of the Bernstein identity of total degree D and K = s k:
     sum_{l=0}^{D-K} C(D-K, l) (-1)^l g_{l+K+1} / (l+K+1) against
-    sum_{l=0}^{K} C(K, l) (-1)^(K+l) _reflected(D - l), each one entry
-    of a memoized difference table per w."""
-    return _moment_difference(D - K, K + 1, w), _reflected_difference(K, D, w)
+    sum_{l=0}^{K} C(K, l) (-1)^l _reflected(D - K + l), each one entry
+    of the memoized difference table."""
+    return _difference(_moment, D - K, K + 1, w), _difference(_reflected, K, D - K, w)
 
 
 def verify_bernstein_single(n: int, k: int, w: WeightParams) -> VerificationRecord:
@@ -172,7 +169,7 @@ def verify_bernstein_double(n1: int, n2: int, k: int, w: WeightParams) -> Verifi
 
 
 # the Bernstein theorems' weights stop at 2, or lower at alpha_max and
-# h_max: each weight builds its own Pascal-rule tables
+# h_max: each weight builds its own rows of the difference table
 _BERNSTEIN_WEIGHT_MAX = 2
 
 
@@ -260,15 +257,9 @@ THEOREMS = tuple(_GRIDS)
 
 class SweepReport(namedtuple("SweepReport", "records summary boundaries")):
     """Deterministically ordered records plus per-theorem summary counts
-    and the detected domain boundaries (status flips along n).  A report
-    built without a summary gets an empty dict of its own."""
+    and the detected domain boundaries (status flips along n)."""
 
     __slots__ = ()
-
-    def __new__(cls, records: tuple[VerificationRecord, ...],
-                summary: dict[str, dict[str, int]] | None = None,
-                boundaries: tuple[dict, ...] = ()):
-        return super().__new__(cls, records, {} if summary is None else summary, boundaries)
 
 
 def _summarize(records: tuple[VerificationRecord, ...]) -> dict[str, dict[str, int]]:
@@ -313,7 +304,7 @@ def sweep(config: SweepConfig | None = None,
 
     `only` restricts the run to the named theorems.  The run is one
     sequential pass, so the theorems share the memoized closed forms
-    and Pascal-rule tables.
+    and difference table.
     """
     config = config or SweepConfig()
     if only is not None:

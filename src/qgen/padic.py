@@ -39,8 +39,8 @@ literal-definition oracle, a K-step loop over x, is
 Note on normalization: without the 1/[p^N]_{-q} factor the limiting
 functional satisfies q I(f1) + I(f) = 2 f(0) instead of the q-shift
 equation q I(f1) + I(f) = [2]_q f(0).  The normalized reading is the
-one adopted throughout; `integrate` and the truncated sums take
-``normalized=False`` for the unnormalized reading.
+one adopted throughout; `integrate` takes ``normalized=False`` for the
+unnormalized reading, and `truncated_sums` gives the raw sum next to S_N.
 """
 
 from __future__ import annotations
@@ -326,11 +326,9 @@ def _geometric_mod(r: int, count: int, mod: int) -> int:
     return (1 - pow(r, count, mod)) * pow(1 - r, -1, mod) % mod
 
 
-def _sums(spec: IntegrandSpec, ctx: PadicContext, method: str,
-          normalized: bool = True) -> tuple[Fraction, Fraction]:
-    # (S_N, or the raw sum when not normalized; the raw sum) from one
-    # summation: q^(m x) (-q)^x = r^x with r = -q^(m+1), and [p^N]_{-q} is
-    # the same geometric sum at r = -q, whose division is most of an exact sum
+def _sums(spec: IntegrandSpec, ctx: PadicContext, method: str) -> tuple[Fraction, Fraction]:
+    # (S_N, the raw sum) from one summation: q^(m x) (-q)^x = r^x with
+    # r = -q^(m+1), and [p^N]_{-q} is the same geometric sum at r = -q
     if method == "auto":
         method = "exact" if ctx.exact else "modular"
     elif method not in ("exact", "modular"):
@@ -338,17 +336,17 @@ def _sums(spec: IntegrandSpec, ctx: PadicContext, method: str,
     count, coeffs = ctx.p**ctx.N, _coeff_values(spec, ctx.q)
     if method == "exact":
         raw = sum((c * _geometric(-ctx.q ** (m + 1), count) for m, c in coeffs), Fraction(0))
-        return raw / _geometric(-ctx.q, count) if normalized else raw, raw
+        return raw / _geometric(-ctx.q, count), raw
     p, mod = ctx.p, ctx.p**ctx.M
     qm = _to_mod(ctx.q, p, mod)
     raw = sum(_to_mod(c, p, mod) * _geometric_mod(-pow(qm, m + 1, mod), count, mod)
               for m, c in coeffs) % mod
-    total = raw * pow(_geometric_mod(-qm, count, mod), -1, mod) % mod if normalized else raw
+    total = raw * pow(_geometric_mod(-qm, count, mod), -1, mod) % mod
     return Fraction(total), Fraction(raw)
 
 
 def truncated_integral(spec: IntegrandSpec, ctx: PadicContext, *,
-                       normalized: bool = True, method: str = "auto") -> Fraction:
+                       method: str = "auto") -> Fraction:
     """Truncated sum S_N(f) at q = ctx.q.
 
     By default (``method="auto"``) an exact rational where ``ctx.exact``
@@ -357,10 +355,10 @@ def truncated_integral(spec: IntegrandSpec, ctx: PadicContext, *,
     level.  Readings (`truncated_reading`, `convergence_probe`) follow
     ``ctx.exact``, not ``method``.  Both paths sum each term, and the
     normalizer [p^N]_{-q}, as one geometric series in closed form, over Q
-    or mod p^M, and neither loops over x.  ``normalized=False`` gives the
-    raw sum and does not compute the 1/[p^N]_{-q} normalizer.
+    or mod p^M, and neither loops over x.  `truncated_sums` gives the
+    raw sum too.
     """
-    return _sums(spec, ctx, method, normalized)[0]
+    return _sums(spec, ctx, method)[0]
 
 
 def truncated_sums(spec: IntegrandSpec, ctx: PadicContext) -> tuple[Fraction, Fraction]:

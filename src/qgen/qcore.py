@@ -358,7 +358,7 @@ def _shared_prefactor(coeffs) -> tuple[Fraction, Den, list[tuple[int, tuple[int,
     return Fraction(top, scale), den, out
 
 
-def _sum_over_one_plus(content: Fraction, den: Den, terms, times: Den = ()) -> "RatFuncQ":
+def _sum_over_one_plus(content: Fraction, den: Den, terms, times: Den) -> "RatFuncQ":
     """content (prod Phi_d^t_d over times) times the sum over (s, num, e)
     terms (a list) of q^s num / ((prod Phi_d^m_d over den) (1 + q^e)), with
     integer lists num and a nonzero Fraction content.

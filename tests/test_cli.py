@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from qgen import __version__
+from qgen import __version__, padic
 from qgen.cli import EXIT_FAIL, EXIT_OK, EXIT_PRECISION, EXIT_USAGE, run, serialize_report
 from qgen.genocchi import WeightParams, weighted_genocchi_number, weighted_genocchi_poly_closed
 from qgen.identities import SweepConfig, SweepReport, sweep
@@ -308,8 +308,6 @@ class TestIntegral:
     def test_unnormalized_sums_each_level_once(self, capsys, monkeypatch):
         # the normalized sum is the raw one over [p^N]_{-q}: one summation
         # per level serves both columns, on the exact and the modular path
-        from qgen import padic
-
         calls = []
         real = padic._sums
         monkeypatch.setattr(padic, "_sums", lambda spec, ctx, method: calls.append(ctx.N)
@@ -325,8 +323,6 @@ class TestIntegral:
         # an exact sum over p^N terms has about p^N digits, so past
         # p^N = 3^9 the levels N <= 4 read mod p^M too; an exact sum there
         # fails at once instead of taking minutes
-        from qgen import padic
-
         real = padic._geometric
 
         def bounded(r, count):
@@ -346,11 +342,12 @@ class TestIntegral:
         assert " mod " not in out and out.splitlines()[-1].endswith("vp(diff)=5")
 
     @staticmethod
-    def _residue(spec, N, M, normalized):
-        # the exact sum reduced mod 3^M, independent of the modular path
+    def _residues(spec, N, M):
+        # the exact S_N and raw sum reduced mod 3^M, independent of the
+        # modular path
         ctx = PadicContext(p=3, N=N, q=Fraction(4), M=M)
-        s = truncated_integral(spec, ctx, normalized=normalized, method="exact")
-        return s.numerator * pow(s.denominator, -1, 3**M) % 3**M
+        return [s.numerator * pow(s.denominator, -1, 3**M) % 3**M
+                for s in padic._sums(spec, ctx, "exact")]
 
     def test_modular_rows_json(self, capsys):
         # above N = 4 the sums are residues mod p^M and print as such
@@ -361,11 +358,11 @@ class TestIntegral:
         assert code == EXIT_OK
         low, high = json.loads(out)["rows"]
         assert "mod" not in low["value"] and low["valuation"] == "5"
-        spec = IntegrandSpec({1: 1})
+        value, raw = self._residues(IntegrandSpec({1: 1}), 5, 9)
         assert high == {
             "N": 5,
-            "value": f"{self._residue(spec, 5, 9, True)} mod 3^9",
-            "raw-sum": f"{self._residue(spec, 5, 9, False)} mod 3^9",
+            "value": f"{value} mod 3^9",
+            "raw-sum": f"{raw} mod 3^9",
             "valuation": "6",
         }
 
@@ -382,7 +379,7 @@ class TestIntegral:
         ])
         assert code == EXIT_OK
         rows = list(csv.reader(io.StringIO(out)))
-        value = self._residue(IntegrandSpec({1: 1}), 5, 5, True)
+        value, _ = self._residues(IntegrandSpec({1: 1}), 5, 5)
         assert rows == [["N", "value", "valuation"], ["5", f"{value} mod 3^5", ">=5"]]
 
     @pytest.mark.parametrize("argv, terms, N, M", [
@@ -581,7 +578,7 @@ def test_bad_input(capsys, tmp_path, argv, code, message):
 
 class TestSerializeReport:
     def test_empty_report_envelope(self):
-        text = serialize_report(SweepReport(records=()), "json", {"theorem": "all"})
+        text = serialize_report(SweepReport((), {}, ()), "json", {"theorem": "all"})
         payload = json.loads(text)
         assert payload["records"] == []
         assert payload["summary"] == {}
@@ -590,13 +587,14 @@ class TestSerializeReport:
         # byte for byte in every format
         assert text == ('{\n  "boundaries": [],\n  "config-echo": {\n    "theorem": "all"\n  },\n'
                         f'  "records": [],\n  "summary": {{}},\n  "tool-version": "{__version__}"\n}}\n')
-        assert serialize_report(SweepReport(records=()), "csv") == "theorem,params,status,lhs,rhs\n"
-        assert serialize_report(SweepReport(records=()), "text") == \
+        assert serialize_report(SweepReport((), {}, ()), "csv", {}) == \
+            "theorem,params,status,lhs,rhs\n"
+        assert serialize_report(SweepReport((), {}, ()), "text", {}) == \
             f"qgen {__version__} verification report\n\nsummary:\n"
 
     def test_record_round_trip(self):
         rec = compare("demo", (("n", 1), ("alpha", 1)), ONE + Q, ONE + Q)
-        text = serialize_report(SweepReport(records=(rec,)), "json")
+        text = serialize_report(SweepReport((rec,), {}, ()), "json", {})
         payload = json.loads(text)
         entry = payload["records"][0]
         assert entry["status"] == "PASS"
@@ -608,12 +606,12 @@ class TestSerializeReport:
         recs = tuple(
             compare("demo", (("n", n),), ONE, ONE) for n in range(3)
         )
-        text = serialize_report(SweepReport(records=recs), "csv")
+        text = serialize_report(SweepReport(recs, {}, ()), "csv", {})
         assert text.count("\n") == 4  # header + 3 data lines
 
     def test_unknown_format(self):
         with pytest.raises(ValueError):
-            serialize_report(SweepReport(records=()), "yaml")
+            serialize_report(SweepReport((), {}, ()), "yaml", {})
 
     def test_every_string_is_its_records_canonical_string(self):
         # the per-call memo of strings by value must give each record its
@@ -629,9 +627,9 @@ class TestSerializeReport:
         )
         records = sweep(config).records + extra
         assert any(rec.lhs != rec.rhs for rec in records)
-        report = SweepReport(records=records)
-        rows = list(csv.reader(io.StringIO(serialize_report(report, "csv"))))[1:]
-        entries = json.loads(serialize_report(report, "json"))["records"]
+        report = SweepReport(records, {}, ())
+        rows = list(csv.reader(io.StringIO(serialize_report(report, "csv", {}))))[1:]
+        entries = json.loads(serialize_report(report, "json", {}))["records"]
         assert len(rows) == len(entries) == len(records)
         for rec, row, entry in zip(records, rows, entries):
             want = [rec.lhs.to_canonical_string(), rec.rhs.to_canonical_string()]
@@ -639,13 +637,13 @@ class TestSerializeReport:
             assert [entry["lhs"], entry["rhs"]] == want
 
     @staticmethod
-    def reference_json(report, config_echo=None):
+    def reference_json(report, config_echo):
         # the report as one json.dumps of per-record dicts, with no memo of
         # sides: the oracle of the serializer's memoized rendering
         records = [{"theorem": rec.theorem, "params": rec.params_text(),
                     "lhs": rec.lhs.to_canonical_string(), "rhs": rec.rhs.to_canonical_string(),
                     "status": rec.status, "variant": "as-stated"} for rec in report.records]
-        payload = {"tool-version": __version__, "config-echo": config_echo or {},
+        payload = {"tool-version": __version__, "config-echo": config_echo,
                    "records": records, "summary": report.summary,
                    "boundaries": list(report.boundaries)}
         return json.dumps(payload, sort_keys=True, indent=2) + "\n"
@@ -661,9 +659,9 @@ class TestSerializeReport:
             compare("plain", (), RatFuncQ({0: Fraction(1, 3)}), ONE, boundary=True),
         )
         reports = [
-            (SweepReport(records=()), None),
+            (SweepReport((), {}, ()), {}),
             (sweep(config), {"theorem": "all", "n_max": 2}),
-            (SweepReport(records=odd, summary={'say "q"': {"PASS": 1, "total": 1}},
+            (SweepReport(odd, summary={'say "q"': {"PASS": 1, "total": 1}},
                          boundaries=({"theorem": "\u00e9", "params": "a\\b"},)),
              {"note": 'x"\\\u00ff'}),
         ]
@@ -676,7 +674,7 @@ class TestSerializeReport:
         config = SweepConfig(n_max=2, scalar_n_max=2, alpha_max=2, h_max=1, x_min=0,
                              x_max=1, pair_n_max=2, multi_n_max=1, s_max=2)
         report = sweep(config)
-        payload = json.loads(serialize_report(report, "json"))
+        payload = json.loads(serialize_report(report, "json", {}))
         want = [f"qgen {payload['tool-version']} verification report"]
         want += [f"{r['status']:<14} {r['theorem']} {r['params']}" for r in payload["records"]]
         want += ["", "summary:"]
@@ -691,7 +689,7 @@ class TestSerializeReport:
             raise AssertionError("text report rendered a side")
 
         monkeypatch.setattr(RatFuncQ, "to_canonical_string", refuse)
-        assert serialize_report(report, "text") == "\n".join(want) + "\n"
+        assert serialize_report(report, "text", {}) == "\n".join(want) + "\n"
 
 
 class WriteLog(io.StringIO):
@@ -772,5 +770,5 @@ class TestExitCodeContract:
         ok = compare("demo", (("n", 2),), ONE, ONE)
         bad = compare("demo", (("n", 3),), ONE, ONE + Q)
         probe = compare("demo", (("n", 0),), ONE, ONE + Q, boundary=True)
-        assert unresolved_failures(SweepReport(records=(ok, probe))) == []
-        assert unresolved_failures(SweepReport(records=(ok, bad))) == [bad]
+        assert unresolved_failures(SweepReport((ok, probe), {}, ())) == []
+        assert unresolved_failures(SweepReport((ok, bad), {}, ())) == [bad]

@@ -207,9 +207,8 @@ def test_negative_index_rejected(verify, args, message):
 
 
 def clear_bernstein_caches():
-    """Forget the Pascal-rule tables and the reflected values they start from."""
-    for cached in (identities._moment_difference, identities._reflected_difference,
-                   identities._reflected):
+    """Forget the difference table and the reflected values it starts from."""
+    for cached in (identities._difference, identities._reflected):
         cached.cache_clear()
 
 
@@ -236,7 +235,7 @@ def default_grid_sides():
 
 
 class TestBernsteinSides:
-    """The Pascal-rule tables against the direct sums they replace."""
+    """The difference table against the direct sums it replaces."""
 
     def test_default_grid(self):
         keys = default_grid_sides()
@@ -253,6 +252,14 @@ class TestBernsteinSides:
         for D in range(1, 13):
             for K in range(D):
                 assert identities._bernstein_sides(D, K, w) == direct_bernstein_sides(D, K, w), (D, K)
+
+    def test_one_memo_for_both_sides(self):
+        # the default Bernstein records read 220 differences of g_i / i and
+        # 172 of the reflected values, all from one memo
+        clear_bernstein_caches()
+        sweep(only=("bernstein-single", "bernstein-double", "bernstein-multi"))
+        info = identities._difference.cache_info()
+        assert (info.currsize, info.hits) == (392, 1544)
 
 
 SMALL_CONFIG = SweepConfig(
@@ -404,16 +411,8 @@ class TestUnresolvedFailures:
         boundary = compare("demo", (("n", 0),), ONE, q_power(1), boundary=True)
 
         # a failure gates, a boundary probe does not
-        report = SweepReport(records=(failing, boundary))
+        report = SweepReport((failing, boundary), {}, ())
         assert unresolved_failures(report) == [failing]
-
-    def test_reports_do_not_share_a_summary(self):
-        from qgen.identities import SweepReport
-
-        first, second = SweepReport(records=()), SweepReport(())
-        assert first.summary == second.summary == {} and first.boundaries == ()
-        first.summary["demo"] = {"total": 0}
-        assert second.summary == {}
 
     @pytest.fixture
     def perturbed_g4(self, monkeypatch):

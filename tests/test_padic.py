@@ -361,10 +361,9 @@ class TestTruncated:
         terms = {1: Fraction(1), -2: Fraction(1, 2), 0: Fraction(-3)}
         ctx = PadicContext(p=p, N=N, q=Fraction(q))
         spec = IntegrandSpec(terms)
-        for normalized in (True, False):
-            got = truncated_integral(spec, ctx, normalized=normalized, method="exact")
-            want = naive_alternating_sum(terms, p, N, Fraction(q), normalized)
-            assert got == want
+        want = tuple(naive_alternating_sum(terms, p, N, Fraction(q), normalized)
+                     for normalized in (True, False))
+        assert padic._sums(spec, ctx, "exact") == want
 
     @pytest.mark.parametrize("N", [1, 4, 5, 6])
     def test_sums_pair_matches_both_readings(self, N):
@@ -373,27 +372,12 @@ class TestTruncated:
         ctx = PadicContext(p=3, N=N, q=Fraction(4))
         spec = IntegrandSpec({1: 1, -2: Fraction(2, 5), 0: -3})
         assert truncated_sums(spec, ctx) == (truncated_integral(spec, ctx),
-                                             truncated_integral(spec, ctx, normalized=False))
+                                             padic._sums(spec, ctx, "auto")[1])
 
     def test_unknown_method(self):
         ctx = PadicContext(p=3, N=2, q=Fraction(4))
         with pytest.raises(ValueError, match="^unknown method: 'bogus'$"):
             truncated_integral(IntegrandSpec({1: 1}), ctx, method="bogus")
-
-    @pytest.mark.parametrize("method,geometric", [("exact", "_geometric"),
-                                                  ("modular", "_geometric_mod")])
-    def test_raw_sum_makes_no_normalizer(self, monkeypatch, method, geometric):
-        # the raw reading sums one geometric series per term and never the
-        # normalizer [p^N]_{-q}, whose exact division is most of a large sum
-        calls = []
-        real = getattr(padic, geometric)
-        monkeypatch.setattr(padic, geometric, lambda r, *rest: calls.append(r) or real(r, *rest))
-        ctx = PadicContext(p=3, N=4, q=Fraction(4))
-        spec = IntegrandSpec({1: 1, -2: Fraction(1, 2)})
-        raw = truncated_integral(spec, ctx, normalized=False, method=method)
-        assert len(calls) == 2
-        assert truncated_integral(spec, ctx, method=method) != raw
-        assert len(calls) == 5
 
     @pytest.mark.parametrize("p,q", [(3, 4), (5, 6), (3, 10), (3, "-2"), (3, "5/2"),
                                      (5, "-4"), (5, "-2/3"), (7, "8"), (7, "19/5")])
@@ -405,11 +389,9 @@ class TestTruncated:
         mod = p**ctx.M
         for spec in (IntegrandSpec({1: 1, -2: Fraction(1, 2)}),
                      IntegrandSpec({-5: 3, 0: Fraction(-1, 4), 4: 2}), cleared):
-            for normalized in (True, False):
-                exact = truncated_integral(spec, ctx, normalized=normalized, method="exact")
-                modular = truncated_integral(spec, ctx, normalized=normalized,
-                                             method="modular")
-                assert residue(exact, mod) == int(modular) % mod
+            # S_N and the raw sum
+            exact, modular = padic._sums(spec, ctx, "exact"), padic._sums(spec, ctx, "modular")
+            assert [residue(s, mod) for s in exact] == [int(s) % mod for s in modular]
 
     @pytest.mark.parametrize("p", [3, 5, 7])
     @pytest.mark.parametrize("N", [0, 1, 2, 3])
@@ -423,16 +405,15 @@ class TestTruncated:
             terms = {m: eval_at(c, q) for m, c in spec.items()}
             p_free = all(c.denominator % p for c in terms.values())
             assert p_free or i % 3 != 2  # a cleared expansion is p-integral
-            for normalized in (True, False):
-                want = naive_alternating_sum(terms, p, N, q, normalized)
-                got = truncated_integral(spec, ctx, normalized=normalized, method="exact")
-                assert got == want, (spec, q, normalized)
-                if not p_free:
-                    with pytest.raises(PrecisionError):
-                        truncated_integral(spec, ctx, normalized=normalized, method="modular")
-                    continue
-                got = truncated_integral(spec, ctx, normalized=normalized, method="modular")
-                assert got == residue(want, p**ctx.M), (spec, q, normalized)
+            want = tuple(naive_alternating_sum(terms, p, N, q, normalized)
+                         for normalized in (True, False))
+            assert padic._sums(spec, ctx, "exact") == want, (spec, q)
+            if not p_free:
+                with pytest.raises(PrecisionError):
+                    padic._sums(spec, ctx, "modular")
+                continue
+            got = padic._sums(spec, ctx, "modular")
+            assert got == tuple(residue(s, p**ctx.M) for s in want), (spec, q)
 
     @pytest.mark.parametrize("p,q,N,terms", [
         (3, "4", 4, {1: 1, -2: Fraction(1, 2), 0: -3}),  # K = 81
@@ -451,10 +432,9 @@ class TestTruncated:
         # literal sum over x is the oracle, at the edge r's
         q = Fraction(q)
         ctx = PadicContext(p=p, N=N, q=q)
-        for normalized in (True, False):
-            got = truncated_integral(IntegrandSpec(terms), ctx, normalized=normalized,
-                                     method="exact")
-            assert got == naive_alternating_sum(terms, p, N, q, normalized), normalized
+        want = tuple(naive_alternating_sum(terms, p, N, q, normalized)
+                     for normalized in (True, False))
+        assert padic._sums(IntegrandSpec(terms), ctx, "exact") == want
 
     def test_exact_path_does_not_loop_over_x(self):
         # p^10 = 59,049 terms: a step per x takes over a second; the closed
@@ -476,12 +456,14 @@ class TestTruncated:
     @pytest.mark.parametrize("normalized", [True, False])
     def test_precision_error_after_good_terms(self, normalized):
         # one p-denominator coefficient refuses the whole sum, wherever it
-        # sits among the terms, as a rational or as a RatFuncQ value at q
+        # sits among the terms, as a rational or as a RatFuncQ value at q;
+        # the raw sum is read with S_N, through truncated_sums
         ctx = PadicContext(p=3, N=5, q=Fraction(4))
+        read = truncated_integral if normalized else truncated_sums
         for spec in (IntegrandSpec({-3: 1, 0: 2, 7: Fraction(5, 9)}),
                      bracket_power_integrand(0, 1, 1)):
             with pytest.raises(PrecisionError, match="divisible by p=3"):
-                truncated_integral(spec, ctx, normalized=normalized)
+                read(spec, ctx)
 
     @pytest.mark.parametrize("p,N,exact", [
         (3, 4, True), (3, 5, False), (7, 4, True), (11, 4, True), (13, 4, False),
@@ -500,7 +482,7 @@ class TestTruncated:
         ctx = PadicContext(p=31, N=3, q=Fraction(32), M=4)
         value, raw = truncated_sums(spec, ctx)
         assert value == truncated_integral(spec, ctx, method="modular")
-        assert raw == truncated_integral(spec, ctx, normalized=False, method="modular")
+        assert raw == padic._sums(spec, ctx, "modular")[1]
         limit = eval_at(integrate(spec), ctx.q)
         assert truncated_reading(value, limit, ctx) == (f"{value} mod 31^4", ">=4")
         assert convergence_probe(spec, 31, 32, [3], M=4).entries == ((3, 4),)
@@ -734,5 +716,5 @@ class TestNormalizationAdjudication:
         raw_limit = at_q(moment_integral(m, normalized=False), q)
         for N in (2, 3):
             ctx = PadicContext(p=p, N=N, q=q)
-            raw = truncated_integral(IntegrandSpec({m: 1}), ctx, normalized=False)
+            raw = truncated_sums(IntegrandSpec({m: 1}), ctx)[1]
             assert vp(raw - raw_limit, p) >= N

@@ -722,8 +722,9 @@ class TestSumOverOnePlus:
         assert self.kernel([(c, -3)]) * (ONE + q_power(3)) == c * q_power(3)
         # the same from raw slices: (1/3) q^2 (3 - 3q) / Phi_1 = -q^2, halved
         # at e = 0, and q^2 / (1 + q^-1) = q^3 / (1 + q)
-        assert _sum_over_one_plus(Fraction(1, 3), ((1, 1),), [(2, (3, -3), 0)]) == -q_power(2) / 2
-        assert _sum_over_one_plus(Fraction(1), (), [(2, (1,), -1)]) * (ONE + Q) == q_power(3)
+        halved = _sum_over_one_plus(Fraction(1, 3), ((1, 1),), [(2, (3, -3), 0)], ())
+        assert halved == -q_power(2) / 2
+        assert _sum_over_one_plus(Fraction(1), (), [(2, (1,), -1)], ()) * (ONE + Q) == q_power(3)
 
     def test_zero_sums(self):
         c = over_cyclotomic(-1, {1: 1, 2: 1})  # 1 / (1 - q^2)
@@ -733,8 +734,8 @@ class TestSumOverOnePlus:
         # c / (1 + q) + c q / (1 + q) = c, with no (1 + q) left over
         assert self.kernel([(c, 1), (c * Q, 1)]) == c
         # no terms, an empty numerator and an all-zero one
-        assert _sum_over_one_plus(Fraction(1), (), []) is ZERO
-        assert _sum_over_one_plus(Fraction(2), ((1, 1),), [(3, (), 2), (-1, (0, 0), 0)]) is ZERO
+        assert _sum_over_one_plus(Fraction(1), (), [], ()) is ZERO
+        assert _sum_over_one_plus(Fraction(2), ((1, 1),), [(3, (), 2), (-1, (0, 0), 0)], ()) is ZERO
 
     def test_common_factors_cancel(self):
         # (1 - q) cancels: 1/(1+q) - 1/(1+q^2) = q (q - 1) / ((1+q)(1+q^2))
