@@ -304,7 +304,8 @@ def _diff_valuation(diff: Fraction, ctx: PadicContext) -> float:
     """vp(diff) for a truncated sum minus its limit; inf when diff is 0.
 
     Past `ctx.exact` the sum is a residue mod p^M, so the valuation is
-    only known up to M and is capped there.
+    capped at M, and inf (the residue equals the limit mod p^M) shows only
+    vp >= M, as M does: `truncated_reading` prints both as ``>=M``.
     """
     if diff == 0:
         return math.inf
@@ -391,8 +392,10 @@ class ConvergenceTrace(namedtuple("ConvergenceTrace", "p q entries limit constan
     p is an int, q and ``limit`` are Fractions, ``entries`` holds one
     (N, vp(S_N - L)) pair per level, the valuation ``math.inf`` where the
     difference vanished, and ``constant`` is the smallest C with
-    vp(S_N - L) >= N - C across the trace (None when every difference
-    vanished exactly).
+    vp(S_N - L) >= N - C across the trace (None when every entry is inf).
+    Past ``PadicContext.exact`` an entry is censored at M: ``inf`` there
+    means the residue S_N equals L mod p^M, so it shows only vp >= M, which
+    `qgen integral` prints as ``>=M``.
     """
 
     __slots__ = ()

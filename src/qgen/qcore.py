@@ -40,20 +40,20 @@ row (the x of one (n, alpha, h), both sides of an identity), and kept
 for every lcm the tables held 64 of the 156 MB that a sweep to n = 30
 keeps.
 
-Values are born canonical.  The constructor takes a Laurent polynomial
-(an int, a Fraction or an ``{exponent: coefficient}`` mapping), and `/`
-and negative `**` divide only by c q^s, raising ValueError on any other
-divisor; the library builds its denominators directly as Phi_d
-multiplicities, so no dense polynomial is ever factored.  q is a formal
-indeterminate here: substituting a rational number is an explicit step
-(`eval_at`), and the p-adic reading of q lives in the `padic` module.
+Values are born canonical.  The constructor takes a rational constant
+(an int or a Fraction); every other value is built from `q_power`,
+`qbracket` and arithmetic.  `/` and negative `**` divide only by c q^s,
+raising ValueError on any other divisor; the library builds its
+denominators directly as Phi_d multiplicities, so no dense polynomial is
+ever factored.  q is a formal indeterminate here: substituting a rational
+number is an explicit step (`eval_at`), and the p-adic reading of q lives
+in the `padic` module.
 """
 
 from __future__ import annotations
 
 import math
 from collections import Counter
-from collections.abc import Mapping
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
@@ -409,18 +409,12 @@ class RatFuncQ:
 
     __slots__ = ("_shift", "_content", "_num", "_den")
 
-    def __init__(self, num=0):
-        # a Laurent polynomial; every other value is built by arithmetic
-        terms = _terms(num)
-        if not terms:
-            self._shift, self._content, self._num, self._den = 0, Fraction(0), (), ()
-            return
-        lo, scale = min(terms), math.lcm(*(v.denominator for v in terms.values()))
-        ints = [0] * (max(terms) - lo + 1)
-        for e, v in terms.items():
-            ints[e - lo] = v.numerator * (scale // v.denominator)
-        f = _reduced(lo, ints, (), (), 1, scale)
-        self._shift, self._content, self._num, self._den = f._shift, f._content, f._num, f._den
+    def __init__(self, value: Rational = 0):
+        # a rational constant; every other value is built by arithmetic
+        if not isinstance(value, (int, Fraction)):
+            raise TypeError(f"RatFuncQ expects an int or a Fraction, got {value!r}")
+        self._shift, self._content, self._den = 0, Fraction(value), ()
+        self._num = (1,) if value else ()
 
     # -- inspection ------------------------------------------------------
 
@@ -629,21 +623,6 @@ def _poly_str(shift: int, content: Rational, cs) -> str:
     return " ".join(parts) or "0"
 
 
-def _terms(value) -> dict[int, Rational]:
-    # the nonzero {exponent: coefficient} terms of an int, Fraction or mapping
-    if isinstance(value, (int, Fraction)):
-        return {0: value} if value else {}
-    if not isinstance(value, Mapping):
-        raise TypeError("RatFuncQ expects an int, a Fraction or a {exponent: coefficient} map")
-    out = {}
-    for e, v in value.items():
-        if not isinstance(e, int) or not isinstance(v, (int, Fraction)):
-            raise TypeError(f"expected an int exponent and an exact coefficient, got {e!r}: {v!r}")
-        if v:
-            out[e] = v
-    return out
-
-
 def _require_int(what: str, **values) -> None:
     # at the door: a float, Fraction or str would build q^2.0 or fail far away
     for name, value in values.items():
@@ -654,9 +633,7 @@ def _require_int(what: str, **values) -> None:
 def _coerce(value) -> "RatFuncQ":
     if isinstance(value, RatFuncQ):
         return value
-    if isinstance(value, (int, Fraction)):
-        return _new(0, Fraction(value), (1,), ()) if value else ZERO
-    return NotImplemented
+    return RatFuncQ(value) if isinstance(value, (int, Fraction)) else NotImplemented
 
 
 ZERO = RatFuncQ(0)

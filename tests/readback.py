@@ -6,6 +6,9 @@ values the tests compare with, for the tests.
   as its two Laurent polynomials, and `denotes` checks a value against one;
 - `num_view` and `den_view` are a value's numerator (content and shift
   included) and expanded denominator as {exponent: Fraction} dicts;
+- `from_terms` builds the Laurent polynomial of an {exponent: coefficient}
+  map as a sum of c * q_power(e), since `RatFuncQ` itself takes only a
+  rational constant;
 - `over_cyclotomic` builds a value from its denominator's Phi_d
   multiplicities, as the library builds every value: no dense denominator
   is ever factored, and `/` divides only by c q^s;
@@ -62,7 +65,7 @@ def read_canonical(text: str) -> tuple[RatFuncQ, RatFuncQ]:
     """The numerator and the denominator of a canonical string, as two
     Laurent polynomials N and D."""
     num_text, den_text = text.split(" / ")
-    return RatFuncQ(_read_terms(num_text)), RatFuncQ(_read_terms(den_text))
+    return from_terms(_read_terms(num_text)), from_terms(_read_terms(den_text))
 
 
 def denotes(text: str, f: RatFuncQ) -> bool:
@@ -82,11 +85,17 @@ def den_view(f: RatFuncQ) -> dict[int, Fraction]:
     return {i: Fraction(x) for i, x in enumerate(qcore._den_poly(f._den)) if x}
 
 
+def from_terms(terms) -> RatFuncQ:
+    """The Laurent polynomial sum of c q^e over the {e: c} terms.  An
+    exponent that is no int or a coefficient that is no int or Fraction
+    raises TypeError, as `q_power` and arithmetic do."""
+    return sum((c * q_power(e) for e, c in terms.items()), ZERO)
+
+
 def over_cyclotomic(num, mults) -> RatFuncQ:
     """num / prod Phi_d^m over the {d: m} (or ((d, m), ...)) mults, m >= 0;
-    num is a RatFuncQ or what its constructor takes."""
+    num is a RatFuncQ, an int or a Fraction."""
     den = tuple(sorted((d, m) for d, m in dict(mults).items() if m))
-    num = num if isinstance(num, RatFuncQ) else RatFuncQ(num)
     return num * qcore._new(0, Fraction(1), (1,), den)
 
 

@@ -14,7 +14,8 @@ from qgen.bernstein import (
     bernstein_poly,
     bernstein_symmetry_check,
 )
-from qgen.qcore import ONE, RatFuncQ, ZERO, qbracket
+from qgen.qcore import ONE, ZERO, qbracket
+from readback import from_terms
 
 
 class TestBasisValues:
@@ -27,7 +28,7 @@ class TestBasisValues:
     def test_laurent_value(self):
         # 2 [2]_q [-1]_{1/q} = -2q(1+q)
         got = bernstein_poly(BernsteinIndex(1, 2, 1), 2)
-        assert got == RatFuncQ({1: -2, 2: -2})
+        assert got == from_terms({1: -2, 2: -2})
 
     def test_index_validation(self):
         with pytest.raises(IndexError, match="^basis index k=3 exceeds degree n=2$"):

@@ -20,7 +20,7 @@ from qgen.padic import IntegrandSpec, PadicContext, integrate, truncated_integra
 from qgen.qcore import ONE, RatFuncQ, eval_at
 from qgen.records import compare
 from pins import GOLDEN, PINS
-from readback import Q, denotes, over_cyclotomic, read_canonical, read_fraction
+from readback import Q, denotes, from_terms, over_cyclotomic, read_canonical, read_fraction
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -450,8 +450,8 @@ class TestBernstein:
         ])
         rows = list(csv.reader(io.StringIO(out)))
         assert len(rows) == 2
-        assert denotes(rows[1][4], RatFuncQ({1: -2, 2: -2}))
-        assert rows[1][4] == RatFuncQ({1: -2, 2: -2}).to_canonical_string()
+        assert denotes(rows[1][4], from_terms({1: -2, 2: -2}))
+        assert rows[1][4] == from_terms({1: -2, 2: -2}).to_canonical_string()
 
     def test_bad_index(self, capsys):
         code, _, _ = run_cli(capsys, ["bernstein", "--n", "2", "--k", "5"])
@@ -529,11 +529,15 @@ BAD_INPUT = [
     (["table", "--n-max", "3", "--alpha", "2", "--at-q", "-1"], EXIT_USAGE,
      "denominator vanishes at q = -1"),
     (["verify", "all", "--alpha-max", "0"], EXIT_USAGE,
-     "the verify grid is empty; nothing was checked"),
+     "the verify grid has no asserted check for symmetry, shift2, integral-shift, "
+     "integral-reflect, bernstein-single, bernstein-double, bernstein-multi; "
+     "nothing was checked there"),
     (["verify", "all", "--n-max", "-1"], EXIT_USAGE,
-     "the verify grid is empty; nothing was checked"),
+     "the verify grid has no asserted check for symmetry, shift2, integral-shift, "
+     "integral-reflect, bernstein-single, bernstein-double, bernstein-multi; "
+     "nothing was checked there"),
     (["verify", "symmetry", "--x-min", "3", "--x-max", "-3"], EXIT_USAGE,
-     "the verify grid is empty; nothing was checked"),
+     "the verify grid has no asserted check for symmetry; nothing was checked there"),
     (["verify", "integral-reflect", "--n-max", "0"], EXIT_USAGE,
      "the verify grid has no asserted check for integral-reflect; nothing was checked there"),
     (["verify", "shift2", "--n-max", "1"], EXIT_USAGE,
@@ -620,7 +624,7 @@ class TestSerializeReport:
         config = SweepConfig(n_max=2, scalar_n_max=2, alpha_max=2, h_max=1, x_min=0,
                              x_max=1, pair_n_max=2, multi_n_max=1, s_max=2)
         extra = (
-            compare("demo", (("n", 0),), RatFuncQ(2), RatFuncQ({0: Fraction(4, 2)})),
+            compare("demo", (("n", 0),), RatFuncQ(2), from_terms({0: Fraction(4, 2)})),
             compare("demo", (("n", 1),), ONE, Q),
             compare("demo", (("n", 2),), (ONE + Q) * (ONE + Q), ONE + 2 * Q + Q * Q),
             compare("demo", (("n", 3),), -ONE, over_cyclotomic(Q, {2: 1})),
@@ -656,7 +660,7 @@ class TestSerializeReport:
             compare('say "q"', (("n", 1), ("path", "a\\b")), ONE + Q, ONE + Q),
             compare("\u00e9t\u00e9\\", (("\u03b1", "\u00e9"), ("tag", '"')),
                     over_cyclotomic(Q, {2: 1}), -ONE),
-            compare("plain", (), RatFuncQ({0: Fraction(1, 3)}), ONE, boundary=True),
+            compare("plain", (), from_terms({0: Fraction(1, 3)}), ONE, boundary=True),
         )
         reports = [
             (SweepReport((), {}, ()), {}),

@@ -24,7 +24,7 @@ from qgen.padic import (
     vp,
 )
 from qgen.qcore import ONE, RatFuncQ, ZERO, _one_plus_lcm, eval_at, q_power, qbracket
-from readback import Q, cross_sum, one_minus_power, over_cyclotomic
+from readback import Q, cross_sum, from_terms, one_minus_power, over_cyclotomic
 
 
 def naive_alternating_sum(terms: dict[int, Fraction], p: int, N: int,
@@ -263,6 +263,12 @@ class TestIntegrandSpec:
         with pytest.raises(TypeError, match="int exponent"):
             IntegrandSpec(terms)
 
+    def test_mapping_coefficient_rejected(self):
+        # a coefficient is a RatFuncQ or a rational constant, not the
+        # {exponent: coefficient} terms of a Laurent polynomial
+        with pytest.raises(TypeError, match="an int or a Fraction"):
+            IntegrandSpec({1: {0: 1}})
+
     @pytest.mark.parametrize("kwargs, message", [
         pytest.param(dict(scale=0), "^bracket scale must be nonzero$", id="scale-zero"),
         pytest.param(dict(sign=2), "^sign must be \\+1 or -1$", id="sign-two"),
@@ -282,7 +288,7 @@ class TestMoments:
         assert integrate(IntegrandSpec({-1: 1})) == qbracket(2, 1) / 2
 
     def test_positive_exponent(self):
-        assert integrate(IntegrandSpec({1: 1})) * RatFuncQ({0: 1, 2: 1}) == qbracket(2, 1)
+        assert integrate(IntegrandSpec({1: 1})) * from_terms({0: 1, 2: 1}) == qbracket(2, 1)
 
     def test_forced_by_shift_equation(self):
         # the moment is the unique I with q q^m I + I = [2]_q
@@ -503,6 +509,17 @@ class TestConvergence:
         assert all(v == float("inf") for _, v in trace.entries)
         assert trace.constant is None
         assert trace.limit == 1
+
+    def test_censored_past_exact(self):
+        # past PadicContext.exact S_N is a residue mod p^M: an inf entry there
+        # shows only vp(S_N - L) >= M, which qgen integral prints as >=M
+        spec = IntegrandSpec({0: 1})
+        trace = convergence_probe(spec, 3, 4, [4, 5, 6])
+        assert trace.entries == ((4, float("inf")), (5, float("inf")), (6, float("inf")))
+        ctx = PadicContext(p=3, N=5, q=Fraction(4))
+        assert not ctx.exact
+        reading = truncated_reading(truncated_integral(spec, ctx), trace.limit, ctx)
+        assert reading == (f"1 mod 3^{ctx.M}", f">={ctx.M}")
 
     def test_strictly_increasing(self):
         trace = convergence_probe(IntegrandSpec({1: 1}), 3, 4, [1, 2, 3])

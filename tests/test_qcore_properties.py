@@ -21,7 +21,8 @@ from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 from qgen.qcore import ONE, ZERO, RatFuncQ  # noqa: E402
 from qgen.qcore import _RULE_OUT_BITS, _divide_out  # noqa: E402
-from readback import cyclotomic, den_view, denotes, num_view, over_cyclotomic  # noqa: E402
+from readback import (cyclotomic, den_view, denotes, from_terms, num_view,  # noqa: E402
+                      over_cyclotomic)
 
 # the rule-out point of `_divide_out`
 POINT = 2**_RULE_OUT_BITS
@@ -55,14 +56,15 @@ phi_lists = st.lists(st.integers(1, 12), max_size=3)
 
 def over(num: dict, monomial: dict, ds: list[int]) -> RatFuncQ:
     """num / (monomial prod Phi_d over ds)."""
-    return over_cyclotomic(num, Counter(ds)) / RatFuncQ(monomial)
+    return over_cyclotomic(from_terms(num), Counter(ds)) / from_terms(monomial)
 
 
 def unit_and_inverse(monomial: dict, ups: list[int], downs: list[int]) -> tuple[RatFuncQ, RatFuncQ]:
     """monomial prod Phi_d over ups / prod Phi_d over downs, and its inverse."""
     (e, c), = monomial.items()
-    return (over_cyclotomic(times(monomial, cyclotomic_product(ups)), Counter(downs)),
-            over_cyclotomic(times({-e: 1 / c}, cyclotomic_product(downs)), Counter(ups)))
+    u = from_terms(times(monomial, cyclotomic_product(ups)))
+    inverse = from_terms(times({-e: 1 / c}, cyclotomic_product(downs)))
+    return over_cyclotomic(u, Counter(downs)), over_cyclotomic(inverse, Counter(ups))
 
 
 ratfuncs = st.builds(over, laurent, monomials, phi_lists)
@@ -88,7 +90,7 @@ def test_field_inverse(f, unit, monomial):
     u, inverse = unit
     assert u * inverse == ONE
     assert (f * inverse) * u == f
-    m = RatFuncQ(monomial)
+    m = from_terms(monomial)
     assert m * m**-1 == ONE
     assert (f / m) * m == f
 
@@ -108,7 +110,7 @@ def test_canonical_uniqueness(num, m, ds, k, ks):
 @PROPERTY
 @given(ratfuncs)
 def test_views_round_trip(f):
-    assert f * RatFuncQ(den_view(f)) == RatFuncQ(num_view(f))
+    assert f * from_terms(den_view(f)) == from_terms(num_view(f))
 
 
 @PROPERTY
@@ -125,9 +127,9 @@ def test_equal_values_hash_equal(f, g, c, unit, monomial):
     # a == b implies hash(a) == hash(b): for equal values built by different
     # routes, and for constants against the int and Fraction they equal
     pairs = [(f * g, g * f), ((f + g) - g, f), (f + g, g + f), (f * ONE, f),
-             (RatFuncQ(c), c), (RatFuncQ(c) * ONE, c), (RatFuncQ({0: c}), c),
+             (RatFuncQ(c), c), (RatFuncQ(c) * ONE, c), (from_terms({0: c}), c),
              (RatFuncQ(c.numerator), c.numerator)]
-    u, inverse, m = *unit, RatFuncQ(monomial)
+    u, inverse, m = *unit, from_terms(monomial)
     pairs += [((f * u) * inverse, f), ((f * inverse) * u, f), ((f * m) / m, f), ((f / m) * m, f)]
     for a, b in pairs:
         assert a == b and b == a
