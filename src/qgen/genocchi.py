@@ -15,19 +15,21 @@ closed form    the definition itself: n times `padic.integrate` of the
 
 recurrence     numbers only: (1 + q^h) g_1 = [2]_q and, for n > 1,
                (1 + q^(h + alpha (n-1))) g_n
-                   = -q^(h - alpha) sum_{k=1}^{n-1} C(n, k) q^(alpha k) g_k,
-               run fraction-free: g_n = q^sigma_n P_n / E_n with
-               E_n = prod_{j<n} (1 + q^(h + alpha j)) and P_n in Z[q]
-               a Horner sum of shifts and adds, reduced once per value
-               by stripping the known cyclotomic factors of E_n;
+                   = -q^(h - alpha) sum_{k=1}^{n-1} C(n, k) q^(alpha k) g_k;
 
 umbral         polynomials from numbers:
                g_n(x) = q^(-alpha x) sum_k C(n, k) q^(alpha k x) g_k [x]_{q^alpha}^(n-k),
-               under the convention that the 0-th symbolic power maps to
-               g_0 = 0 (not to 1);
+               with the 0-th symbolic power mapped to g_0 = 0, not to 1;
 
 plus a fourth, numeric route through truncated p-adic sums, whose limit
 at any admissible rational q is checked against the umbral value.
+
+Both sums are one fraction-free Horner pass in Z[q], `_horner`.  With
+g_k = q^sigma_k P_k / E_k, E_k = prod_{j<k} (1 + q^(h + alpha j)) and
+[x]_{q^alpha} = q^(alpha min(x, 0)) b, it sums C(n, k) q^(alpha k max(x, 0)
++ sigma_k) P_k b^(top-k) E_top / E_k over k = 1..top.  At x = 1 (b = 1)
+and top = n - 1 it is -q^alpha P_n; at top = n it is q^(alpha x) E_n g_n(x)
+over q^(alpha n min(x, 0)), which `qcore._over_one_plus` reduces once.
 
 All routes agree structurally; the q -> 1 limit of the (alpha=1, h=1)
 numbers reproduces the classical Genocchi integers generated by
@@ -51,12 +53,11 @@ from qgen.padic import (
 from qgen.qcore import (
     RatFuncQ,
     ZERO,
+    _int_mul,
     _over_one_plus,
     _require_int,
     _trim,
     eval_at,
-    q_power,
-    qbracket,
 )
 
 __all__ = [
@@ -123,31 +124,33 @@ def weighted_genocchi_number(n: int, w: WeightParams) -> RatFuncQ:
     return _closed(n, w.alpha, w.h, 0)
 
 
-@lru_cache(maxsize=None)
-def _recurrence_numerator(n: int, alpha: int, h: int) -> tuple[int, ...]:
-    # P_n in g_n = q^sigma_n P_n / E_n, E_n = prod_{j<n} (1 + q^(h + alpha j)),
-    # sigma_1 = 0 and sigma_n = h for n > 1: -1 times the Horner sum over
-    # k = 1..n-1 of acc (1 + q^(h + alpha (k-1))) + C(n, k) q^(alpha (k-1) + sigma_k) P_k
-    if n == 1:
-        return (1, 1)
+def _horner(n: int, top: int, alpha: int, h: int, x: int) -> list[int]:
+    b = [0] * (alpha * (abs(x) - 1) + 1)
+    b[::alpha] = [-1 if x < 0 else 1] * abs(x)
     acc: list[int] = []
-    for k in range(1, n):
+    for k in range(1, top + 1):
         if acc:
             pad = [0] * (h + alpha * (k - 1))
-            acc = [x + y for x, y in zip(acc + pad, pad + acc)]
+            acc = _int_mul([u + v for u, v in zip(acc + pad, pad + acc)], b)
         p_k = _recurrence_numerator(k, alpha, h)
-        off = alpha * (k - 1) + (h if k > 1 else 0)
+        off = alpha * k * max(x, 0) + (h if k > 1 else 0)
         acc.extend([0] * (off + len(p_k) - len(acc)))
         c = comb(n, k)
-        for i, x in enumerate(p_k, off):
-            acc[i] += c * x
-    return tuple(-x for x in _trim(acc))
+        for i, y in enumerate(p_k, off):
+            acc[i] += c * y
+    return _trim(acc)
+
+
+@lru_cache(maxsize=None)
+def _recurrence_numerator(n: int, alpha: int, h: int) -> tuple[int, ...]:
+    # P_n in g_n = q^sigma_n P_n / E_n, sigma_n = h but sigma_1 = 0; P_0 = 0, the empty pass
+    if n == 1:
+        return (1, 1)
+    return tuple(-c for c in _horner(n, n - 1, alpha, h, 1)[alpha:])
 
 
 @lru_cache(maxsize=None)
 def _recurrence_number(n: int, alpha: int, h: int) -> RatFuncQ:
-    if n == 0:
-        return ZERO
     return _over_one_plus(h if n > 1 else 0, _recurrence_numerator(n, alpha, h),
                           [h + alpha * j for j in range(n)])
 
@@ -161,22 +164,19 @@ def weighted_genocchi_recurrence(n_max: int, w: WeightParams) -> dict[int, RatFu
 
 @lru_cache(maxsize=None)
 def _umbral(n: int, alpha: int, h: int, x: int) -> RatFuncQ:
-    acc = ZERO
-    bracket = qbracket(x, alpha)
-    for k in range(n + 1):
-        g_k = _recurrence_number(k, alpha, h)
-        if not g_k:
-            continue
-        acc = acc + comb(n, k) * q_power(alpha * k * x) * g_k * bracket ** (n - k)
-    return q_power(-alpha * x) * acc
+    # [0]_{q^alpha} = 0 leaves only the k = n term, the recurrence number
+    if x == 0:
+        return _recurrence_number(n, alpha, h)
+    return _over_one_plus(alpha * (n * min(x, 0) - x), _horner(n, n, alpha, h, x),
+                          [h + alpha * j for j in range(n)])
 
 
 def weighted_genocchi_poly_umbral(n: int, w: WeightParams, x: int) -> RatFuncQ:
     """Umbral expansion of the polynomial from the recurrence numbers.
 
     Implements q^(-alpha x) (q^(alpha x) g + [x]_{q^alpha})^n with the
-    running index on g and the convention g^0 -> g_0 = 0; structurally
-    equal to the closed form at every integer x.
+    running index on g and the convention g^0 -> g_0 = 0, in integers
+    over E_n; structurally equal to the closed form at every integer x.
     """
     if n < 0:
         raise ValueError("index must be nonnegative")
@@ -264,9 +264,8 @@ class GenocchiTable:
 def build_table(n_max: int, w: WeightParams, xs: tuple[int, ...] = (0,)) -> GenocchiTable:
     """Fill a table over n = 0..n_max at x = 0 and the given x values,
     cross-checking the closed form: against the recurrence numbers at
-    x = 0, where [0]_{q^alpha} = 0 leaves the umbral expansion only its
-    k = n term, the recurrence number itself; against the umbral
-    expansion of those numbers elsewhere.
+    x = 0, where the umbral expansion is the recurrence number itself;
+    against the umbral expansion of those numbers elsewhere.
 
     n is the outer loop: the closed forms at one n and every x integrate
     over the same moment denominators, and `qcore` keeps only the last

@@ -17,7 +17,8 @@ Canonical form.  A `RatFuncQ` stores its value once:
   and divisible by no Phi_d of the denominator;
 * the denominator is stored as its multiplicities ((d, m_d), ...), d
   increasing and m_d >= 1, with Phi_1 = q - 1 so that the expansion
-  (`_den_poly`, cached; only to print and to evaluate) is monic;
+  `_den_poly` (cached) is monic: it prints and evaluates, and it expands
+  the cofactors `_shared_prefactor` adds for `+` and `IntegrandSpec`;
 * ``shift`` carries the overall power of q and ``content`` (a nonzero
   Fraction) the sign and the rational content;
 * zero is its own value: shift 0, content 0, num (), den ().

@@ -148,6 +148,14 @@ PINS = (
         "a16cb36ec448ff1af83e995246ebad964277c3e79cac4e567a8b19110741caa8", max_rss_mb=27),
     Pin("verify integral-shift --n-max 12 --alpha-max 6 --h-max 4 --format json",
         "acfd85d5cd45aa8a130d2abb35a4e4661248ed5844af25c1a7d8ff003b07fe26", max_rss_mb=27),
+    # the table reports at --n-max 45 and 60 (alpha = h = 3, x = 2): the
+    # umbral route at depth, cross-checked against the closed form, where
+    # the integer Horner pass must keep every byte.  They peak at 29-31
+    # and 50-52 MB (Python 3.11)
+    Pin("table --n-max 45 --alpha 3 --h 3 --x=2 --format json",
+        "aaabe8e8267736c1826df6a9d01af7c1a6e541293e916d0aef5816ee3c74c435", max_rss_mb=36),
+    Pin("table --n-max 60 --alpha 3 --h 3 --x=2 --format json",
+        "dfcc28cbf7236a43fd7fdf12971da95652791df350dbecd087b8983c2f54c040", max_rss_mb=60),
     # the demos use the public API; an API change that breaks one, or a
     # change to what one prints, fails here
     Pin("demos/genocchi_tables.py",

@@ -282,13 +282,39 @@ class TestUmbralRoute:
         rhs = 2 * q_power(-1) * qbracket(2, 1) + q_power(-2) * weighted_genocchi_number(2, w)
         assert lhs == rhs
 
-    @pytest.mark.parametrize("alpha", [1, 2])
+    # for x <= -2, b in [x]_{q^alpha} = q^(alpha min(x, 0)) b is a signed
+    # sum of several powers, and the pass is shifted by q^(alpha n x)
+    @pytest.mark.parametrize("alpha", [1, 2, 3, 4])
     @pytest.mark.parametrize("h", [1, 2])
-    @pytest.mark.parametrize("x", [-1, 0, 1, 2])
+    @pytest.mark.parametrize("x", [-3, -2, -1, 0, 1, 2, 4])
     def test_agrees_with_closed_form(self, alpha, h, x):
         w = W(alpha, h)
         for n in range(8):
             assert weighted_genocchi_poly_umbral(n, w, x) == weighted_genocchi_poly_closed(n, w, x)
+
+    def test_no_rational_function_arithmetic(self, monkeypatch):
+        # the umbral sum is one integer pass over E_n and one reduction:
+        # from cold caches, no RatFuncQ sum, product or power is taken
+        from qgen import genocchi
+
+        genocchi._umbral.cache_clear()
+        clear_recurrence_caches()
+        calls = []
+
+        def counting(name):
+            original = getattr(RatFuncQ, name)
+
+            def wrapper(*args):
+                calls.append(name)
+                return original(*args)
+            return wrapper
+
+        for name in ("__add__", "__radd__", "__mul__", "__rmul__", "__pow__"):
+            monkeypatch.setattr(RatFuncQ, name, counting(name))
+        value = genocchi._umbral(12, 3, 3, 2)
+        monkeypatch.undo()
+        assert calls == []
+        assert value == weighted_genocchi_poly_closed(12, W(3, 3), 2)
 
 
 class TestShiftResidual:
